@@ -17,9 +17,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, counting, density, numtheory, reproduce, search, spectral
-from .constructions import ConstructionId, closed_form_count, generate, verify_freeness
+from .constructions import (
+    ConstructionError,
+    ConstructionId,
+    closed_form_count,
+    generate,
+    verify_freeness,
+)
 from .counting import count_report
-from .graphs import DIRECTED, ORIENTED, read_graph, write_graph
+from .graphs import DIRECTED, ORIENTED, GraphError, read_graph, write_graph
 
 
 class _JsonArgumentParser(argparse.ArgumentParser):
@@ -153,21 +159,22 @@ def _cmd_gen(args, manifest):
     g = generate(cid, args.n, seed=args.seed)
     text = write_graph(g)
     payload = {"construction": cid.label(), "n": g.n, "arcs": g.num_arcs}
-    try:
-        k = {"balanced_cycle_blowup": cid.d, "sparse_singleton_blowup": cid.k,
-             "iterated_c4": 4, "c5c3_tournament_blobs": 5,
-             "c5c7_bipartite_blobs": 5, "c3c6_sparse": 3, "c3_3t_sparse": 3,
-             "c7_chords_blowup": 5, "threshold_c7": 5, "random_bipartite": None,
-             "complete_bipartite_digraph": 4}[cid.kind]
-        if k is not None:
+    k = {"balanced_cycle_blowup": cid.d, "sparse_singleton_blowup": cid.k,
+         "iterated_c4": 4, "c5c3_tournament_blobs": 5,
+         "c5c7_bipartite_blobs": 5, "c3c6_sparse": 3, "c3_3t_sparse": 3,
+         "c7_chords_blowup": 5, "threshold_c7": 5, "random_bipartite": None,
+         "complete_bipartite_digraph": 4}[cid.kind]
+    if k is not None:
+        try:
             value = closed_form_count(cid, args.n, k)
+        except (ConstructionError, GraphError, density.DensityError) as exc:
+            payload["closed_form_error"] = f"{type(exc).__name__}: {exc}"
+        else:
             if isinstance(value, int):
                 payload["closed_form_count"] = {"k": k, "value": str(value)}
             else:
                 payload["closed_form_count"] = {
                     "k": k, "value": float(value.value), "kind": value.kind}
-    except Exception:
-        pass
     if args.out:
         manifest.write_text(args.out, text)
         sidecar = json.dumps(payload, sort_keys=True)

@@ -3,51 +3,51 @@
 Copy counts of directed k-cycles, closed-walk counts (adjacency-matrix
 traces in big-integer arithmetic), simple-path counts, per-arc and
 per-vertex cycle statistics, iterative clearing, the cycle neighbor
-condition, and cycle-type.  Everything here is exact; enumeration kernels
-are JIT-compiled when numba is available, with pure-Python bitset
-fallbacks that return identical values.
+condition, and cycle-type.  Everything here is exact.  Cycle and path
+counts share one bitset depth-first path counter; only
+:func:`enumerate_cycles` materializes the cycles themselves.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
-import numpy as np
-
-from . import _kernels
-from .graphs import DIRECTED, ORIENTED, OrientedGraph
-
-# int64 enumeration is used only when a crude upper bound on the result
-# (n^k bounds both cycle and path counts) stays well inside the range.
-_INT64_SAFE = 1 << 62
+from .graphs import ORIENTED, OrientedGraph
 
 
-def _csr(g: OrientedGraph):
-    """CSR out-adjacency plus dense 0/1 matrix, cached on the graph."""
-    cached = g._csr
-    if cached is None:
-        n = g.n
-        indptr = np.zeros(n + 1, np.int64)
-        for u, _ in g.arcs:
-            indptr[u + 1] += 1
-        np.cumsum(indptr, out=indptr)
-        indices = np.empty(g.num_arcs, np.int64)
-        fill = indptr[:-1].copy()
-        for u, v in g.arcs_sorted():
-            indices[fill[u]] = v
-            fill[u] += 1
-        dense = np.zeros((n, n), np.uint8)
-        for u, v in g.arcs:
-            dense[u, v] = 1
-        cached = (indptr, indices, dense)
-        object.__setattr__(g, "_csr", cached)
-    return cached
+def _simple_paths(out: list[int], start: int, arcs: int, inner: int, last: int,
+                  limit: Optional[int] = None) -> int:
+    """Simple directed paths leaving ``start`` with exactly ``arcs`` arcs.
 
-
-def _kernel_ok(g: OrientedGraph, k: int) -> bool:
-    return _kernels.HAVE_NUMBA and g.n > 0 and g.n ** k < _INT64_SAFE
+    Interior vertices must lie in the bitmask ``inner`` and the end vertex
+    in ``last``.  With ``limit`` the count may stop early once it reaches
+    the limit.
+    """
+    if arcs == 1:
+        return (out[start] & last).bit_count()
+    total = 0
+    # (vertex, visited mask, interior vertices still to place)
+    stack = [(start, 1 << start, arcs - 1)]
+    while stack:
+        v, vis, left = stack.pop()
+        avail = out[v] & inner & ~vis
+        if left == 1:
+            # the end vertices of each last interior vertex are counted in
+            # place rather than pushed, since that layer is the largest
+            while avail:
+                low = avail & -avail
+                avail ^= low
+                total += (out[low.bit_length() - 1] & last & ~(vis | low)).bit_count()
+            if limit is not None and total >= limit:
+                return total
+            continue
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            stack.append((low.bit_length() - 1, vis | low, left - 1))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -71,34 +71,12 @@ def count_cycle_copies(g: OrientedGraph, k: int) -> int:
         return count_digons(g)
     if k > g.n:
         return 0
-    if _kernel_ok(g, k):
-        indptr, indices, dense = _csr(g)
-        return int(_kernels.count_cycles(indptr, indices, dense, g.n, k))
-    return _count_cycles_py(g, k)
-
-
-def _count_cycles_py(g: OrientedGraph, k: int) -> int:
     out = g.out_bits()
     inn = g.in_bits()
-    n = g.n
     total = 0
-    for s in range(n):
+    for s in range(g.n):
         high = -1 << (s + 1)  # vertices strictly above the canonical start
-        target = inn[s]
-        if not out[s] & high and not (k == 2):
-            continue
-        # stack of (vertex, visited-mask, depth); depth = vertices placed
-        stack = [(s, 1 << s, 1)]
-        while stack:
-            v, vis, depth = stack.pop()
-            avail = out[v] & high & ~vis
-            if depth == k - 1:
-                total += (avail & target).bit_count()
-                continue
-            while avail:
-                low = avail & -avail
-                avail ^= low
-                stack.append((low.bit_length() - 1, vis | low, depth + 1))
+        total += _simple_paths(out, s, k - 1, high, inn[s] & high)
     return total
 
 
@@ -140,10 +118,6 @@ def vertex_cycle_counts(g: OrientedGraph, k: int) -> dict[int, int]:
                 tv[u] += 1
                 tv[v] += 1
         return tv
-    if _kernel_ok(g, k) and k <= g.n:
-        indptr, indices, dense = _csr(g)
-        arr = _kernels.vertex_cycle_counts(indptr, indices, dense, g.n, k)
-        return {v: int(arr[v]) for v in range(g.n)}
     tv = {v: 0 for v in range(g.n)}
     if 3 <= k <= g.n:
         for cyc in enumerate_cycles(g, k):
@@ -159,10 +133,6 @@ def arc_cycle_multiplicities(g: OrientedGraph, k: int) -> dict[tuple[int, int], 
     mult = {arc: 0 for arc in g.arcs}
     if not 3 <= k <= g.n:
         return mult
-    if _kernel_ok(g, k) and g.n <= 1024:
-        indptr, indices, dense = _csr(g)
-        ta = _kernels.arc_cycle_counts(indptr, indices, dense, g.n, k)
-        return {(u, v): int(ta[u, v]) for (u, v) in g.arcs}
     for cyc in enumerate_cycles(g, k):
         for i in range(k):
             mult[(cyc[i], cyc[(i + 1) % k])] += 1
@@ -298,9 +268,6 @@ def has_cycle_subgraph(g: OrientedGraph, length: int) -> bool:
                 if v != u and rows2[v] >> u & 1:
                     return True
         return False
-    if _kernel_ok(g, length):
-        indptr, indices, dense = _csr(g)
-        return bool(_kernels.has_cycle(indptr, indices, dense, n, length))
     for _ in enumerate_cycles(g, length):
         return True
     return False
@@ -319,27 +286,8 @@ def count_paths(g: OrientedGraph, i: int) -> int:
         return g.n
     if i > g.n:
         return 0
-    if _kernel_ok(g, i):
-        indptr, indices, _ = _csr(g)
-        return int(_kernels.count_paths(indptr, indices, g.n, i))
-    return _count_paths_py(g, i)
-
-
-def _count_paths_py(g: OrientedGraph, i: int) -> int:
     out = g.out_bits()
-    total = 0
-    stack = [(s, 1 << s, 1) for s in range(g.n)]
-    while stack:
-        v, vis, depth = stack.pop()
-        avail = out[v] & ~vis
-        if depth == i - 1:
-            total += avail.bit_count()
-            continue
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            stack.append((low.bit_length() - 1, vis | low, depth + 1))
-    return total
+    return sum(_simple_paths(out, s, i - 1, -1, -1) for s in range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -372,22 +320,20 @@ def clear(g: OrientedGraph, k: int, ell: int) -> ClearingResult:
     """Delete arcs and vertices on no k-cycle until a fixed point."""
     current = g
     removed_arcs = 0
-    removed_vertices = 0
     while True:
         mult = arc_cycle_multiplicities(current, k)
-        dead = [arc for arc, m in mult.items() if m == 0]
-        if dead:
-            removed_arcs += len(dead)
-            keep = current.arcs - set(dead)
-            current = OrientedGraph(current.n, keep, current.mode)
-            continue
-        tv = vertex_cycle_counts(current, k)
-        alive = [v for v in range(current.n) if tv[v] > 0]
-        if len(alive) != current.n:
-            removed_vertices += current.n - len(alive)
-            current = current.subgraph(alive)
-            continue
-        break
+        dead = {arc for arc, m in mult.items() if m == 0}
+        if not dead:
+            break
+        removed_arcs += len(dead)
+        current = OrientedGraph(current.n, current.arcs - dead, current.mode)
+    # every remaining arc lies on a k-cycle, so exactly the vertices that
+    # keep an arc do; deleting the others changes no arc's multiplicity
+    und = current.und_bits()
+    alive = [v for v in range(current.n) if und[v]]
+    removed_vertices = current.n - len(alive)
+    if removed_vertices:
+        current = current.subgraph(alive)
     return ClearingResult(
         cleared=current,
         removed_arcs=removed_arcs,
@@ -417,16 +363,6 @@ def check_neighbor_condition(g: OrientedGraph, k: int, d: int) -> NeighborCondit
         raise ValueError("d must be at least 2")
     limit = (2 * k) // d
     if k > g.n or k < 3:
-        return NeighborConditionReport(True, limit)
-    if _kernels.HAVE_NUMBA and g.n <= 64:
-        indptr, indices, dense = _csr(g)
-        und = np.zeros(g.n, np.uint64)
-        for v, mask in enumerate(g.und_bits()):
-            und[v] = mask
-        found, w, cyc = _kernels.neighbor_condition(
-            indptr, indices, dense, und, g.n, k, limit)
-        if found:
-            return NeighborConditionReport(False, limit, int(w), tuple(int(x) for x in cyc))
         return NeighborConditionReport(True, limit)
     und_bits = g.und_bits()
     for cyc in enumerate_cycles(g, k):

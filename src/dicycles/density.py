@@ -22,6 +22,7 @@ import numpy as np
 from .constructions import threshold_c7_pattern
 from .graphs import THRESHOLD, PatternError, PatternSpec
 from .pattern_walks import (
+    closed_walks,
     density_monomials,
     evaluate_monomials,
     monomial_gradient,
@@ -230,7 +231,7 @@ def _forward_cell_integrals(c: float, resolution: int) -> np.ndarray:
     return area * (n * n)
 
 
-def _threshold_kernels(c: float, resolution: int) -> dict[str, np.ndarray]:
+def _threshold_matrices(c: float, resolution: int) -> dict[str, np.ndarray]:
     fwd = _forward_cell_integrals(c, resolution)
     return {
         "F": fwd,                    # step along a skeleton arc
@@ -261,39 +262,14 @@ def _threshold_walks(pattern: PatternSpec, k: int):
 
     Returns {canonical cyclic tag tuple: {blob exponent tuple: count}}.
     """
-    steps = _threshold_steps(pattern)
-    p = pattern.p
     grouped: dict[tuple, dict[tuple, int]] = {}
-    seq_blobs = [0] * k
-    seq_tags: list[str] = [""] * k
-
-    def canonical(tags: tuple) -> tuple:
-        return min(tags[i:] + tags[:i] for i in range(len(tags)))
-
-    def record():
-        expo = [0] * p
-        for b in seq_blobs:
+    for blobs, tags in closed_walks(_threshold_steps(pattern), k):
+        expo = [0] * pattern.p
+        for b in blobs:
             expo[b] += 1
-        tag = canonical(tuple(seq_tags))
-        grouped.setdefault(tag, {}).setdefault(tuple(expo), 0)
-        grouped[tag][tuple(expo)] += 1
-
-    def extend(t: int):
-        b = seq_blobs[t - 1]
-        if t == k:
-            for nxt, tag in steps[b]:
-                if nxt == seq_blobs[0]:
-                    seq_tags[k - 1] = tag
-                    record()
-            return
-        for nxt, tag in steps[b]:
-            seq_blobs[t] = nxt
-            seq_tags[t - 1] = tag
-            extend(t + 1)
-
-    for start in range(p):
-        seq_blobs[0] = start
-        extend(1)
+        tag = min(tags[i:] + tags[:i] for i in range(k))
+        counts = grouped.setdefault(tag, {})
+        counts[tuple(expo)] = counts.get(tuple(expo), 0) + 1
     return grouped
 
 
@@ -312,7 +288,7 @@ def threshold_density(c: float, k: int = 5, resolution: int = 512,
     if weights is None:
         weights = pattern.blob_weights
     _check_simplex(weights)
-    kernels = _threshold_kernels(c, resolution)
+    kernels = _threshold_matrices(c, resolution)
     grouped = _threshold_walks(pattern, k)
     scale = float(resolution) ** k
     total = 0.0

@@ -63,7 +63,7 @@ class OrientedGraph:
     silently deduplicated.
     """
 
-    __slots__ = ("n", "arcs", "mode", "_out_bits", "_in_bits", "_csr")
+    __slots__ = ("n", "arcs", "mode", "_out_bits", "_in_bits")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]], mode: str = ORIENTED):
         if mode not in (ORIENTED, DIRECTED):
@@ -85,7 +85,6 @@ class OrientedGraph:
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_out_bits", None)
         object.__setattr__(self, "_in_bits", None)
-        object.__setattr__(self, "_csr", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrientedGraph is immutable")

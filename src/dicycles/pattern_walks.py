@@ -39,6 +39,37 @@ def _stay_allowed(pattern: PatternSpec, blob: int) -> bool:
     return pattern.blob_internal[blob].kind in (TRANSITIVE_TOURNAMENT, ONE_WAY_BIPARTITE)
 
 
+def closed_walks(table: list[list[tuple[int, object]]], k: int) -> list[tuple[tuple[int, ...], tuple]]:
+    """All linear closed k-walks over a per-blob step table.
+
+    ``table[b]`` lists the steps out of blob ``b`` as (next blob, label).
+    Each walk is returned as (blobs, labels): ``blobs[t]`` is the blob of
+    the t-th vertex and ``labels[t]`` labels the step from vertex t to
+    vertex (t+1) mod k.  Walks come in depth-first order of the table.
+    """
+    walks = []
+    blobs = [0] * k
+    labels = [None] * k
+
+    def extend(t: int):
+        b = blobs[t - 1]
+        if t == k:
+            for nxt, label in table[b]:
+                if nxt == blobs[0]:
+                    labels[k - 1] = label
+                    walks.append((tuple(blobs), tuple(labels)))
+            return
+        for nxt, label in table[b]:
+            blobs[t] = nxt
+            labels[t - 1] = label
+            extend(t + 1)
+
+    for start in range(len(table)):
+        blobs[0] = start
+        extend(1)
+    return walks
+
+
 def enumerate_closed_walks(pattern: PatternSpec, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All linear closed k-walks as (blobs, step kinds).
 
@@ -49,37 +80,11 @@ def enumerate_closed_walks(pattern: PatternSpec, k: int) -> list[tuple[tuple[int
         raise PatternError("threshold patterns have no polynomial walk expansion")
     if k < 2:
         raise ValueError("k must be at least 2")
-    base = pattern.base
-    out = [sorted(v for (u, v) in base.arcs if u == b) for b in range(pattern.p)]
-    walks = []
-    blobs = [0] * k
-    steps = [CROSS] * k
-
-    def extend(t: int):
-        b = blobs[t - 1]
-        if t == k:
-            if b == blobs[0]:
-                if _stay_allowed(pattern, b):
-                    steps[k - 1] = STAY
-                    walks.append((tuple(blobs), tuple(steps)))
-            for nxt in out[b]:
-                if nxt == blobs[0]:
-                    steps[k - 1] = CROSS
-                    walks.append((tuple(blobs), tuple(steps)))
-            return
-        if _stay_allowed(pattern, b):
-            blobs[t] = b
-            steps[t - 1] = STAY
-            extend(t + 1)
-        for nxt in out[b]:
-            blobs[t] = nxt
-            steps[t - 1] = CROSS
-            extend(t + 1)
-
-    for start in range(pattern.p):
-        blobs[0] = start
-        extend(1)
-    return walks
+    arcs = sorted(pattern.base.arcs)
+    table = [([(b, STAY)] if _stay_allowed(pattern, b) else [])
+             + [(v, CROSS) for (u, v) in arcs if u == b]
+             for b in range(pattern.p)]
+    return closed_walks(table, k)
 
 
 def _cyclic_runs(blobs: tuple[int, ...], steps: tuple[int, ...]) -> dict[int, list[int]]:

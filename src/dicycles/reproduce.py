@@ -21,6 +21,7 @@ from . import counting, density, numtheory, search, spectral
 from .constructions import (
     ConstructionId,
     closed_form_count,
+    digon_pattern,
     generate,
 )
 from .graphs import (
@@ -32,6 +33,7 @@ from .graphs import (
     uniform_pattern,
 )
 from .numtheory import ceil_cubic_value
+from .pattern_walks import density_monomials, evaluate_monomials
 
 
 @dataclass
@@ -515,7 +517,10 @@ def run_directed_mode():
             passed = False
             details[f"n={n}"] = {"closed_form": cf, "formula": formula}
     details["formula"] = "2 * C(n/2, 2)^2 even-cycle count through digon-paired parts"
-    leading = Fraction(2, 2 ** 4) / 4  # formula / n^4 limit: 2 * (m^2/2)^2 / n^4
+    # formula / n^4 limit 2 * (m^2/2)^2 / n^4, derived from the digon pattern
+    leading = evaluate_monomials(density_monomials(digon_pattern(), 4),
+                                 (Fraction(1, 2), Fraction(1, 2)))
+    details["leading_term"] = str(leading)
     details["leading_term_matches"] = leading == Fraction(1, 32)
     passed = passed and leading == Fraction(1, 32)
     return passed, details

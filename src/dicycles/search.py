@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .counting import count_cycle_copies, has_cycle_subgraph
+from .counting import _simple_paths, count_cycle_copies, has_cycle_subgraph
 from .graphs import DIRECTED, ORIENTED, OrientedGraph, canonical_arcs
 from .numtheory import ceil_cubic_value
 from .graphs import iterated_blowup_cycle_count
@@ -97,6 +97,15 @@ class ExtremalRecord:
             "method": self.method,
             "search_budget": self.search_budget,
         }
+
+
+def _check_witness(g: OrientedGraph, k: int, forbidden, copies: int) -> None:
+    """Re-verify a witness through the counting module."""
+    recount = count_cycle_copies(g, k)
+    if recount != copies:
+        raise SearchError(f"witness has {recount} copies of C{k}, search reported {copies}")
+    if contains_forbidden(g, forbidden):
+        raise SearchError("witness contains a forbidden pattern")
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +246,7 @@ def exhaustive_extremal(n: int, k: int, forbidden, mode: str = ORIENTED,
         if key in seen:
             continue
         seen.add(key)
-        assert count_cycle_copies(g, k) == best
-        assert not contains_forbidden(g, forbidden)
+        _check_witness(g, k, forbidden, best)
         witnesses.append(g)
         if len(witnesses) >= MAX_WITNESSES:
             break
@@ -248,30 +256,6 @@ def exhaustive_extremal(n: int, k: int, forbidden, mode: str = ORIENTED,
 # ---------------------------------------------------------------------------
 # Local search
 # ---------------------------------------------------------------------------
-
-
-def _path_count(out_bits, src: int, dst: int, arcs_needed: int, limit: Optional[int] = None) -> int:
-    """Simple directed paths src -> dst with exactly ``arcs_needed`` arcs."""
-    if arcs_needed == 1:
-        return 1 if out_bits[src] >> dst & 1 else 0
-    total = 0
-    stack = [(src, 1 << src, 0)]
-    dst_bit = 1 << dst
-    while stack:
-        v, vis, depth = stack.pop()
-        nbrs = out_bits[v] & ~vis
-        if depth == arcs_needed - 1:
-            if nbrs & dst_bit:
-                total += 1
-                if limit is not None and total >= limit:
-                    return total
-            continue
-        nbrs &= ~dst_bit
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            stack.append((low.bit_length() - 1, vis | low, depth + 1))
-    return total
 
 
 class _AnnealState:
@@ -298,9 +282,8 @@ class _AnnealState:
             elif item == 2:
                 if out[v] >> u & 1:
                     return True
-            else:
-                if _path_count(out, v, u, item - 1, limit=1):
-                    return True
+            elif _simple_paths(out, v, item - 1, ~(1 << u), 1 << u, limit=1):
+                return True
         return False
 
     def _add_arc(self, u: int, v: int) -> Optional[int]:
@@ -324,7 +307,7 @@ class _AnnealState:
         # k-cycles containing the arc u -> v (currently present)
         if self.k == 3:
             return (self.out[v] & self.inn[u]).bit_count()
-        return _path_count(self.out, v, u, self.k - 1)
+        return _simple_paths(self.out, v, self.k - 1, ~(1 << u), 1 << u)
 
     def _arcs_of(self, state: int, u: int, v: int) -> list[tuple[int, int]]:
         arcs = []
@@ -360,8 +343,10 @@ class _AnnealState:
             for a in reversed(done_rm):
                 # re-adding a previously present arc cannot be forbidden in
                 # a graph that is a subgraph of the original valid graph
-                assert self._add_arc(*a) is not None
-            assert self.count == before
+                if self._add_arc(*a) is None:
+                    raise SearchError(f"rollback could not restore arc {a}")
+            if self.count != before:
+                raise SearchError("rollback did not restore the cycle count")
             return None
         self.states[pair_idx] = new_state
         return self.count - before
@@ -417,8 +402,7 @@ def local_search_extremal(n: int, k: int, forbidden, budget: int, seed: int,
         else:
             stagnation += 1
 
-    assert count_cycle_copies(best_graph, k) == best_count
-    assert not contains_forbidden(best_graph, forbidden)
+    _check_witness(best_graph, k, forbidden, best_count)
     return ExtremalRecord(n, k, parse_forbidden(forbidden), mode, best_count,
                           (best_graph,), "local_search", budget)
 

@@ -50,6 +50,21 @@ def test_gen_and_count_round_trip(tmp_path, capsys):
     assert str(out) in payload["manifest"]["inputs"]
 
 
+def test_gen_reports_closed_form_error(monkeypatch, capsys):
+    from dicycles import cli
+    from dicycles.constructions import NoClosedFormError
+
+    def no_formula(cid, n, k):
+        raise NoClosedFormError("no formula here")
+
+    monkeypatch.setattr(cli, "closed_form_count", no_formula)
+    code, payload, _ = run_cli(capsys, "gen", "--construction", "balanced_cycle_blowup",
+                               "--d", "3", "--n", "6")
+    assert code == 0
+    assert "closed_form_count" not in payload
+    assert payload["closed_form_error"] == "NoClosedFormError: no formula here"
+
+
 def test_check_command_exit_codes(tmp_path, capsys):
     path = tmp_path / "c3.graph"
     path.write_text("3 3\n0 1\n1 2\n2 0\n")

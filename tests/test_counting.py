@@ -3,10 +3,10 @@
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from dicycles import _kernels
 from dicycles.counting import (
     arc_cycle_multiplicities,
     check_neighbor_condition,
@@ -21,8 +21,6 @@ from dicycles.counting import (
     has_cycle_subgraph,
     thick_arcs,
     vertex_cycle_counts,
-    _count_cycles_py,
-    _count_paths_py,
 )
 from dicycles.graphs import (
     DIRECTED,
@@ -63,22 +61,6 @@ def test_copy_count_matches_naive_enumeration():
         g = random_oriented(rng, rng.randint(3, 7), rng.choice([0.4, 0.8]))
         for k in range(3, g.n + 1):
             assert count_cycle_copies(g, k) == naive_count(g, k)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_python_fallback_agrees_with_kernel():
-    from dicycles.counting import _csr
-
-    rng = random.Random(123)
-    for _ in range(25):
-        g = random_oriented(rng, rng.randint(4, 9), 0.6)
-        for k in range(3, min(g.n, 6) + 1):
-            indptr, indices, dense = _csr(g)
-            kernel = int(_kernels.count_cycles(indptr, indices, dense, g.n, k))
-            assert kernel == _count_cycles_py(g, k)
-        for i in range(2, 5):
-            indptr, indices, _ = _csr(g)
-            assert int(_kernels.count_paths(indptr, indices, g.n, i)) == _count_paths_py(g, i)
 
 
 def test_digon_counting():
@@ -139,6 +121,20 @@ def test_count_paths_examples():
     assert count_paths(tt3, 3) == 1
     assert count_paths(balanced_blow_up(directed_cycle(3), 6), 2) == 12
     assert count_paths(directed_cycle(3), 1) == 3
+
+
+def naive_paths(g, order):
+    # vertex sequences of the given order whose consecutive pairs are arcs
+    return sum(1 for seq in permutations(range(g.n), order)
+               if all((seq[t], seq[t + 1]) in g.arcs for t in range(order - 1)))
+
+
+def test_count_paths_matches_naive_enumeration():
+    rng = random.Random(41)
+    for _ in range(40):
+        g = random_oriented(rng, rng.randint(2, 7), rng.choice([0.5, 0.9]))
+        for order in range(1, g.n + 2):
+            assert count_paths(g, order) == naive_paths(g, order)
 
 
 def test_arc_multiplicities():

@@ -1,12 +1,20 @@
 """Exhaustive scan and simulated annealing against known small values."""
 
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dicycles.counting import count_cycle_copies, has_cycle_subgraph
-from dicycles.graphs import DIRECTED, iterated_blowup_cycle_count
+from dicycles.graphs import DIRECTED, OrientedGraph, iterated_blowup_cycle_count
 from dicycles.numtheory import ceil_cubic_value
 from dicycles.search import (
     TooLargeError,
+    _AnnealState,
     contains_forbidden,
     exhaustive_extremal,
     has_transitive_triangle,
@@ -95,6 +103,44 @@ def test_local_search_deterministic_per_seed():
     b = local_search_extremal(6, 3, [5], budget=20_000, seed=3)
     assert a.max_copies == b.max_copies
     assert a.witnesses[0].arcs == b.witnesses[0].arcs
+
+
+def test_anneal_incremental_count_matches_recount():
+    # the arc-through path counts keep the running count exact, and a
+    # rejected move leaves it unchanged
+    for k, forbidden in ((3, [4]), (4, [3]), (5, [3])):
+        rng = random.Random(k)
+        state = _AnnealState(8, k, forbidden, "oriented")
+        outcomes = set()
+        peak = 0
+        for _ in range(400):
+            idx = rng.randrange(len(state.pairs))
+            outcomes.add(state.try_set(idx, rng.randrange(3)) is None)
+            assert state.count == count_cycle_copies(state.graph(), k)
+            peak = max(peak, state.count)
+        assert outcomes == {True, False} and peak > 0
+
+
+def test_local_search_records_hold_under_optimize_flag():
+    # python -O strips asserts; the annealer's rollback must not live in one
+    script = """
+import json
+from dicycles.search import local_search_extremal
+rows = []
+for n, k, forbidden in [(8, 3, [4]), (8, 4, [3]), (7, 5, [3]), (9, 3, [5])]:
+    for seed in range(3):
+        r = local_search_extremal(n, k, forbidden, budget=2000, seed=seed)
+        rows.append([n, k, forbidden, r.max_copies, sorted(r.witnesses[0].arcs)])
+print(json.dumps(rows))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    for n, k, forbidden, copies, arcs in json.loads(done.stdout):
+        witness = OrientedGraph(n, [tuple(a) for a in arcs])
+        assert count_cycle_copies(witness, k) == copies
+        assert not contains_forbidden(witness, forbidden)
 
 
 def test_local_search_directed_mode():
