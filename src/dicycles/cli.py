@@ -38,7 +38,7 @@ class _Manifest:
     def __init__(self, argv, seed=None):
         self.argv = list(argv)
         self.seed = seed
-        self.start = time.time()
+        self.start = time.perf_counter()
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
 
@@ -60,7 +60,7 @@ class _Manifest:
             "argv": self.argv,
             "seed": self.seed,
             "version": __version__,
-            "wall_time_s": round(time.time() - self.start, 4),
+            "wall_time_s": round(time.perf_counter() - self.start, 4),
             "inputs": self.inputs,
             "outputs": self.outputs,
         }

@@ -151,7 +151,7 @@ def seven_cycle_with_chords() -> OrientedGraph:
     """The 7-cycle plus the 7 chords v_i -> v_{i+3}.
 
     Each chord closes a directed 5-cycle together with four consecutive
-    cycle arcs; this is asserted below so a wrong chord convention fails
+    cycle arcs; this is checked below so a wrong chord convention fails
     fast.
     """
     arcs = [(i, (i + 1) % 7) for i in range(7)] + [(i, (i + 3) % 7) for i in range(7)]
@@ -159,9 +159,9 @@ def seven_cycle_with_chords() -> OrientedGraph:
     for i in range(7):
         # chord (i, i+3) must be closed by the cycle path i+3 -> ... -> i
         path = [(i + 3 + j) % 7 for j in range(5)]
-        assert path[-1] == i % 7
-        assert all(g.has_arc(path[j], path[j + 1]) for j in range(4)), \
-            "chord does not close a 5-cycle with consecutive arcs"
+        if path[-1] != i or not all(g.has_arc(path[j], path[j + 1]) for j in range(4)):
+            raise ConstructionError(f"chord ({i}, {(i + 3) % 7}) does not close a 5-cycle "
+                                    "with consecutive arcs")
     return g
 
 

@@ -3,16 +3,29 @@
 Copy counts of directed k-cycles, closed-walk counts (adjacency-matrix
 traces in big-integer arithmetic), simple-path counts, per-arc and
 per-vertex cycle statistics, iterative clearing, the cycle neighbor
-condition, and cycle-type.  Everything here is exact.  Cycle and path
-counts share one bitset depth-first path counter; only
-:func:`enumerate_cycles` materializes the cycles themselves.
+condition, and cycle-type.  Everything here is exact.
+
+Paths, cycle copies, per-arc multiplicities and the neighbor condition
+run on a numpy frontier (the vectorised Held-Karp subset dynamic program)
+when the graph has at most 64 vertices and ``n * maxoutdeg**arcs < 2**63``:
+states are (end vertex, uint64 visited set, int64 multiplicity), equal
+states are merged after every level, and the last arc is counted in place
+by a popcount.  The bound caps every multiplicity and partial sum, so int64
+never overflows.  The frontier is expanded in chunks of a fixed number of
+states, breadth-first within a chunk and depth-first over chunks, which
+bounds its memory by the depth times the children of one chunk.  Larger
+graphs, and graphs that fail the bound, use one bitset depth-first path
+counter with Python integers; only :func:`enumerate_cycles` materializes
+the cycles themselves.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
+
+import numpy as np
 
 from .graphs import ORIENTED, OrientedGraph
 
@@ -51,6 +64,145 @@ def _simple_paths(out: list[int], start: int, arcs: int, inner: int, last: int,
 
 
 # ---------------------------------------------------------------------------
+# Frontier engine (n <= 64)
+# ---------------------------------------------------------------------------
+
+# states per chunk; the frontier never holds more than depth * maxoutdeg
+# chunks of states at once
+_CHUNK = 512
+
+
+def _frontier_ok(g: OrientedGraph, arcs: int) -> bool:
+    """True iff paths with ``arcs`` arcs can be counted on the frontier:
+    masks fit in uint64, and n * maxoutdeg**arcs, which bounds every
+    multiplicity and every partial sum, fits in int64."""
+    if g.n > 64:
+        return False
+    delta = max((b.bit_count() for b in g.out_bits()), default=0)
+    return g.n * delta ** arcs < 1 << 63
+
+
+def _uint64(bits: list[int]) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64)
+
+
+def _out_table(g: OrientedGraph, bit: np.ndarray) -> np.ndarray:
+    """Row u holds the bits of u's out-neighbours, padded with zeros to the
+    largest out-degree."""
+    out = _uint64(g.out_bits())
+    rows = np.sort(out[:, None] & bit, axis=1)[:, ::-1]  # the set bits first
+    return rows[:, :int(np.bitwise_count(out).max(initial=0))]
+
+
+def _expand(table: np.ndarray, end: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(state, vertex bit) for every out-neighbour of end[state] in free[state]."""
+    step = table[end] & free[:, None]
+    hit = np.flatnonzero(step)
+    return hit // table.shape[1], step.ravel()[hit]
+
+
+def _frontier(g: OrientedGraph, arcs: int, close: Callable[..., bool],
+              canonical: bool = False, by_start: bool = False) -> None:
+    """Expand the simple paths of ``g`` to ``arcs - 1`` arcs and hand them,
+    a chunk at a time, to ``close(end, vis, mult, start)``, which accounts
+    for the last arc in place and may return True to stop.
+
+    ``canonical`` keeps interior vertices above the start, so that the
+    start is the lowest bit of ``vis``.  ``by_start`` keeps paths from
+    different starts apart; otherwise ``start`` is only meaningful when
+    ``canonical``.
+    """
+    bit = np.left_shift(np.uint64(1), np.arange(g.n, dtype=np.uint64))
+    table = _out_table(g, bit)
+    high = ~(bit | (bit - np.uint64(1)))  # the vertices above each start
+    verts = np.arange(g.n, dtype=np.uint8)  # vertex numbers, as end and start
+    stack = [(0, verts, bit, np.ones(g.n, dtype=np.int64), verts)]
+    while stack:
+        level, end, vis, mult, start = stack.pop()
+        if level + 1 < arcs:
+            free = ~vis & high[start] if canonical else ~vis
+            par, low = _expand(table, end, free)
+            end = np.bitwise_count(low - np.uint64(1))
+            vis, mult, start = vis[par] | low, mult[par], start[par]
+            level += 1
+            if level + 1 < arcs:
+                end, vis, mult, start = _merge(end, vis, mult, start, by_start)
+                for lo in reversed(range(0, end.size, _CHUNK)):
+                    hi = lo + _CHUNK
+                    stack.append((level, end[lo:hi], vis[lo:hi], mult[lo:hi], start[lo:hi]))
+                continue
+        # the last level before the closing arc is not merged: counting it
+        # in place is cheaper than sorting it
+        if close(end, vis, mult, start):
+            return
+
+
+def _merge(end, vis, mult, start, by_start: bool):
+    """Sum the multiplicities of equal states, ordered by visited set first,
+    which keeps the states whose children can coincide in one chunk."""
+    key = (vis << np.uint64(6)) | end.astype(np.uint64)
+    if by_start:
+        key = (key << np.uint64(6)) | start.astype(np.uint64)
+    order = np.argsort(key)
+    end, vis, mult, start = end[order], vis[order], mult[order], start[order]
+    # compare the fields, not the keys: above 52 vertices keys can collide,
+    # which at worst leaves some equal states apart
+    new = np.empty(end.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(vis[1:], vis[:-1], out=new[1:])
+    new[1:] |= end[1:] != end[:-1]
+    if by_start:
+        new[1:] |= start[1:] != start[:-1]
+    first = np.flatnonzero(new)
+    return end[first], vis[first], np.add.reduceat(mult, first), start[first]
+
+
+def _frontier_count(g: OrientedGraph, arcs: int, last: Optional[np.ndarray]) -> int:
+    """Simple paths with ``arcs`` arcs from every start; with ``last``, only
+    canonical ones (interior above the start) ending in last[start]."""
+    out = _uint64(g.out_bits())
+    total = 0
+
+    def close(end, vis, mult, start):
+        nonlocal total
+        ends = out[end] & ~vis
+        if last is not None:
+            ends &= last[start]
+        total += int(np.bitwise_count(ends).astype(np.int64) @ mult)
+        return False
+
+    _frontier(g, arcs, close, canonical=last is not None)
+    return total
+
+
+def _arc_matrix(g: OrientedGraph, k: int) -> np.ndarray:
+    """m[u, v] = k-cycle copies through the arc (u, v): each copy is found
+    once per arc, as a simple path from v back to u."""
+    out = _uint64(g.out_bits())
+    inn = _uint64(g.in_bits())
+    mat = np.zeros((g.n, g.n), dtype=np.int64)
+
+    def close(end, vis, mult, start):
+        ends = out[end] & inn[start] & ~vis
+        # one closing arc (tail, start) per set bit of ends, lowest first
+        while ends.size:
+            live = ends != 0
+            ends, mult, start = ends[live], mult[live], start[live]
+            low = ends & (~ends + np.uint64(1))
+            np.add.at(mat, (np.bitwise_count(low - np.uint64(1)), start), mult)
+            ends ^= low
+        return False
+
+    _frontier(g, k - 1, close, by_start=True)
+    return mat
+
+
+def _above(bits: list[int]) -> np.ndarray:
+    """Each vertex's mask restricted to the vertices above it."""
+    return _uint64([b & ~((2 << v) - 1) for v, b in enumerate(bits)])
+
+
+# ---------------------------------------------------------------------------
 # Cycle copies
 # ---------------------------------------------------------------------------
 
@@ -71,8 +223,10 @@ def count_cycle_copies(g: OrientedGraph, k: int) -> int:
         return count_digons(g)
     if k > g.n:
         return 0
-    out = g.out_bits()
     inn = g.in_bits()
+    if _frontier_ok(g, k - 1):
+        return _frontier_count(g, k - 1, _above(inn))
+    out = g.out_bits()
     total = 0
     for s in range(g.n):
         high = -1 << (s + 1)  # vertices strictly above the canonical start
@@ -110,19 +264,14 @@ def enumerate_cycles(g: OrientedGraph, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def vertex_cycle_counts(g: OrientedGraph, k: int) -> dict[int, int]:
-    """t_v: the number of k-cycle copies through each vertex."""
-    if k == 2:
-        tv = {v: 0 for v in range(g.n)}
-        for u, v in g.arcs:
-            if u < v and (v, u) in g.arcs:
-                tv[u] += 1
-                tv[v] += 1
-        return tv
+    """t_v: the number of k-cycle copies through each vertex.
+
+    Each copy through v leaves it by exactly one arc, so t_v sums the
+    multiplicities of v's out-arcs.
+    """
     tv = {v: 0 for v in range(g.n)}
-    if 3 <= k <= g.n:
-        for cyc in enumerate_cycles(g, k):
-            for v in cyc:
-                tv[v] += 1
+    for (u, _), m in arc_cycle_multiplicities(g, k).items():
+        tv[u] += m
     return tv
 
 
@@ -130,6 +279,9 @@ def arc_cycle_multiplicities(g: OrientedGraph, k: int) -> dict[tuple[int, int], 
     """For each arc, the number of k-cycle copies containing it."""
     if k == 2:
         return {(u, v): 1 if (v, u) in g.arcs else 0 for (u, v) in g.arcs}
+    if 3 <= k <= g.n and _frontier_ok(g, k - 1):
+        mat = _arc_matrix(g, k)
+        return {(u, v): int(mat[u, v]) for (u, v) in g.arcs}
     mult = {arc: 0 for arc in g.arcs}
     if not 3 <= k <= g.n:
         return mult
@@ -268,8 +420,12 @@ def has_cycle_subgraph(g: OrientedGraph, length: int) -> bool:
                 if v != u and rows2[v] >> u & 1:
                     return True
         return False
-    for _ in enumerate_cycles(g, length):
-        return True
+    out = g.out_bits()
+    inn = g.in_bits()
+    for s in range(n):
+        high = -1 << (s + 1)
+        if _simple_paths(out, s, length - 1, high, inn[s] & high, limit=1):
+            return True
     return False
 
 
@@ -286,6 +442,8 @@ def count_paths(g: OrientedGraph, i: int) -> int:
         return g.n
     if i > g.n:
         return 0
+    if _frontier_ok(g, i - 1):
+        return _frontier_count(g, i - 1, None)
     out = g.out_bits()
     return sum(_simple_paths(out, s, i - 1, -1, -1) for s in range(g.n))
 
@@ -364,6 +522,11 @@ def check_neighbor_condition(g: OrientedGraph, k: int, d: int) -> NeighborCondit
     limit = (2 * k) // d
     if k > g.n or k < 3:
         return NeighborConditionReport(True, limit)
+    if _frontier_ok(g, k - 1):
+        found = _neighbor_violation(g, k, limit)
+        if found is None:
+            return NeighborConditionReport(True, limit)
+        return NeighborConditionReport(False, limit, *found)
     und_bits = g.und_bits()
     for cyc in enumerate_cycles(g, k):
         mask = 0
@@ -373,6 +536,45 @@ def check_neighbor_condition(g: OrientedGraph, k: int, d: int) -> NeighborCondit
             if (und_bits[w] & mask).bit_count() > limit:
                 return NeighborConditionReport(False, limit, w, cyc)
     return NeighborConditionReport(True, limit)
+
+
+def _neighbor_violation(g: OrientedGraph, k: int, limit: int) -> Optional[tuple[int, tuple[int, ...]]]:
+    """A vertex with more than ``limit`` underlying neighbours on a k-cycle,
+    and that cycle, or None.
+
+    The count depends only on the cycle's vertex set.  A canonical path
+    closes into cycles on vis | {t} for each t in ``ends``; w has
+    c = |und(w) & vis| neighbours on vis, so it violates iff c > limit, or
+    c == limit and some closing t is a neighbour of w.
+    """
+    und_bits = g.und_bits()
+    out = _uint64(g.out_bits())
+    last = _above(g.in_bits())
+    und = _uint64(und_bits)[:, None]
+    found = None
+
+    def close(end, vis, mult, start):
+        nonlocal found
+        ends = out[end] & last[start] & ~vis
+        live = np.flatnonzero(ends)
+        for lo in range(0, live.size, _CHUNK):
+            i = live[lo:lo + _CHUNK]
+            c = np.bitwise_count(und & vis[i])
+            bad = (c > limit) | ((c == limit) & ((und & ends[i]) != 0))
+            if bad.any():
+                # the lowest violating vertex, then the first such path
+                w, j = divmod(int(np.argmax(bad)), i.size)
+                t = int(ends[i[j]]) & (und_bits[w] if c[w, j] == limit else -1)
+                cycle_set = int(vis[i[j]]) | (t & -t)
+                members = [v for v in range(g.n) if cycle_set >> v & 1]
+                # any k-cycle through the whole set is a witness
+                cyc = next(enumerate_cycles(g.subgraph(members), k))
+                found = (w, tuple(members[x] for x in cyc))
+                return True
+        return False
+
+    _frontier(g, k - 1, close, canonical=True)
+    return found
 
 
 # ---------------------------------------------------------------------------

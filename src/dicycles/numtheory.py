@@ -131,7 +131,8 @@ def representable(q: RepresentabilityQuery) -> RepresentabilityResult:
             x += 1
         witness.append(x)
         rest -= x * a
-    assert rest == 0
+    if rest:
+        raise NumTheoryError(f"witness {witness} leaves {rest} of the target {target}")
     return RepresentabilityResult(True, tuple(witness), brauer_bound(gens), gcd_chain(gens))
 
 

@@ -192,7 +192,9 @@ def pattern_cycle_count(pattern: PatternSpec, sizes: tuple[int, ...], k: int) ->
     total = 0
     for blobs, steps in enumerate_closed_walks(pattern, k):
         total += finite_walk_count(pattern, sizes, blobs, steps)
-    assert total % k == 0, "every cycle has exactly k linear representations"
+    if total % k:
+        raise PatternError(f"{total} closed walks is not a multiple of k = {k}: every "
+                           "cycle has exactly k linear representations")
     return total // k
 
 

@@ -54,10 +54,10 @@ class CriterionResult:
 
 def _timed(func):
     def wrapper() -> CriterionResult:
-        start = time.time()
+        start = time.perf_counter()
         passed, details = func()
         return CriterionResult(func.__name__.removeprefix("run_"), passed,
-                               time.time() - start, details)
+                               time.perf_counter() - start, details)
     wrapper.__name__ = func.__name__
     return wrapper
 
@@ -73,9 +73,9 @@ def run_small_values():
     passed = True
     for forb in ([4], [5], ["TT3"]):
         for n in range(3, 7):
-            t0 = time.time()
+            t0 = time.perf_counter()
             record = search.exhaustive_extremal(n, 3, forb)
-            run_time = time.time() - t0
+            run_time = time.perf_counter() - t0
             want = ceil_cubic_value(n)
             ok = record.max_copies == want == expected[n] and run_time <= 600
             passed = passed and ok
@@ -254,7 +254,7 @@ def run_freeness():
 
 @_timed
 def run_spectral_bound():
-    start = time.time()
+    start = time.perf_counter()
     passed = True
     details = {}
     worst = {}
@@ -271,7 +271,7 @@ def run_spectral_bound():
                 }
             key = f"K_{n//2},{n//2} k={k}"
             worst[key] = max(worst.get(key, 0), report.copies)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     details["max_copies_seen"] = worst
     details["seconds"] = round(elapsed, 2)
     if elapsed > 120:
@@ -370,9 +370,9 @@ def run_c5c7():
 
 @_timed
 def run_threshold():
-    start = time.time()
+    start = time.perf_counter()
     result = density.optimize_threshold(resolution=512)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     c_ok = abs(result.c_star - 0.67757) <= 5e-3
     dens_ok = 0.0516 <= result.density_per_choose <= 0.0567
     time_ok = elapsed <= 300
@@ -440,8 +440,11 @@ def run_path_bound():
     max_ratio = 0.0
     for i in range(100):
         g = _triangle_free_sample(rng, i)
-        assert not counting.has_cycle_subgraph(g, 3)
-        assert not search.has_transitive_triangle(g)
+        # the bound is claimed for triangle-free graphs only
+        if counting.has_cycle_subgraph(g, 3) or search.has_transitive_triangle(g):
+            passed = False
+            details[f"sample i={i} has a triangle"] = {"n": g.n}
+            continue
         for order in (4, 6, 8):
             paths = counting.count_paths(g, order)
             bound = g.n * Fraction(g.n, 4) ** (order - 1)

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from dicycles import counting
 from dicycles.reproduce import REGISTRY, run
 
 CRITERIA = [
@@ -40,3 +41,12 @@ def test_criterion(name):
         summary = summary[:300] + "..."
     print(f"{status} {name} ({result.elapsed:.1f}s): {summary}")
     assert result.passed, f"criterion {name} failed: {result.details}"
+
+
+def test_path_bound_fails_on_samples_with_triangles(monkeypatch):
+    # the triangle-freeness hypothesis is checked explicitly, so it also
+    # holds under python -O: a sample with a triangle fails the criterion
+    monkeypatch.setattr(counting, "has_cycle_subgraph", lambda g, length: True)
+    result = run("path_bound")
+    assert not result.passed
+    assert "sample i=0 has a triangle" in result.details

@@ -6,8 +6,12 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dicycles import counting
 from dicycles.counting import (
+    _simple_paths,
     arc_cycle_multiplicities,
     check_neighbor_condition,
     clear,
@@ -24,6 +28,7 @@ from dicycles.counting import (
 )
 from dicycles.graphs import (
     DIRECTED,
+    ORIENTED,
     OrientedGraph,
     balanced_blow_up,
     directed_cycle,
@@ -324,3 +329,149 @@ def test_closed_walks_match_dp_and_dominate_copies():
             assert walks == walk_trace_dp(g, ell)
             if ell >= 2:
                 assert walks >= ell * count_cycle_copies(g, ell)
+
+
+# ---------------------------------------------------------------------------
+# Frontier (n <= 64) against the depth-first counter and brute force
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def small_digraphs(draw):
+    # each vertex pair: no arc, one arc either way, or (directed mode) both
+    n = draw(st.integers(2, 10))
+    directed = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    states = draw(st.lists(st.integers(0, 3 if directed else 2),
+                           min_size=len(pairs), max_size=len(pairs)))
+    arcs = [a for (u, v), c in zip(pairs, states)
+            for a, bit in (((u, v), 1), ((v, u), 2)) if c & bit]
+    return OrientedGraph(n, arcs, DIRECTED if directed else ORIENTED)
+
+
+def dfs_cycles(g, k):
+    out, inn = g.out_bits(), g.in_bits()
+    return sum(_simple_paths(out, s, k - 1, -1 << (s + 1), inn[s] & (-1 << (s + 1)))
+               for s in range(g.n))
+
+
+def dfs_paths(g, order):
+    out = g.out_bits()
+    return g.n if order == 1 else sum(_simple_paths(out, s, order - 1, -1, -1) for s in range(g.n))
+
+
+def enumerated_arc_counts(g, k):
+    mult = {arc: 0 for arc in g.arcs}
+    for cyc in enumerate_cycles(g, k):
+        for i in range(k):
+            mult[(cyc[i], cyc[(i + 1) % k])] += 1
+    return mult
+
+
+def neighbor_violated(g, k, limit):
+    und = g.und_bits()
+    return any((und[w] & sum(1 << v for v in cyc)).bit_count() > limit
+               for cyc in enumerate_cycles(g, k) for w in range(g.n))
+
+
+def assert_valid_witness(g, k, report):
+    cyc = report.witness_cycle
+    assert len(cyc) == k and len(set(cyc)) == k and cyc[0] == min(cyc)
+    assert all((cyc[i], cyc[(i + 1) % k]) in g.arcs for i in range(k))
+    mask = sum(1 << v for v in cyc)
+    assert (g.und_bits()[report.witness_vertex] & mask).bit_count() > report.limit
+
+
+def assert_matches_oracles(g, lengths, orders):
+    for k in lengths:
+        mult = arc_cycle_multiplicities(g, k)
+        copies = count_cycle_copies(g, k)
+        assert copies == dfs_cycles(g, k)
+        assert mult == enumerated_arc_counts(g, k)
+        assert sum(mult.values()) == k * copies
+        tv = {v: 0 for v in range(g.n)}
+        for cyc in enumerate_cycles(g, k):
+            for v in cyc:
+                tv[v] += 1
+        assert vertex_cycle_counts(g, k) == tv
+        for d in (2, 3, 4, 5):
+            report = check_neighbor_condition(g, k, d)
+            assert report.holds == (not neighbor_violated(g, k, report.limit))
+            if not report.holds:
+                assert_valid_witness(g, k, report)
+    for order in orders:
+        assert count_paths(g, order) == dfs_paths(g, order)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_digraphs())
+def test_frontier_matches_dfs_and_enumeration(g):
+    assert counting._frontier_ok(g, g.n)
+    assert_matches_oracles(g, range(3, g.n + 1), range(1, g.n + 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_digraphs().filter(lambda g: g.n <= 7))
+def test_frontier_matches_brute_force(g):
+    for k in range(3, g.n + 1):
+        assert count_cycle_copies(g, k) == naive_count(g, k)
+    for order in range(1, g.n + 1):
+        assert count_paths(g, order) == naive_paths(g, order)
+
+
+def test_frontier_uses_the_top_bit_at_n_64():
+    # vertex 63 (the uint64 sign bit) lies on cycles; as a canonical start
+    # it has no vertex above it
+    rng = random.Random(64)
+    arcs = set(random_oriented(rng, 64, 0.08).arcs)
+    cycle = [(57 + i, 57 + (i + 1) % 7) for i in range(7)]  # 57 -> ... -> 63 -> 57
+    arcs = {a for a in arcs if (a[1], a[0]) not in cycle} | set(cycle)
+    g = OrientedGraph(64, arcs)
+    assert counting._frontier_ok(g, 6)
+    assert vertex_cycle_counts(g, 7)[63] >= 1
+    assert_matches_oracles(g, (3, 4, 5, 7), (2, 4, 6))
+
+
+def test_frontier_at_n_64_on_a_blow_up():
+    g = balanced_blow_up(directed_cycle(4), 64)  # vertex 63 in the last blob
+    assert count_cycle_copies(g, 4) == 16 ** 4
+    assert set(vertex_cycle_counts(g, 4).values()) == {16 ** 3}
+    assert set(arc_cycle_multiplicities(g, 4).values()) == {16 ** 2}
+    assert check_neighbor_condition(g, 4, 4).holds
+    # the fifth vertex shares the start's blob
+    assert count_paths(g, 5) == 64 * 16 ** 3 * 15
+
+
+def test_more_than_64_vertices_use_the_dfs():
+    g = balanced_blow_up(directed_cycle(3), 65)  # blobs 22, 22, 21
+    assert not counting._frontier_ok(g, 2)
+    assert count_cycle_copies(g, 3) == 22 * 22 * 21
+    assert count_paths(g, 3) == 3 * 22 * 22 * 21
+    tv = vertex_cycle_counts(g, 3)
+    assert [tv[0], tv[22], tv[44]] == [22 * 21, 22 * 21, 22 * 22]
+    mult = arc_cycle_multiplicities(g, 3)
+    assert mult[(0, 22)] == 21 and mult[(44, 0)] == 22
+    # every vertex has 2 neighbours on each triangle through the other blobs
+    assert check_neighbor_condition(g, 3, 3).holds
+    report = check_neighbor_condition(g, 3, 4)
+    assert not report.holds
+    assert_valid_witness(g, 3, report)
+
+
+def test_int64_bound_falls_back_and_stays_exact():
+    # a hub with out-degree 62 and a long directed path: 64 * 62**10 >= 2**63,
+    # so paths and cycles with 10 arcs take the DFS
+    arcs = [(0, v) for v in range(1, 63)] + [(v, v + 1) for v in range(1, 63)] + [(63, 0)]
+    g = OrientedGraph(64, arcs)
+    assert not counting._frontier_ok(g, 10)
+    # 53 path segments without the hub; with it, 10 chain vertices split
+    # around the hub in 10 ways with 54 choices each, plus 54..63 -> 0
+    assert count_paths(g, 11) == 53 + 10 * 54 + 1 == dfs_paths(g, 11)
+    # the only 11-cycle: 0 -> 54 -> ... -> 63 -> 0
+    assert count_cycle_copies(g, 11) == 1
+    cycle = (0,) + tuple(range(54, 64))
+    assert list(enumerate_cycles(g, 11)) == [cycle]
+    assert {a for a, m in arc_cycle_multiplicities(g, 11).items() if m} == \
+        {(cycle[i], cycle[(i + 1) % 11]) for i in range(11)}
+    report = check_neighbor_condition(g, 11, 3)  # the hub sees all 10 others
+    assert not report.holds and report.witness_vertex == 0 and report.witness_cycle == cycle
