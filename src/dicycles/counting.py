@@ -1,9 +1,18 @@
 """Exact counting and detection on oriented graphs.
 
 Copy counts of directed k-cycles, closed-walk counts (adjacency-matrix
-traces in big-integer arithmetic), simple-path counts, per-arc and
-per-vertex cycle statistics, iterative clearing, the cycle neighbor
-condition, and cycle-type.  Everything here is exact.
+traces), simple-path counts, per-arc and per-vertex cycle statistics,
+iterative clearing, the cycle neighbor condition, and cycle-type.
+Everything here is exact.
+
+Closed walks are counted as tr(M^length) of the numpy adjacency matrix.
+The dtype comes from a bound the code proves: n * maxoutdeg**(length-1)
+caps every entry and partial sum on the way, so float64 (BLAS) is used
+below 2**53 and Python integers above.  Closed-walk
+existence uses boolean powers (each product clipped to {0, 1}).  When a
+graph has no closed j-walk for 2 <= j <= k // 2, every closed k-walk is a
+k-cycle, so cycle copies are tr(M^k) / k and cycle existence is walk
+existence; in oriented mode that covers every k <= 5.
 
 Paths, cycle copies, per-arc multiplicities and the neighbor condition
 run on a numpy frontier (the vectorised Held-Karp subset dynamic program)
@@ -16,7 +25,8 @@ states, breadth-first within a chunk and depth-first over chunks, which
 bounds its memory by the depth times the children of one chunk.  Larger
 graphs, and graphs that fail the bound, use one bitset depth-first path
 counter with Python integers; only :func:`enumerate_cycles` materializes
-the cycles themselves.
+the cycles themselves.  Cycle copies try the trace first, then the
+frontier, then the depth-first counter.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .graphs import ORIENTED, OrientedGraph
+from .graphs import OrientedGraph
 
 
 def _simple_paths(out: list[int], start: int, arcs: int, inner: int, last: int,
@@ -76,10 +86,11 @@ def _frontier_ok(g: OrientedGraph, arcs: int) -> bool:
     """True iff paths with ``arcs`` arcs can be counted on the frontier:
     masks fit in uint64, and n * maxoutdeg**arcs, which bounds every
     multiplicity and every partial sum, fits in int64."""
-    if g.n > 64:
-        return False
-    delta = max((b.bit_count() for b in g.out_bits()), default=0)
-    return g.n * delta ** arcs < 1 << 63
+    return g.n <= 64 and g.n * _max_outdeg(g) ** arcs < 1 << 63
+
+
+def _max_outdeg(g: OrientedGraph) -> int:
+    return max((b.bit_count() for b in g.out_bits()), default=0)
 
 
 def _uint64(bits: list[int]) -> np.ndarray:
@@ -223,6 +234,9 @@ def count_cycle_copies(g: OrientedGraph, k: int) -> int:
         return count_digons(g)
     if k > g.n:
         return 0
+    if _walks_are_cycles(g, k):
+        # each copy is then k closed walks, one per rotation
+        return count_closed_walks(g, k) // k
     inn = g.in_bits()
     if _frontier_ok(g, k - 1):
         return _frontier_count(g, k - 1, _above(inn))
@@ -302,94 +316,83 @@ def thick_arcs(g: OrientedGraph, k: int, threshold: int) -> set[tuple[int, int]]
 
 
 # ---------------------------------------------------------------------------
-# Closed walks (homomorphic images of cycles)
+# Closed walks (homomorphic images of cycles): exact adjacency traces
 # ---------------------------------------------------------------------------
 
 
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for j in range(n):
-            x = ai[j]
-            if x:
-                bj = b[j]
-                for t in range(n):
-                    if bj[t]:
-                        oi[t] += x * bj[t]
-    return out
+def adjacency_matrix(g: OrientedGraph, dtype=np.float64) -> np.ndarray:
+    """The adjacency matrix M (M[u, v] = 1 iff u -> v), unpacked from the
+    out-neighbour bitmasks.  With ``dtype=object`` the entries are Python
+    integers."""
+    width = (g.n + 7) // 8
+    raw = b"".join(b.to_bytes(width, "little") for b in g.out_bits())
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(g.n, 8 * width)[:, :g.n].astype(dtype)
+
+
+def _walk_dtype(g: OrientedGraph, length: int):
+    """An exact dtype for the powers of M up to ``length``.
+
+    An entry of M^j counts walks whose first j - 1 steps are free choices,
+    so it is at most maxoutdeg**(j-1); every partial sum of a product is a
+    non-negative part of such an entry, and the trace is a sum of n of
+    them.  n * maxoutdeg**(length-1) therefore bounds every number on the
+    way to tr(M^length): below 2**53 float64 (BLAS) is exact, and above
+    that Python integers are used.
+    """
+    return np.float64 if g.n * _max_outdeg(g) ** (length - 1) < 1 << 53 else object
+
+
+def _power(a: np.ndarray, length: int, boolean: bool = False) -> np.ndarray:
+    """a**length (length >= 1) by repeated squaring.  With ``boolean``
+    every product is clipped to {0, 1}, so a 0/1 float64 input keeps its
+    entries at most n and the result (the reachability by walks of exactly
+    ``length`` steps) is exact."""
+    result = None
+    while True:
+        if length & 1:
+            result = a if result is None else _product(result, a, boolean)
+        length >>= 1
+        if not length:
+            return result
+        a = _product(a, a, boolean)
+
+
+def _product(a: np.ndarray, b: np.ndarray, boolean: bool) -> np.ndarray:
+    c = a @ b
+    return np.minimum(c, 1, out=c) if boolean else c
 
 
 def count_closed_walks(g: OrientedGraph, length: int) -> int:
-    """tr(M^length) in exact big-integer arithmetic (power by squaring)."""
+    """tr(M^length), exact: float64 where the bound of :func:`_walk_dtype`
+    proves it exact, Python integers otherwise."""
     if length < 1:
         raise ValueError("walk length must be at least 1")
-    n = g.n
-    if n == 0:
-        return 0
-    base = [[0] * n for _ in range(n)]
-    for u, v in g.arcs:
-        base[u][v] = 1
-    result = None
-    sq = base
-    e = length
-    while e:
-        if e & 1:
-            result = sq if result is None else _int_matmul(result, sq)
-        e >>= 1
-        if e:
-            sq = _int_matmul(sq, sq)
-    return sum(result[i][i] for i in range(n))
-
-
-def _bool_rows(g: OrientedGraph) -> list[int]:
-    return list(g.out_bits())
-
-
-def _bool_matmul(a: list[int], b: list[int], n: int) -> list[int]:
-    out = [0] * n
-    for i in range(n):
-        row = a[i]
-        acc = 0
-        while row:
-            low = row & -row
-            row ^= low
-            acc |= b[low.bit_length() - 1]
-        out[i] = acc
-    return out
-
-
-def bool_power(g: OrientedGraph, length: int) -> list[int]:
-    """Rows of the boolean adjacency power A^length (walks of exact length)."""
-    n = g.n
-    base = _bool_rows(g)
-    result = None
-    sq = base
-    e = length
-    while e:
-        if e & 1:
-            result = sq if result is None else _bool_matmul(result, sq, n)
-        e >>= 1
-        if e:
-            sq = _bool_matmul(sq, sq, n)
-    return result if result is not None else [1 << i for i in range(n)]
+    return int(np.trace(_power(adjacency_matrix(g, _walk_dtype(g, length)), length)))
 
 
 def has_closed_walk(g: OrientedGraph, length: int) -> bool:
     """True iff a closed directed walk of exactly ``length`` exists.
 
     Equivalent to the presence of a homomorphic image of the directed
-    ``length``-cycle.  Uses boolean bit-matrix powers, so no large integers
+    ``length``-cycle.  Uses the boolean power of M, so no large integers
     are materialized.
     """
     if length < 1:
         raise ValueError("walk length must be at least 1")
-    if g.n == 0:
-        return False
-    rows = bool_power(g, length)
-    return any(rows[i] >> i & 1 for i in range(g.n))
+    return bool(_power(adjacency_matrix(g), length, boolean=True).diagonal().any())
+
+
+def _walks_are_cycles(g: OrientedGraph, length: int) -> bool:
+    """True when every closed ``length``-walk of g is a directed cycle.
+
+    A closed walk that repeats a vertex splits there into two closed
+    walks; loops never occur, so the shorter has length j with
+    2 <= j <= length // 2.  Without such closed walks the identity
+    tr(M^length) = length * C_length holds.  In oriented mode this covers
+    every length up to 5, and 6 and 7 on triangle-free graphs.
+    """
+    return not any(has_closed_walk(g, j) for j in range(2, length // 2 + 1))
 
 
 def has_cycle_subgraph(g: OrientedGraph, length: int) -> bool:
@@ -405,21 +408,8 @@ def has_cycle_subgraph(g: OrientedGraph, length: int) -> bool:
     # settles most freeness sweeps without enumeration
     if not has_closed_walk(g, length):
         return False
-    if length == 3:
-        return True  # digon-free or not, closed 3-walks are always simple
-    if length == 4 and g.mode == ORIENTED:
-        # C4 exists iff some pair sees 2-walks both ways; middles are
-        # automatically distinct in oriented mode
-        rows2 = _bool_matmul(g.out_bits(), g.out_bits(), n)
-        for u in range(n):
-            back = rows2[u]
-            while back:
-                low = back & -back
-                back ^= low
-                v = low.bit_length() - 1
-                if v != u and rows2[v] >> u & 1:
-                    return True
-        return False
+    if _walks_are_cycles(g, length):
+        return True
     out = g.out_bits()
     inn = g.in_bits()
     for s in range(n):

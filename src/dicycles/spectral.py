@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .counting import count_cycle_copies
+from .counting import adjacency_matrix, count_cycle_copies
 from .graphs import OrientedGraph
 
 
@@ -91,13 +91,6 @@ class Spectrum:
 
     def symmetrized_half_sum(self) -> float:
         return float(sum(self.symmetrized[: self.n // 2]))
-
-
-def adjacency_matrix(g: OrientedGraph) -> np.ndarray:
-    m = np.zeros((g.n, g.n))
-    for u, v in g.arcs:
-        m[u, v] = 1.0
-    return m
 
 
 def spectrum(g: OrientedGraph, bipartition: Optional[int] = None) -> Spectrum:
