@@ -8,7 +8,9 @@ Everything here is exact.
 Closed walks are counted as tr(M^length) of the numpy adjacency matrix.
 The dtype comes from a bound the code proves: n * maxoutdeg**(length-1)
 caps every entry and partial sum on the way, so float64 (BLAS) is used
-below 2**53 and Python integers above.  Closed-walk
+below 2**53.  Above it, when the bound still holds for the half powers,
+they are taken in float64 and only their final contraction in Python
+integers; otherwise the whole power is in Python integers.  Closed-walk
 existence uses boolean powers (each product clipped to {0, 1}).  When a
 graph has no closed j-walk for 2 <= j <= k // 2, every closed k-walk is a
 k-cycle, so cycle copies are tr(M^k) / k and cycle existence is walk
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -365,10 +368,21 @@ def _product(a: np.ndarray, b: np.ndarray, boolean: bool) -> np.ndarray:
 
 def count_closed_walks(g: OrientedGraph, length: int) -> int:
     """tr(M^length), exact: float64 where the bound of :func:`_walk_dtype`
-    proves it exact, Python integers otherwise."""
+    proves it exact.  Above that bound, if it still holds for the half
+    powers, they are taken in float64 and only the final contraction
+    tr(M^a M^b) = sum M^a[u, v] * M^b[v, u] in Python integers; otherwise
+    the whole power is taken in Python integers."""
     if length < 1:
         raise ValueError("walk length must be at least 1")
-    return int(np.trace(_power(adjacency_matrix(g, _walk_dtype(g, length)), length)))
+    dtype = _walk_dtype(g, length)
+    half = (length + 1) // 2
+    if dtype is np.float64 or _walk_dtype(g, half) is object:
+        return int(np.trace(_power(adjacency_matrix(g, dtype), length)))
+    a = adjacency_matrix(g)
+    low = _power(a, length // 2)
+    high = low @ a if half > length // 2 else low
+    return sum(map(mul, low.astype(np.int64).ravel().tolist(),
+                   high.T.astype(np.int64).ravel().tolist()))
 
 
 def has_closed_walk(g: OrientedGraph, length: int) -> bool:
@@ -392,7 +406,15 @@ def _walks_are_cycles(g: OrientedGraph, length: int) -> bool:
     tr(M^length) = length * C_length holds.  In oriented mode this covers
     every length up to 5, and 6 and 7 on triangle-free graphs.
     """
-    return not any(has_closed_walk(g, j) for j in range(2, length // 2 + 1))
+    if length < 4:
+        return True
+    a = power = adjacency_matrix(g)
+    for _ in range(length // 2 - 1):
+        # the clipped power M^j for j = 2 .. length // 2: reachability in j steps
+        power = _product(power, a, boolean=True)
+        if power.diagonal().any():
+            return False
+    return True
 
 
 def has_cycle_subgraph(g: OrientedGraph, length: int) -> bool:

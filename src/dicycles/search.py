@@ -1,13 +1,18 @@
 """Ground-truth extremal values at small n, plus seeded local search.
 
-The exhaustive engine scans every pair-state assignment (3 states per
-vertex pair in oriented mode, 4 with digons) in vectorized chunks: cycle
-copies are accumulated from precomputed arc patterns and forbidden
-configurations are masked out, so the reported maximum is exact with no
-isomorphism machinery in the hot path.  Canonical forms are only used to
-deduplicate the reported witnesses.  Local search is simulated annealing
-over pair states with forbidden-pattern rejection; it reports lower bounds
-only.
+The exhaustive engine covers every pair-state assignment (3 states per
+vertex pair in oriented mode, 4 with digons) without scanning them all.
+Forbidding cycles or TT3 is hereditary, so it extends the admissible
+graphs on vertices 0..v-1, held as numpy arrays of pair-state masks, codes
+and cycle counts, by every attachment of vertex v.  Each step tests only
+the cycle and forbidden patterns through v, as one vectorized product per
+block of graphs, and the graphs on all n vertices are scored without being
+stored.  The reported maximum is exact with no isomorphism machinery in the
+hot path; canonical forms only deduplicate the reported witnesses.  At
+n = 6 a search takes 0.02-0.17 s, against about 4 s for the former scan of
+all 3^15 codes and several minutes for the 4^15 of digon mode.  Local
+search is simulated annealing over pair states with forbidden-pattern
+rejection; it reports lower bounds only.
 """
 
 from __future__ import annotations
@@ -158,50 +163,106 @@ def _decode(code: int, pairs, mode: str, n: int) -> OrientedGraph:
     return OrientedGraph(n, arcs, mode)
 
 
-def _scan_chunk(lo, hi, pairs, mode, count_pats, forb_pats):
-    codes = np.arange(lo, hi, dtype=np.int64)
-    arc: dict[tuple[int, int], np.ndarray] = {}
-    for p, (u, v) in enumerate(pairs):
-        if mode == ORIENTED:
-            state = (codes // 3 ** p) % 3
-            arc[(u, v)] = state == 1
-            arc[(v, u)] = state == 2
-        else:
-            state = codes >> (2 * p)
-            arc[(u, v)] = (state & 1).astype(bool)
-            arc[(v, u)] = (state & 2).astype(bool)
-    counts = np.zeros(len(codes), np.uint16)
-    for pat in count_pats:
-        mask = arc[pat[0]] & arc[pat[1]]
-        for a in pat[2:]:
-            mask &= arc[a]
-        counts += mask
-    allowed = np.ones(len(codes), bool)
-    for pat in forb_pats:
-        mask = arc[pat[0]] & arc[pat[1]]
-        for a in pat[2:]:
-            mask &= arc[a]
-        allowed &= ~mask
-    if not allowed.any():
-        return -1, []
-    valid_counts = np.where(allowed, counts, 0)
-    best = int(valid_counts.max())
-    if best == 0:
-        # count zero is attainable (the empty assignment is always valid)
-        hits = np.nonzero(allowed)[0][:MAX_WITNESSES]
+def _by_top_vertex(pats, n: int, index: dict) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each vertex v, the patterns whose largest vertex is v, as two
+    uint64 arrays of pair-state masks (two bits per pair, the lower one for
+    the arc from the smaller vertex): their arcs at v and the rest."""
+    split = [([], []) for _ in range(n)]
+    for pat in pats:
+        v = max(max(arc) for arc in pat)
+        at = rest = 0
+        for a, b in pat:
+            bit = 1 << (2 * index[min(a, b), max(a, b)] + (a > b))
+            if v in (a, b):
+                at |= bit
+            else:
+                rest |= bit
+        split[v][0].append(at)
+        split[v][1].append(rest)
+    return [(np.array(at, np.uint64), np.array(rest, np.uint64)) for at, rest in split]
+
+
+# (attachment, graph) cells per block of one extension step; a block is
+# every attachment against a run of frontier graphs, which bounds its
+# memory at a few MB
+_BLOCK_CELLS = 1 << 18
+# the score weight of a forbidden pattern: above any k-cycle count on at
+# most 6 vertices (144, for k = 5), so a graph scores below zero exactly
+# when it completes a forbidden pattern
+_PENALTY = 1024
+
+
+def _extend(frontier, att_mask, att_code, count_pats, forb_pats, last: bool, threads: int):
+    """Attach a new vertex to every frontier graph in every given way.
+
+    ``frontier`` is (masks, codes, counts) of the admissible graphs on the
+    earlier vertices; an attachment adds its arcs and its code.  A pattern
+    through the new vertex is completed exactly when the attachment holds
+    its arcs at the new vertex and the graph holds the rest, so each
+    distinct rest is tested once per graph.  One float32 product of
+    (attachments x rests) weights and (rests x graphs) presence then gives
+    every cell its new count, minus _PENALTY per completed forbidden
+    pattern; every term is an integer far below 2**24, so it is exact.
+    Returns the admissible extensions; with ``last``, only the largest
+    count and its smallest codes (a negative count if none is admissible).
+    """
+    masks, codes, counts = frontier
+    # per attachment and distinct rest: +1 for each count pattern that the
+    # attachment activates, -_PENALTY for each forbidden one
+    ats = np.concatenate([count_pats[0], forb_pats[0]])
+    rests, which = np.unique(np.concatenate([count_pats[1], forb_pats[1]]), return_inverse=True)
+    sign = np.repeat([1, -_PENALTY], [count_pats[0].size, forb_pats[0].size])
+    on = ((att_mask[:, None] & ats) == ats) * sign
+    weights = (on @ (which[:, None] == np.arange(rests.size))).astype(np.float32)
+    # an attachment whose own arcs complete a forbidden pattern (a digon,
+    # when digons are forbidden) admits no graph
+    live = (weights[:, rests == 0] >= 0).all(axis=1)
+    att_mask, att_code, weights = att_mask[live], att_code[live], weights[live]
+    size = _BLOCK_CELLS // att_mask.size  # at most 4**5 attachments
+    blocks = [slice(lo, lo + size) for lo in range(0, masks.size, size)]
+
+    def block(cols):
+        present = (masks[cols] & rests[:, None]) == rests[:, None]
+        score = weights @ present.astype(np.float32)
+        score += counts[cols]
+        if not last:
+            r, c = np.nonzero(score >= 0)
+            return (masks[cols][c] | att_mask[r], codes[cols][c] + att_code[r],
+                    score[r, c].astype(np.int64))
+        top = score.max()
+        r, c = np.divmod(np.flatnonzero(score == top), score.shape[1])
+        hits = codes[cols][c] + att_code[r]
+        hits = np.partition(hits, min(hits.size, MAX_WITNESSES) - 1)[:MAX_WITNESSES]
+        return int(top), hits.tolist()
+
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(block, blocks))
     else:
-        hits = np.nonzero(valid_counts == best)[0][:MAX_WITNESSES]
-    return best, [int(codes[i]) for i in hits]
+        results = [block(cols) for cols in blocks]
+    if last:
+        best = max(top for top, _ in results)
+        return best, sorted(c for top, hits in results if top == best for c in hits)[:MAX_WITNESSES]
+    return tuple(np.concatenate(col) for col in zip(*results))
 
 
 def exhaustive_extremal(n: int, k: int, forbidden, mode: str = ORIENTED,
-                        threads: int = 1, chunk_size: int = 1 << 20) -> ExtremalRecord:
+                        threads: int = 1) -> ExtremalRecord:
     """Exact maximum of k-cycle copies over all n-vertex graphs avoiding the
-    forbidden patterns, by full enumeration of pair states.
+    forbidden patterns.
 
-    n <= 6 (3^15 oriented assignments; 4^15 with digons).  Witnesses are
+    Forbidding cycles or TT3 is hereditary: every admissible graph on the
+    vertices 0..v is an admissible graph on 0..v-1 plus the pair states of
+    vertex v.  So the admissible graphs are built vertex by vertex, each
+    step testing only the patterns through the new vertex (see
+    :func:`_extend`), and the graphs on all n vertices are only scored,
+    never stored.  n <= 6: at n = 6 a search takes 0.02-0.17 s on one core,
+    in both modes (3 states per pair, or 4 with digons).  A graph's code
+    has the pair states as digits (pair order of ``combinations``); the
+    witnesses are the graphs of the smallest codes attaining the maximum,
     canonical-form deduplicated and re-verified through the counting
-    module before being returned.
+    module.  ``threads`` maps each step's blocks of frontier graphs over a
+    thread pool; the result does not depend on it.
     """
     if n > 6:
         raise TooLargeError("exhaustive search supports n <= 6")
@@ -209,35 +270,27 @@ def exhaustive_extremal(n: int, k: int, forbidden, mode: str = ORIENTED,
         raise SearchError("k must be at least 2")
     forbidden = parse_forbidden(forbidden)
     pairs = list(combinations(range(n), 2))
-    total = (3 if mode == ORIENTED else 4) ** len(pairs)
-    count_pats = _cycle_arc_patterns(n, k) if k <= n else []
-    forb_pats = _forbidden_patterns(n, forbidden)
+    index = {pair: p for p, pair in enumerate(pairs)}
+    radix = 3 if mode == ORIENTED else 4
+    count_pats = _by_top_vertex(_cycle_arc_patterns(n, k) if k <= n else [], n, index)
+    forb_pats = _by_top_vertex(_forbidden_patterns(n, forbidden), n, index)
 
-    ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
-
-    def work(rng):
-        return _scan_chunk(rng[0], rng[1], pairs, mode, count_pats, forb_pats)
-
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, ranges))
-    else:
-        results = [work(rng) for rng in ranges]
-
-    best = -1
-    codes: list[int] = []
-    for chunk_best, chunk_codes in results:
-        if chunk_best > best:
-            best = chunk_best
-            codes = list(chunk_codes)
-        elif chunk_best == best:
-            codes.extend(chunk_codes)
+    # the empty graph on vertex 0; in both modes a pair's mask bits are its state
+    frontier = (np.zeros(1, np.uint64), np.zeros(1, np.int64), np.zeros(1, np.int64))
+    for v in range(1, n):
+        # every state of the pairs (u, v), u < v, as digits of the code and
+        # as 2-bit fields of the mask
+        states = np.arange(radix ** v)[:, None] // radix ** np.arange(v) % radix
+        pos = np.array([index[u, v] for u in range(v)])
+        att_mask = (states @ 4 ** pos).astype(np.uint64)
+        att_code = states @ radix ** pos
+        frontier = _extend(frontier, att_mask, att_code, count_pats[v], forb_pats[v],
+                           v == n - 1, threads)
+    # with one vertex or none, the empty graph is the only one
+    best, codes = frontier if n > 1 else (0, [0])
     if best < 0:
         raise SearchError("no admissible graph found (inconsistent forbidden set)")
 
-    # the globally smallest attaining codes, so the output does not depend
-    # on chunking or thread count
-    codes = sorted(codes)[:MAX_WITNESSES]
     witnesses = []
     seen = set()
     for code in codes:

@@ -536,6 +536,28 @@ def test_trace_dtype_tiers_stay_exact():
     assert 9 ** 18 + 9 > 2 ** 53 and 9 ** 30 > 2 ** 63
 
 
+def test_object_tier_contracts_float64_half_powers():
+    # the complete digraph on 10 vertices again: up to length 32 the half
+    # powers pass the 2**53 bound, so only their contraction is in Python
+    # integers; at length 40 they do not, and the whole power is
+    g = new_graph(10, [(u, v) for u in range(10) for v in range(10) if u != v], DIRECTED)
+    for length, half_dtype in ((17, np.float64), (18, np.float64), (30, np.float64),
+                               (32, np.float64), (33, object), (40, object)):
+        assert counting._walk_dtype(g, length) is object
+        assert counting._walk_dtype(g, (length + 1) // 2) is half_dtype
+        exact = 9 ** length + 9 * (-1) ** length
+        assert count_closed_walks(g, length) == walk_trace_dp(g, length) == exact
+    # M^a and M^b are not symmetric here, so the contraction must pair
+    # M^a[u, v] with M^b[v, u]
+    rng = random.Random(3)
+    g = new_graph(30, [(u, v) for u in range(30) for v in range(30)
+                       if u != v and rng.random() < 0.5], DIRECTED)
+    for length in (14, 15):
+        assert counting._walk_dtype(g, length) is object
+        assert counting._walk_dtype(g, (length + 1) // 2) is np.float64
+        assert count_closed_walks(g, length) == walk_trace_dp(g, length)
+
+
 def test_boolean_power_stays_exact_on_long_walks():
     # blobs of 16 on a 4-cycle: unclipped, M^512 = M^256 @ M^256 would
     # overflow float64 to inf, and in M^3 @ M^512 the product 0 * inf = nan

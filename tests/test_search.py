@@ -5,16 +5,27 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dicycles.counting import count_cycle_copies, has_cycle_subgraph
-from dicycles.graphs import DIRECTED, OrientedGraph, iterated_blowup_cycle_count
+from dicycles.graphs import (
+    DIRECTED,
+    ORIENTED,
+    OrientedGraph,
+    canonical_arcs,
+    iterated_blowup_cycle_count,
+)
 from dicycles.numtheory import ceil_cubic_value
 from dicycles.search import (
     TooLargeError,
     _AnnealState,
+    _cycle_arc_patterns,
+    _decode,
+    _forbidden_patterns,
     contains_forbidden,
     exhaustive_extremal,
     has_transitive_triangle,
@@ -37,6 +48,10 @@ def test_exhaustive_examples():
     assert exhaustive_extremal(5, 3, ["TT3"]).max_copies == 4
     record = exhaustive_extremal(5, 4, [3])
     assert record.max_copies == iterated_blowup_cycle_count(4, 5) == 2
+    # one vertex: no extension step, the empty graph is the witness
+    record = exhaustive_extremal(1, 3, [4])
+    assert record.max_copies == 0
+    assert [(w.n, len(w.arcs)) for w in record.witnesses] == [(1, 0)]
 
 
 def test_exhaustive_witnesses_verified():
@@ -51,7 +66,7 @@ def test_exhaustive_witnesses_verified():
 def test_exhaustive_deterministic_and_thread_invariant():
     a = exhaustive_extremal(5, 3, [5])
     b = exhaustive_extremal(5, 3, [5])
-    c = exhaustive_extremal(5, 3, [5], threads=4, chunk_size=1 << 12)
+    c = exhaustive_extremal(5, 3, [5], threads=4)
     assert a.max_copies == b.max_copies == c.max_copies
     assert [w.arcs for w in a.witnesses] == [w.arcs for w in b.witnesses]
     assert [w.arcs for w in a.witnesses] == [w.arcs for w in c.witnesses]
@@ -64,6 +79,84 @@ def test_exhaustive_directed_mode_digons():
     # forbidding the digon itself forces an oriented graph
     record = exhaustive_extremal(3, 3, [2], mode=DIRECTED)
     assert record.max_copies == 1
+
+
+def _flat_scan(n, k, forbidden, mode):
+    """Reference: every pair-state code at once, masked by the forbidden
+    patterns; returns the maximum and the arcs of the canonically distinct
+    graphs among its four smallest attaining codes."""
+    pairs = list(combinations(range(n), 2))
+    radix = 3 if mode == ORIENTED else 4
+    codes = np.arange(radix ** len(pairs), dtype=np.int64)
+    arc = {}
+    for p, (u, v) in enumerate(pairs):
+        state = codes // radix ** p % radix  # both modes: bit 0 is u -> v, bit 1 is v -> u
+        arc[u, v] = (state & 1).astype(bool)
+        arc[v, u] = (state & 2).astype(bool)
+
+    def matches(pats):
+        total = np.zeros(codes.size, np.int64)
+        for pat in pats:
+            total += np.logical_and.reduce([arc[a] for a in pat])
+        return total
+
+    counts = matches(_cycle_arc_patterns(n, k) if k <= n else [])
+    counts[matches(_forbidden_patterns(n, forbidden)) > 0] = -1
+    best = int(counts.max())
+    witnesses, seen = [], set()
+    for code in np.flatnonzero(counts == best)[:4]:
+        g = _decode(int(code), pairs, mode, n)
+        key = canonical_arcs(g)
+        if key not in seen:
+            seen.add(key)
+            witnesses.append(g.arcs)
+    return best, witnesses
+
+
+_FORBIDDEN_SETS = ([3], [4], [5], ["TT3"], [3, "TT3"], [9])
+_DIFFERENTIAL = (
+    [(n, k, f, ORIENTED) for n in range(2, 6) for k in range(2, n + 1) for f in _FORBIDDEN_SETS]
+    + [(n, k, f, DIRECTED) for n in range(2, 5) for k in range(2, n + 1)
+       for f in _FORBIDDEN_SETS + ([2, 4],)])
+
+
+@pytest.mark.parametrize("n, k, forbidden, mode", _DIFFERENTIAL, ids=[
+    f"{m}-n{n}-k{k}-{'_'.join(map(str, f))}" for n, k, f, m in _DIFFERENTIAL])
+def test_exhaustive_matches_flat_scan(n, k, forbidden, mode):
+    record = exhaustive_extremal(n, k, forbidden, mode)
+    best, witnesses = _flat_scan(n, k, forbidden, mode)
+    assert record.max_copies == best
+    assert [w.arcs for w in record.witnesses] == witnesses
+
+
+_BIPARTITE_C3_BLOWUP = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5),
+                        (4, 0), (4, 1), (5, 0), (5, 1)]
+
+
+def test_exhaustive_pinned_witnesses_at_six():
+    # the witnesses the full 3^15 scan returned; at n = 6 the last step has
+    # many blocks, so two threads share them
+    for threads in (1, 2):
+        record = exhaustive_extremal(6, 3, [4], threads=threads)
+        assert record.max_copies == 8
+        assert [sorted(w.arcs) for w in record.witnesses] == [_BIPARTITE_C3_BLOWUP]
+    record = exhaustive_extremal(6, 3, ["TT3"])
+    assert record.max_copies == 8
+    assert [sorted(w.arcs) for w in record.witnesses] == [_BIPARTITE_C3_BLOWUP]
+    record = exhaustive_extremal(6, 4, [3])
+    assert record.max_copies == 4
+    assert [sorted(w.arcs) for w in record.witnesses] == [
+        [(0, 2), (0, 3), (1, 4), (1, 5), (2, 1), (3, 1), (4, 0), (5, 0)]]
+
+
+def test_exhaustive_digon_mode_at_six():
+    # forbidding digons leaves the oriented C4-free problem; its first
+    # witness is the graph of code 89298580, as the full 4^15 scan found
+    record = exhaustive_extremal(6, 3, [2, 4], mode=DIRECTED)
+    assert record.max_copies == 8 == ceil_cubic_value(6)
+    assert sorted(record.witnesses[0].arcs) == _BIPARTITE_C3_BLOWUP
+    pairs = list(combinations(range(6), 2))
+    assert sorted(_decode(89298580, pairs, DIRECTED, 6).arcs) == _BIPARTITE_C3_BLOWUP
 
 
 def test_exhaustive_too_large():
