@@ -368,21 +368,22 @@ def _product(a: np.ndarray, b: np.ndarray, boolean: bool) -> np.ndarray:
 
 def count_closed_walks(g: OrientedGraph, length: int) -> int:
     """tr(M^length), exact: float64 where the bound of :func:`_walk_dtype`
-    proves it exact.  Above that bound, if it still holds for the half
-    powers, they are taken in float64 and only the final contraction
-    tr(M^a M^b) = sum M^a[u, v] * M^b[v, u] in Python integers; otherwise
-    the whole power is taken in Python integers."""
+    proves it exact.  Above that bound the half powers M^a and M^b
+    (a + b = length) are taken in the dtype that bound allows for them,
+    and only the contraction tr(M^a M^b) = sum M^a[u, v] * M^b[v, u] is
+    formed in Python integers."""
     if length < 1:
         raise ValueError("walk length must be at least 1")
-    dtype = _walk_dtype(g, length)
+    if _walk_dtype(g, length) is np.float64:
+        return int(np.trace(_power(adjacency_matrix(g), length)))
     half = (length + 1) // 2
-    if dtype is np.float64 or _walk_dtype(g, half) is object:
-        return int(np.trace(_power(adjacency_matrix(g, dtype), length)))
-    a = adjacency_matrix(g)
+    dtype = _walk_dtype(g, half)
+    a = adjacency_matrix(g, dtype)
     low = _power(a, length // 2)
     high = low @ a if half > length // 2 else low
-    return sum(map(mul, low.astype(np.int64).ravel().tolist(),
-                   high.T.astype(np.int64).ravel().tolist()))
+    if dtype is np.float64:
+        low, high = low.astype(np.int64), high.astype(np.int64)
+    return sum(map(mul, low.ravel().tolist(), high.T.ravel().tolist()))
 
 
 def has_closed_walk(g: OrientedGraph, length: int) -> bool:

@@ -8,9 +8,7 @@ and cycle counts, by every attachment of vertex v.  Each step tests only
 the cycle and forbidden patterns through v, as one vectorized product per
 block of graphs, and the graphs on all n vertices are scored without being
 stored.  The reported maximum is exact with no isomorphism machinery in the
-hot path; canonical forms only deduplicate the reported witnesses.  At
-n = 6 a search takes 0.02-0.17 s, against about 4 s for the former scan of
-all 3^15 codes and several minutes for the 4^15 of digon mode.  Local
+hot path; canonical forms only deduplicate the reported witnesses.  Local
 search is simulated annealing over pair states with forbidden-pattern
 rejection; it reports lower bounds only.
 """
@@ -214,10 +212,6 @@ def _extend(frontier, att_mask, att_code, count_pats, forb_pats, last: bool, thr
     sign = np.repeat([1, -_PENALTY], [count_pats[0].size, forb_pats[0].size])
     on = ((att_mask[:, None] & ats) == ats) * sign
     weights = (on @ (which[:, None] == np.arange(rests.size))).astype(np.float32)
-    # an attachment whose own arcs complete a forbidden pattern (a digon,
-    # when digons are forbidden) admits no graph
-    live = (weights[:, rests == 0] >= 0).all(axis=1)
-    att_mask, att_code, weights = att_mask[live], att_code[live], weights[live]
     size = _BLOCK_CELLS // att_mask.size  # at most 4**5 attachments
     blocks = [slice(lo, lo + size) for lo in range(0, masks.size, size)]
 
@@ -256,13 +250,12 @@ def exhaustive_extremal(n: int, k: int, forbidden, mode: str = ORIENTED,
     vertex v.  So the admissible graphs are built vertex by vertex, each
     step testing only the patterns through the new vertex (see
     :func:`_extend`), and the graphs on all n vertices are only scored,
-    never stored.  n <= 6: at n = 6 a search takes 0.02-0.17 s on one core,
-    in both modes (3 states per pair, or 4 with digons).  A graph's code
-    has the pair states as digits (pair order of ``combinations``); the
-    witnesses are the graphs of the smallest codes attaining the maximum,
-    canonical-form deduplicated and re-verified through the counting
-    module.  ``threads`` maps each step's blocks of frontier graphs over a
-    thread pool; the result does not depend on it.
+    never stored.  n <= 6, in both modes (3 states per pair, or 4 with
+    digons).  A graph's code has the pair states as digits (pair order of
+    ``combinations``); the witnesses are the graphs of the smallest codes
+    attaining the maximum, canonical-form deduplicated and re-verified
+    through the counting module.  ``threads`` maps each step's blocks of
+    frontier graphs over a thread pool; the result does not depend on it.
     """
     if n > 6:
         raise TooLargeError("exhaustive search supports n <= 6")

@@ -538,11 +538,13 @@ def test_trace_dtype_tiers_stay_exact():
 
 def test_object_tier_contracts_float64_half_powers():
     # the complete digraph on 10 vertices again: up to length 32 the half
-    # powers pass the 2**53 bound, so only their contraction is in Python
-    # integers; at length 40 they do not, and the whole power is
+    # powers pass the 2**53 bound and are taken in float64; from length 33
+    # they do not, and are taken in Python integers (at length 50 their
+    # entries pass 2**63); either way only the contraction is formed in
+    # Python integers
     g = new_graph(10, [(u, v) for u in range(10) for v in range(10) if u != v], DIRECTED)
     for length, half_dtype in ((17, np.float64), (18, np.float64), (30, np.float64),
-                               (32, np.float64), (33, object), (40, object)):
+                               (32, np.float64), (33, object), (40, object), (50, object)):
         assert counting._walk_dtype(g, length) is object
         assert counting._walk_dtype(g, (length + 1) // 2) is half_dtype
         exact = 9 ** length + 9 * (-1) ** length

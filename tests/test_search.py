@@ -70,6 +70,13 @@ def test_exhaustive_deterministic_and_thread_invariant():
     assert a.max_copies == b.max_copies == c.max_copies
     assert [w.arcs for w in a.witnesses] == [w.arcs for w in b.witnesses]
     assert [w.arcs for w in a.witnesses] == [w.arcs for w in c.witnesses]
+    # at n = 5 every step is one block, so only the serial path runs; at
+    # n = 6 the last step splits the C4-free graphs on 5 vertices into
+    # many blocks, which the pool maps
+    d = exhaustive_extremal(6, 3, [4])
+    e = exhaustive_extremal(6, 3, [4], threads=4)
+    assert d.max_copies == e.max_copies
+    assert [w.arcs for w in d.witnesses] == [w.arcs for w in e.witnesses]
 
 
 def test_exhaustive_directed_mode_digons():
