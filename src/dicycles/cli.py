@@ -22,7 +22,6 @@ from .constructions import (
     ConstructionId,
     closed_form_count,
     generate,
-    verify_freeness,
 )
 from .counting import count_report
 from .graphs import DIRECTED, ORIENTED, GraphError, read_graph, write_graph

@@ -11,7 +11,7 @@ values carrying an explicit flag instead of an exact count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -24,7 +24,6 @@ from .graphs import (
     ArcRule,
     BlobAssignment,
     BlobInternal,
-    GraphError,
     OrientedGraph,
     PatternSpec,
     balanced_sizes,
@@ -169,27 +168,16 @@ def c7_chords_pattern() -> PatternSpec:
     return uniform_pattern(seven_cycle_with_chords())
 
 
-def threshold_c7_pattern(c: float, threshold_pairs: str = "cycle") -> PatternSpec:
-    """7-cycle-with-chords skeleton with threshold-oriented blob pairs.
-
-    ``threshold_pairs`` selects which skeleton arcs use the threshold rule:
-    "cycle" (the seven cycle arcs; chords stay one-directional), "chords",
-    or "all".  The default is "cycle": it is the only choice that is
-    4-cycle-free at the optimum while peaking near c = 0.678 with density
-    about 0.0517 * C(n, 5); "chords" admits 4-cycles outright and "all"
-    peaks elsewhere (near c = 0.75).
+def threshold_c7_pattern(c: float) -> PatternSpec:
+    """7-cycle-with-chords skeleton whose seven cycle arcs orient blob pairs
+    by the threshold rule with constant c; the chords stay one-directional.
     """
-    base = seven_cycle_with_chords()
-    if threshold_pairs == "cycle":
-        chosen = {(i, (i + 1) % 7) for i in range(7)}
-    elif threshold_pairs == "chords":
-        chosen = {(i, (i + 3) % 7) for i in range(7)}
-    elif threshold_pairs == "all":
-        chosen = set(base.arcs)
-    else:
-        raise ConstructionError("threshold_pairs must be cycle, chords, or all")
-    rules = {arc: ArcRule("threshold", c) for arc in chosen}
-    return uniform_pattern(base, arc_rule=rules)
+    # The cycle arcs are the only choice of threshold arcs that is
+    # 4-cycle-free at the optimum while peaking near c = 0.678 with density
+    # about 0.0517 * C(n, 5); threshold chords admit 4-cycles outright, and
+    # threshold rules on all arcs peak elsewhere (near c = 0.75).
+    rules = {(i, (i + 1) % 7): ArcRule("threshold", c) for i in range(7)}
+    return uniform_pattern(seven_cycle_with_chords(), arc_rule=rules)
 
 
 def hub_triangle_pattern(hub_weight: Fraction = Fraction(0)) -> PatternSpec:
@@ -223,56 +211,37 @@ def _hub_sizes(n: int, t: int) -> tuple[int, ...]:
     return (t - 1, (rest + 1) // 2, rest // 2)
 
 
-def pattern_for(cid: ConstructionId) -> Optional[PatternSpec]:
-    """The PatternSpec behind a construction, or None for non-pattern ids."""
-    if cid.kind == "balanced_cycle_blowup":
-        mode = DIRECTED if cid.d == 2 else ORIENTED
-        return uniform_pattern(directed_cycle(cid.d, mode))
-    if cid.kind == "sparse_singleton_blowup":
-        return uniform_pattern(directed_cycle(cid.k))
-    if cid.kind == "c5c3_tournament_blobs":
-        return c5c3_pattern()
-    if cid.kind == "c5c7_bipartite_blobs":
-        return c5c7_pattern(cid.variant)
-    if cid.kind == "c3c6_sparse":
-        return hub_triangle_pattern()
-    if cid.kind == "c3_3t_sparse":
-        return hub_triangle_pattern()
-    if cid.kind == "c7_chords_blowup":
-        return c7_chords_pattern()
-    if cid.kind == "threshold_c7":
-        return threshold_c7_pattern(cid.c)
-    if cid.kind == "complete_bipartite_digraph":
-        return digon_pattern()
-    return None
-
-
-def _sizes_for(cid: ConstructionId, n: int) -> tuple[int, ...]:
+def _pattern_and_sizes(cid: ConstructionId, n: int) -> tuple[PatternSpec, tuple[int, ...]]:
+    """The pattern behind a blow-up construction and its blob sizes at n."""
     if cid.kind == "balanced_cycle_blowup":
         _require(cid, n, cid.d)
-        return balanced_sizes(n, cid.d)
+        mode = DIRECTED if cid.d == 2 else ORIENTED
+        return uniform_pattern(directed_cycle(cid.d, mode)), balanced_sizes(n, cid.d)
     if cid.kind == "sparse_singleton_blowup":
         _require(cid, n, cid.k)
-        return (1,) + balanced_sizes(n - 1, cid.k - 1)
+        return uniform_pattern(directed_cycle(cid.k)), (1,) + balanced_sizes(n - 1, cid.k - 1)
     if cid.kind == "c5c3_tournament_blobs":
         _require(cid, n, 4)
-        return balanced_sizes(n, 4)
+        return c5c3_pattern(), balanced_sizes(n, 4)
     if cid.kind == "c5c7_bipartite_blobs":
         _require(cid, n, 4)
-        return _c5c7_sizes(n, cid.variant)
+        return c5c7_pattern(cid.variant), _c5c7_sizes(n, cid.variant)
     if cid.kind == "c3c6_sparse":
         _require(cid, n, 3)
-        return _hub_sizes(n, 2)
+        return hub_triangle_pattern(), _hub_sizes(n, 2)
     if cid.kind == "c3_3t_sparse":
         _require(cid, n, cid.t + 1)
-        return _hub_sizes(n, cid.t)
-    if cid.kind in ("c7_chords_blowup", "threshold_c7"):
+        return hub_triangle_pattern(), _hub_sizes(n, cid.t)
+    if cid.kind == "c7_chords_blowup":
         _require(cid, n, 7)
-        return balanced_sizes(n, 7)
+        return c7_chords_pattern(), balanced_sizes(n, 7)
+    if cid.kind == "threshold_c7":
+        _require(cid, n, 7)
+        return threshold_c7_pattern(cid.c), balanced_sizes(n, 7)
     if cid.kind == "complete_bipartite_digraph":
         _require(cid, n, 2)
-        return balanced_sizes(n, 2)
-    raise ConstructionError(f"{cid.kind} has no blob sizes")
+        return digon_pattern(), balanced_sizes(n, 2)
+    raise ConstructionError(f"{cid.kind} is not a pattern blow-up")
 
 
 def _require(cid: ConstructionId, n: int, n_min: int):
@@ -293,8 +262,7 @@ def generate(cid: ConstructionId, n: int, seed: Optional[int] = None) -> Oriente
     if cid.kind == "iterated_c4":
         _require(cid, n, 4)
         return iterated_blow_up(directed_cycle(4), n)
-    pattern = pattern_for(cid)
-    sizes = _sizes_for(cid, n)
+    pattern, sizes = _pattern_and_sizes(cid, n)
     return blow_up(pattern, BlobAssignment(sizes))
 
 
@@ -329,8 +297,7 @@ def closed_form_count(cid: ConstructionId, n: int, k: int):
         _require(cid, n, 7)
         value = density.threshold_density(cid.c, k=k) * float(n) ** k
         return Estimate(value, "limit", "quadrature limit density times n^k")
-    pattern = pattern_for(cid)
-    sizes = _sizes_for(cid, n)
+    pattern, sizes = _pattern_and_sizes(cid, n)
     return pattern_cycle_count(pattern, sizes, k)
 
 

@@ -1,12 +1,13 @@
 """Analytic copy densities of pattern limit objects and their optimizers.
 
-Polynomial patterns (full arcs, tournament or bipartite blobs) get exact
-rational densities from the shared walk expansion; threshold patterns need
-a genuine multidimensional integral over the cycle, evaluated by a
-transfer-matrix quadrature whose kernels carry exact per-cell areas, with
-a Monte-Carlo cross-check.  Optimizers: multi-start projected gradient
-ascent on the weight simplex, and golden-section search for the threshold
-constant.
+Polynomial patterns (full arcs, tournament or bipartite blobs) get a
+:class:`DensityModel`: the exact rational density polynomial from the
+shared walk expansion, with its analytic gradient.  Threshold patterns have
+no such model; :func:`threshold_density` evaluates their genuine
+multidimensional integral over the cycle by a transfer-matrix quadrature
+whose kernels carry exact per-cell areas, with a Monte-Carlo cross-check.
+Optimizers: multi-start projected gradient ascent on the weight simplex,
+and golden-section search for the threshold constant.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,43 +50,28 @@ def _check_simplex(weights: Sequence) -> None:
 
 @dataclass
 class DensityModel:
-    """Evaluator for the limit of (k-cycle copies)/n^k of a pattern.
+    """The limit of (k-cycle copies)/n^k of a polynomial pattern.
 
-    For polynomial patterns ``monomials`` holds the exact expansion (a
-    homogeneous degree-k polynomial in the blob weights) and analytic
-    gradients are available; threshold patterns evaluate through the
-    quadrature below and expose no analytic gradient.
+    ``monomials`` holds the exact expansion, a homogeneous degree-k
+    polynomial in the blob weights (exponent tuple -> coefficient).
     """
 
     pattern: Optional[PatternSpec]
     k: int
-    monomials: Optional[dict] = None
-    evaluator: Optional[Callable] = None
-    has_gradient: bool = False
+    monomials: dict
 
-    def value(self, weights, params: Optional[dict] = None):
+    def value(self, weights) -> Fraction:
         _check_simplex(weights)
-        if self.monomials is not None:
-            return evaluate_monomials(self.monomials, weights)
-        return self.evaluator(weights, params or {})
+        return evaluate_monomials(self.monomials, weights)
 
     def gradient(self, weights) -> list[Fraction]:
-        if not self.has_gradient:
-            raise DensityError("no analytic gradient for this model")
         return monomial_gradient(self.monomials, weights)
 
 
 def density_model(pattern: PatternSpec, k: int) -> DensityModel:
-    if pattern.has_threshold():
-        def evaluator(weights, params):
-            return threshold_density(
-                params.get("c"), k=k, pattern=pattern,
-                weights=tuple(Fraction(w).limit_denominator(10 ** 9) for w in weights),
-                resolution=params.get("resolution", 512))
-
-        return DensityModel(pattern, k, evaluator=evaluator)
-    return DensityModel(pattern, k, monomials=density_monomials(pattern, k),
-                        has_gradient=True)
+    """Exact density model; a threshold pattern raises PatternError (see
+    :func:`threshold_density`)."""
+    return DensityModel(pattern, k, density_monomials(pattern, k))
 
 
 def hub_split_model(t: int) -> DensityModel:
@@ -96,12 +82,12 @@ def hub_split_model(t: int) -> DensityModel:
     """
     if t < 2:
         raise DensityError("t must be at least 2")
-    return DensityModel(None, 3, monomials={(1, 1): Fraction(t - 1)}, has_gradient=True)
+    return DensityModel(None, 3, {(1, 1): Fraction(t - 1)})
 
 
-def evaluate_density(model: DensityModel, weights, params: Optional[dict] = None):
-    """Copy density at the given simplex weights (exact for polynomials)."""
-    return model.value(weights, params)
+def evaluate_density(model: DensityModel, weights) -> Fraction:
+    """Exact copy density at the given simplex weights."""
+    return model.value(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +162,6 @@ def optimize_weights(model: DensityModel, initializations=None,
     fixed); ties between starts break toward lexicographically smaller
     weights.
     """
-    if model.monomials is None:
-        raise DensityError("optimize_weights needs a polynomial model")
     p = len(next(iter(model.monomials)))
 
     def f(w):
@@ -399,4 +383,5 @@ def optimize_threshold(c_range: tuple[float, float] = (0.0, 1.0),
     c_star = (a + b) / 2
     dens = f(round(c_star, 12))
     per_choose = dens * math.factorial(k)
-    return ThresholdResult(c_star, dens, per_choose, resolution, len(cache))
+    # the bracket is numpy float64; results hold Python floats, as JSON needs
+    return ThresholdResult(float(c_star), dens, per_choose, resolution, len(cache))

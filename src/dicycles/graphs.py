@@ -47,10 +47,6 @@ class PatternError(GraphError):
     """Invalid pattern specification."""
 
 
-class MissingCoordinatesError(GraphError):
-    """A threshold blob was realized without point coordinates."""
-
-
 class SizeMismatchError(GraphError):
     """Blob assignment does not fit the pattern."""
 
@@ -124,12 +120,6 @@ class OrientedGraph:
         """Underlying-undirected neighborhoods as bitmasks."""
         out, inn = self.out_bits(), self.in_bits()
         return [out[v] | inn[v] for v in range(self.n)]
-
-    def out_neighbors(self, v: int) -> list[int]:
-        return sorted(u for (x, u) in self.arcs if x == v)
-
-    def in_neighbors(self, v: int) -> list[int]:
-        return sorted(u for (u, x) in self.arcs if x == v)
 
     def relabel(self, perm: Sequence[int]) -> "OrientedGraph":
         """Image under the vertex permutation v -> perm[v]."""
@@ -324,47 +314,19 @@ def equispaced_coordinates(size: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class BlobAssignment:
-    """Concrete realization of a pattern at finite n: sizes plus coordinates.
-
-    ``point_coordinates`` may be None, in which case deterministic
-    equispaced coordinates are generated for every blob.  Coordinates, when
-    given, must be strictly increasing within each blob.
-    """
+    """Concrete realization of a pattern at finite n: one size per blob."""
 
     sizes: tuple[int, ...]
-    point_coordinates: Optional[tuple[Optional[tuple[float, ...]], ...]] = None
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if any(s < 0 for s in sizes):
             raise SizeMismatchError("blob sizes must be non-negative")
-        if self.point_coordinates is not None:
-            if len(self.point_coordinates) != len(sizes):
-                raise SizeMismatchError("one coordinate tuple (or None) per blob required")
-            for i, coords in enumerate(self.point_coordinates):
-                if coords is None:
-                    continue
-                if len(coords) != sizes[i]:
-                    raise SizeMismatchError(f"blob {i}: {len(coords)} coordinates for {sizes[i]} vertices")
-                if any(b <= a for a, b in zip(coords, coords[1:])):
-                    raise GraphError(f"blob {i}: coordinates must be strictly increasing")
 
     @property
     def n(self) -> int:
         return sum(self.sizes)
-
-    def coords_for(self, blob: int) -> tuple[float, ...]:
-        if self.point_coordinates is not None:
-            coords = self.point_coordinates[blob]
-            if coords is not None:
-                return coords
-            raise MissingCoordinatesError(f"blob {blob} carries a threshold arc but no coordinates")
-        return equispaced_coordinates(self.sizes[blob])
-
-
-def balanced_assignment(pattern: PatternSpec, n: int) -> BlobAssignment:
-    return BlobAssignment(balanced_sizes(n, pattern.p))
 
 
 def _bipartite_first_part(size: int, split: Fraction) -> int:
@@ -379,7 +341,7 @@ def blow_up(pattern: PatternSpec, assignment: BlobAssignment) -> OrientedGraph:
     Internal structure: transitive tournaments are ordered by vertex index;
     one-way bipartite blobs send all arcs from the first part to the
     second.  Threshold arcs compare f(coord(x)) = min(coord(x) + c, 1)
-    against coord(y).
+    against coord(y), with each blob at its equispaced coordinates.
     """
     p = pattern.p
     if len(assignment.sizes) != p:
@@ -389,15 +351,6 @@ def blow_up(pattern: PatternSpec, assignment: BlobAssignment) -> OrientedGraph:
     for i in range(1, p):
         offsets[i] = offsets[i - 1] + sizes[i - 1]
     n = sum(sizes)
-
-    needs_coords = [False] * p
-    for (u, v), rule in pattern.arc_rule.items():
-        if rule.kind == THRESHOLD:
-            needs_coords[u] = needs_coords[v] = True
-    coords: list[Optional[tuple[float, ...]]] = [None] * p
-    for b in range(p):
-        if needs_coords[b]:
-            coords[b] = assignment.coords_for(b)
 
     arcs: list[tuple[int, int]] = []
     for b in range(p):
@@ -414,7 +367,7 @@ def blow_up(pattern: PatternSpec, assignment: BlobAssignment) -> OrientedGraph:
         if rule.kind == FULL:
             arcs.extend((lu + i, lv + j) for i in range(sizes[u]) for j in range(sizes[v]))
         else:
-            cu, cv = coords[u], coords[v]
+            cu, cv = equispaced_coordinates(sizes[u]), equispaced_coordinates(sizes[v])
             for i in range(sizes[u]):
                 fx = min(cu[i] + rule.c, 1.0)
                 for j in range(sizes[v]):

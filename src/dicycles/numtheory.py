@@ -91,16 +91,6 @@ def brauer_bound(generators) -> int:
     return total - sum(gens)
 
 
-def _reachable(generators: tuple[int, ...], limit: int) -> bytearray:
-    reach = bytearray(limit + 1)
-    reach[0] = 1
-    for a in generators:
-        for v in range(a, limit + 1):
-            if reach[v - a]:
-                reach[v] = 1
-    return reach
-
-
 def representable(q: RepresentabilityQuery) -> RepresentabilityResult:
     """Exact decision by bounded dynamic programming over values.
 

@@ -8,8 +8,9 @@ Enumerating these walks once yields, per walk, both
 * the exact number of vertex assignments at finite blob sizes (falling
   factorials, with one valid ordering per tournament chain and part-respecting
   pairs for bipartite stays), and
-* the limit weight as blob sizes grow proportionally to weights (the copy
-  density per n^k).
+* the limit coefficient as blob sizes grow proportionally to weights:
+  times the walk's weight monomial (one factor per vertex), it is the
+  walk's share of the copy density per n^k.
 
 Each cycle subgraph corresponds to exactly k linear walks (its rotations),
 so sums over linear walks are divided by k.  Threshold arc rules are not
@@ -22,9 +23,7 @@ import math
 from fractions import Fraction
 
 from .graphs import (
-    INDEPENDENT,
     ONE_WAY_BIPARTITE,
-    THRESHOLD,
     TRANSITIVE_TOURNAMENT,
     PatternError,
     PatternSpec,
@@ -156,32 +155,27 @@ def finite_walk_count(pattern: PatternSpec, sizes: tuple[int, ...],
     return total
 
 
-def limit_walk_weight(pattern: PatternSpec, weights: tuple[Fraction, ...],
-                      blobs: tuple[int, ...], steps: tuple[int, ...]) -> Fraction:
-    """Limit of finite_walk_count / n^k when sizes ~ weights * n."""
+def limit_walk_coefficient(pattern: PatternSpec, blobs: tuple[int, ...],
+                           steps: tuple[int, ...]) -> Fraction:
+    """Limit of finite_walk_count / prod(sizes[b] for b in blobs) as the
+    sizes grow proportionally: the structural factor (tournament orderings,
+    bipartite splits) that multiplies the walk's weight monomial.
+    """
     total = Fraction(1)
     for blob, run_lengths in _cyclic_runs(blobs, steps).items():
         if any(r < 0 for r in run_lengths):
             return Fraction(0)
         internal = pattern.blob_internal[blob]
-        w = weights[blob]
         if internal.kind == TRANSITIVE_TOURNAMENT:
-            vertices = sum(r + 1 for r in run_lengths)
-            factor = w ** vertices
             for r in run_lengths:
-                factor /= math.factorial(r + 1)
+                total /= math.factorial(r + 1)
         elif internal.kind == ONE_WAY_BIPARTITE:
             if any(r >= 2 for r in run_lengths):
                 return Fraction(0)
-            pairs = sum(1 for r in run_lengths if r == 1)
-            singles = sum(1 for r in run_lengths if r == 0)
             split = internal.split
-            factor = (w * w * split * (1 - split)) ** pairs * w ** singles
-        else:
-            if any(r > 0 for r in run_lengths):
-                return Fraction(0)
-            factor = w ** len(run_lengths)
-        total *= factor
+            total *= (split * (1 - split)) ** run_lengths.count(1)
+        elif any(r > 0 for r in run_lengths):
+            return Fraction(0)
     return total
 
 
@@ -205,10 +199,9 @@ def density_monomials(pattern: PatternSpec, k: int) -> dict[tuple[int, ...], Fra
     structural factors (orderings, splits) of all walks with that blob
     multiset, already divided by k.
     """
-    ones = tuple(Fraction(1) for _ in range(pattern.p))
     monos: dict[tuple[int, ...], Fraction] = {}
     for blobs, steps in enumerate_closed_walks(pattern, k):
-        coeff = limit_walk_weight(pattern, ones, blobs, steps)
+        coeff = limit_walk_coefficient(pattern, blobs, steps)
         if coeff == 0:
             continue
         expo = [0] * pattern.p

@@ -36,7 +36,7 @@ def test_registry_matches_criteria_list():
 def test_criterion(name):
     result = run(name)
     status = "PASS" if result.passed else "FAIL"
-    summary = json.dumps(result.details, default=str)
+    summary = json.dumps(result.details)
     if len(summary) > 300:
         summary = summary[:300] + "..."
     print(f"{status} {name} ({result.elapsed:.1f}s): {summary}")

@@ -146,3 +146,11 @@ def test_reproduce_command_single_target(capsys):
     assert payload["results"][0]["name"] == "c5c7"
     assert payload["results"][0]["passed"] is True
     assert "PASS c5c7" in err
+
+
+def test_reproduce_threshold_prints_json(capsys):
+    code, payload, err = run_cli(capsys, "reproduce", "threshold")
+    assert code == 0
+    assert payload["results"][0]["name"] == "threshold"
+    assert payload["results"][0]["details"]["c_ok"] is True
+    assert "PASS threshold" in err

@@ -13,6 +13,9 @@ from dicycles.constructions import (
     c5c7_pattern,
     c7_chords_pattern,
     closed_form_count,
+    digon_pattern,
+    hub_triangle_pattern,
+    seven_cycle_with_chords,
     threshold_c7_pattern,
 )
 from dicycles.density import (
@@ -26,8 +29,23 @@ from dicycles.density import (
     project_simplex,
     threshold_density,
 )
-from dicycles.graphs import directed_cycle, uniform_pattern
-from dicycles.pattern_walks import evaluate_monomials, monomial_gradient
+from dicycles.graphs import ArcRule, PatternError, directed_cycle, uniform_pattern
+from dicycles.pattern_walks import (
+    density_monomials,
+    evaluate_monomials,
+    monomial_gradient,
+    pattern_cycle_count,
+)
+
+NAMED_PATTERNS = {
+    "c5c3": c5c3_pattern(),
+    "c5c7": c5c7_pattern(),
+    "c5c7_opposite": c5c7_pattern("opposite"),
+    "c7_chords": c7_chords_pattern(),
+    "digon": digon_pattern(),
+    "hub_1/5": hub_triangle_pattern(Fraction(1, 5)),
+    **{f"cycle_{d}": uniform_pattern(directed_cycle(d)) for d in range(3, 7)},
+}
 
 
 def test_exact_density_values():
@@ -86,6 +104,30 @@ def test_finite_counts_approach_density():
         fitted = errors[40] * 40 * 1.5 + 1e-12
         assert errors[80] <= fitted / 80
         assert errors[160] <= fitted / 160
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_PATTERNS))
+def test_finite_counts_are_a_polynomial_led_by_the_density(name):
+    # with sizes w * N the exact count is a degree-k polynomial in N, so its
+    # k-th divided difference is the leading coefficient: the limit density.
+    # N runs over multiples of a denominator that makes every size and every
+    # bipartite first part (split * size) an integer.
+    pattern = NAMED_PATTERNS[name]
+    w = pattern.blob_weights
+    denom = math.lcm(*(x.denominator for x in w),
+                     *((x * b.split).denominator
+                       for x, b in zip(w, pattern.blob_internal) if b.split is not None))
+    for k in range(2, 8):
+        counts = [pattern_cycle_count(pattern, tuple(int(x * denom * j) for x in w), k)
+                  for j in range(1, k + 2)]
+        diff = sum((-1) ** (k - i) * math.comb(k, i) * counts[i] for i in range(k + 1))
+        leading = Fraction(diff, math.factorial(k) * denom ** k)
+        assert leading == evaluate_monomials(density_monomials(pattern, k), w), k
+
+
+def test_threshold_pattern_has_no_polynomial_model():
+    with pytest.raises(PatternError):
+        density_model(threshold_c7_pattern(0.7), 5)
 
 
 def test_gradient_matches_finite_differences():
@@ -163,7 +205,8 @@ def test_threshold_monte_carlo_agrees():
 
 
 def test_threshold_all_arcs_variant_evaluates():
-    pattern = threshold_c7_pattern(0.7, threshold_pairs="all")
+    base = seven_cycle_with_chords()
+    pattern = uniform_pattern(base, arc_rule={arc: ArcRule("threshold", 0.7) for arc in base.arcs})
     dens = threshold_density(0.7, resolution=128, pattern=pattern)
     mc, se = mc_threshold_density(0.7, 300_000, seed=5, pattern=pattern)
     assert abs(mc - dens) <= 3.5 * se

@@ -229,7 +229,7 @@ def test_equispaced_coordinates():
 
 def test_blob_assignment_validation():
     with pytest.raises(ValueError):
-        BlobAssignment((2,), ((0.7, 0.2),))  # not increasing
+        BlobAssignment((2, -1))
 
 
 def test_canonical_arcs_detects_isomorphism():
