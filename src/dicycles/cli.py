@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, counting, density, numtheory, reproduce, search, spectral

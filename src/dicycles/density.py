@@ -160,8 +160,11 @@ def optimize_weights(model: DensityModel, initializations=None,
 
     Deterministic given the initialization list (the default list is
     fixed); ties between starts break toward lexicographically smaller
-    weights.
+    weights.  A pattern with no k-cycles has nothing to optimize and
+    raises DensityError.
     """
+    if not any(model.monomials.values()):
+        raise DensityError(f"the C{model.k} density of this pattern is identically zero")
     p = len(next(iter(model.monomials)))
 
     def f(w):

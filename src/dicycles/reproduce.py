@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-import numpy as np
-
 from . import counting, density, numtheory, search, spectral
 from .constructions import (
     ConstructionId,
@@ -26,7 +24,6 @@ from .constructions import (
 )
 from .graphs import (
     DIRECTED,
-    ORIENTED,
     OrientedGraph,
     directed_cycle,
     random_bipartite_orientation,

@@ -10,7 +10,12 @@ block of graphs, and the graphs on all n vertices are scored without being
 stored.  The reported maximum is exact with no isomorphism machinery in the
 hot path; canonical forms only deduplicate the reported witnesses.  Local
 search is simulated annealing over pair states with forbidden-pattern
-rejection; it reports lower bounds only.
+rejection; it reports lower bounds only.  A move touches the bitmasks of
+one pair's two vertices: it counts only the cycles through the arcs it
+changes (paths with one or two interior vertices by bitmask formulas,
+other lengths by the shared DFS), and a rejected or forbidden move restores
+the saved masks and count without counting again.  These shortcuts leave
+the random stream, and so every seeded record, as they were.
 """
 
 from __future__ import annotations
@@ -25,9 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .counting import _simple_paths, count_cycle_copies, has_cycle_subgraph
-from .graphs import DIRECTED, ORIENTED, OrientedGraph, canonical_arcs
+from .graphs import ORIENTED, OrientedGraph, canonical_arcs, iterated_blowup_cycle_count
 from .numtheory import ceil_cubic_value
-from .graphs import iterated_blowup_cycle_count
 
 
 class SearchError(ValueError):
@@ -304,8 +308,43 @@ def exhaustive_extremal(n: int, k: int, forbidden, mode: str = ORIENTED,
 # ---------------------------------------------------------------------------
 
 
+def _through_paths(out: list[int], inn: list[int], start: int, end: int, arcs: int,
+                   limit: Optional[int] = None) -> int:
+    """Simple paths start -> end with ``arcs`` arcs.  With the arc
+    end -> start present they are its cycles of length arcs + 1; without
+    it, the cycles that adding it would close.
+
+    One or two interior vertices are counted by bitmask formulas: the
+    middles of start -> w -> end are out[start] & inn[end], and the paths
+    start -> c -> d -> end are, for each c, the d in out[c] & inn[end]
+    other than start.  Other lengths go to the general DFS.  With ``limit``
+    the count may stop early once it reaches the limit.
+    """
+    if arcs == 2:
+        return (out[start] & inn[end]).bit_count()
+    if arcs == 3:
+        ends = inn[end] & ~(1 << start)
+        mids = out[start] & ~(1 << end)
+        total = 0
+        while mids:
+            low = mids & -mids
+            mids ^= low
+            total += (out[low.bit_length() - 1] & ends).bit_count()
+            if limit is not None and total >= limit:
+                break
+        return total
+    return _simple_paths(out, start, arcs, ~(1 << end), 1 << end, limit)
+
+
 class _AnnealState:
-    """Mutable pair-state assignment with incremental adjacency and count."""
+    """Mutable pair-state assignment with incremental adjacency and count.
+
+    A pair state is a 2-bit mask: bit 1 is the arc u -> v, bit 2 the arc
+    v -> u (so oriented mode uses 0, 1, 2).  A move changes only the arcs
+    of one pair {u, v}, so only out[u], out[v], in[u] and in[v] change.
+    ``try_set`` saves those four masks and the count first; a forbidden
+    move and :meth:`revert` restore them instead of counting again.
+    """
 
     def __init__(self, n: int, k: int, forbidden, mode: str):
         self.n = n
@@ -313,10 +352,13 @@ class _AnnealState:
         self.mode = mode
         self.forbidden = parse_forbidden(forbidden)
         self.pairs = list(combinations(range(n), 2))
+        # each pair's arcs per 2-bit state, built once
+        self._arcs = [((), ((u, v),), ((v, u),), ((u, v), (v, u))) for u, v in self.pairs]
         self.states = [0] * len(self.pairs)
         self.out = [0] * n
         self.inn = [0] * n
         self.count = 0
+        self._saved = None
 
     def _creates_forbidden(self, u: int, v: int) -> bool:
         # would adding arc u -> v close a forbidden configuration?
@@ -325,82 +367,48 @@ class _AnnealState:
             if item == TT3:
                 if (out[u] & out[v]) or (inn[u] & inn[v]) or (out[u] & inn[v]):
                     return True
-            elif item == 2:
-                if out[v] >> u & 1:
-                    return True
-            elif _simple_paths(out, v, item - 1, ~(1 << u), 1 << u, limit=1):
+            elif _through_paths(out, inn, v, u, item - 1, limit=1):
                 return True
         return False
 
-    def _add_arc(self, u: int, v: int) -> Optional[int]:
-        """Add u -> v unless it closes a forbidden pattern; return delta."""
-        if self._creates_forbidden(u, v):
-            return None
-        self.out[u] |= 1 << v
-        self.inn[v] |= 1 << u
-        delta = self._cycles_through(u, v)
-        self.count += delta
-        return delta
-
-    def _remove_arc(self, u: int, v: int) -> int:
-        delta = self._cycles_through(u, v)
-        self.out[u] &= ~(1 << v)
-        self.inn[v] &= ~(1 << u)
-        self.count -= delta
-        return delta
-
-    def _cycles_through(self, u: int, v: int) -> int:
-        # k-cycles containing the arc u -> v (currently present)
-        if self.k == 3:
-            return (self.out[v] & self.inn[u]).bit_count()
-        return _simple_paths(self.out, v, self.k - 1, ~(1 << u), 1 << u)
-
-    def _arcs_of(self, state: int, u: int, v: int) -> list[tuple[int, int]]:
-        arcs = []
-        if state & 1:
-            arcs.append((u, v))
-        if state & 2:
-            arcs.append((v, u))
-        return arcs
-
     def try_set(self, pair_idx: int, new_state: int) -> Optional[int]:
-        """Apply a pair transition; None (state unchanged) on rejection."""
+        """Apply a pair transition and return the change of the count; None
+        (state unchanged) if the new graph has a forbidden pattern."""
         old_state = self.states[pair_idx]
         u, v = self.pairs[pair_idx]
-        old_arcs = self._arcs_of(old_state, u, v)
-        new_arcs = self._arcs_of(new_state, u, v)
-        removed = [a for a in old_arcs if a not in new_arcs]
-        added = [a for a in new_arcs if a not in old_arcs]
-        before = self.count
-        done_rm = []
-        done_add = []
-        for a in removed:
-            self._remove_arc(*a)
-            done_rm.append(a)
-        ok = True
-        for a in added:
-            if self._add_arc(*a) is None:
-                ok = False
-                break
-            done_add.append(a)
-        if not ok:
-            for a in reversed(done_add):
-                self._remove_arc(*a)
-            for a in reversed(done_rm):
-                # re-adding a previously present arc cannot be forbidden in
-                # a graph that is a subgraph of the original valid graph
-                if self._add_arc(*a) is None:
-                    raise SearchError(f"rollback could not restore arc {a}")
-            if self.count != before:
-                raise SearchError("rollback did not restore the cycle count")
-            return None
+        out, inn, arcs, k = self.out, self.inn, self._arcs[pair_idx], self.k
+        saved = out[u], out[v], inn[u], inn[v]
+        count = self.count
+        for a, b in arcs[old_state & ~new_state]:
+            count -= _through_paths(out, inn, b, a, k - 1)
+            out[a] &= ~(1 << b)
+            inn[b] &= ~(1 << a)
+        for a, b in arcs[new_state & ~old_state]:
+            # self.count is not changed yet; the saved masks are the old graph
+            if self._creates_forbidden(a, b):
+                out[u], out[v], inn[u], inn[v] = saved
+                return None
+            out[a] |= 1 << b
+            inn[b] |= 1 << a
+            count += _through_paths(out, inn, b, a, k - 1)
+        self._saved = (pair_idx, old_state, saved, self.count)
         self.states[pair_idx] = new_state
-        return self.count - before
+        delta = count - self.count
+        self.count = count
+        return delta
 
-    def graph(self) -> OrientedGraph:
-        arcs = []
-        for idx, (u, v) in enumerate(self.pairs):
-            arcs.extend(self._arcs_of(self.states[idx], u, v))
+    def revert(self) -> None:
+        """Undo the last applied ``try_set``."""
+        pair_idx, old_state, saved, count = self._saved
+        u, v = self.pairs[pair_idx]
+        self.out[u], self.out[v], self.inn[u], self.inn[v] = saved
+        self.states[pair_idx] = old_state
+        self.count = count
+
+    def graph(self, states: Optional[list[int]] = None) -> OrientedGraph:
+        """The graph of ``states`` (by default the current ones)."""
+        states = self.states if states is None else states
+        arcs = [arc for idx, state in enumerate(states) for arc in self._arcs[idx][state]]
         return OrientedGraph(self.n, arcs, self.mode)
 
 
@@ -412,12 +420,25 @@ def local_search_extremal(n: int, k: int, forbidden, budget: int, seed: int,
     stagnation; all randomness comes from one generator seeded with
     ``seed``, so results are reproducible.  The reported value is a lower
     bound only.
+
+    A move counts only the k-cycles through the arcs it changes.  A
+    rejected downhill move and a forbidden move restore the saved masks and
+    count rather than counting again, and a new best saves only the pair
+    states; the witness graph is built once, at the end, and re-verified
+    through the counting module.  Each move draws one ``randrange`` for the
+    pair, one for its new state and, if applied and downhill, one
+    ``random``, so the stream, and with it every record, is the same as
+    when every move was counted again.
     """
     rng = random.Random(seed)
     state = _AnnealState(n, k, forbidden, mode)
     n_states = 3 if mode == ORIENTED else 4
+    n_pairs = len(state.pairs)
+    states = state.states
+    try_set, revert = state.try_set, state.revert
+    randrange, uniform, exp = rng.randrange, rng.random, math.exp
     best_count = 0
-    best_graph = state.graph()
+    best_states = list(states)
     t0, t_end = 1.0, 0.02
     cooling = (t_end / t0) ** (1.0 / max(budget, 1))
     temperature = t0
@@ -428,26 +449,26 @@ def local_search_extremal(n: int, k: int, forbidden, budget: int, seed: int,
         if stagnation >= restart_after:
             temperature = t0
             stagnation = 0
-        idx = rng.randrange(len(state.pairs))
-        new_state = rng.randrange(n_states)
-        if new_state == state.states[idx]:
+        idx = randrange(n_pairs)
+        new_state = randrange(n_states)
+        if new_state == states[idx]:
             continue
-        old_state = state.states[idx]
-        delta = state.try_set(idx, new_state)
+        delta = try_set(idx, new_state)
         if delta is None:
             stagnation += 1
             continue
-        if delta < 0 and rng.random() >= math.exp(delta / temperature):
-            state.try_set(idx, old_state)
+        if delta < 0 and uniform() >= exp(delta / temperature):
+            revert()
             stagnation += 1
             continue
         if state.count > best_count:
             best_count = state.count
-            best_graph = state.graph()
+            best_states = list(states)
             stagnation = 0
         else:
             stagnation += 1
 
+    best_graph = state.graph(best_states)
     _check_witness(best_graph, k, forbidden, best_count)
     return ExtremalRecord(n, k, parse_forbidden(forbidden), mode, best_count,
                           (best_graph,), "local_search", budget)

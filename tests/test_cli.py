@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from dicycles.cli import main
 
 
@@ -124,6 +122,14 @@ def test_optimize_command(capsys):
     code, payload, _ = run_cli(capsys, "optimize", "--pattern", "cycle:4", "--k", "4")
     assert code == 0
     assert payload["value_as_rational"] == "1/256"
+
+
+def test_optimize_zero_density_is_json_error(capsys):
+    # patterns with no k-cycles have an identically zero density
+    for pattern, k in (("c5c3", "3"), ("cycle:3", "4")):
+        code, payload, err = run_cli(capsys, "optimize", "--pattern", pattern, "--k", k)
+        assert code == 2 and payload is None
+        assert json.loads(err.strip())["error"] == "DensityError"
 
 
 def test_usage_error_is_json_exit_2(capsys):

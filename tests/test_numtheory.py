@@ -1,6 +1,5 @@
 """Representability, divisor parameter, and the predicted-value table."""
 
-import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -16,7 +15,6 @@ from dicycles.numtheory import (
     EmptyGeneratorsError,
     InvalidParametersError,
     NoSuchDivisorError,
-    PredictedValue,
     RepresentabilityQuery,
     brauer_bound,
     ceil_cubic_value,

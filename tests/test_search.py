@@ -205,20 +205,125 @@ def test_local_search_deterministic_per_seed():
     assert a.witnesses[0].arcs == b.witnesses[0].arcs
 
 
+# (n, k, forbidden, budget, seed, mode, max_copies, witness arcs "uv ...")
+# recorded from the annealer before its moves restored saved state instead
+# of recounting; any change to the move logic or the random stream shows here
+PINNED_ANNEAL = [
+    (5, 3, [4], 3000, 0, ORIENTED, 4,
+     "01 12 14 20 23 31 40 43"),
+    (5, 4, [3], 3000, 1, ORIENTED, 2,
+     "01 13 20 24 32 40 41"),
+    (5, 3, ["TT3"], 2000, 2, ORIENTED, 4,
+     "01 12 13 20 24 30 34 41"),
+    (6, 3, [5], 3000, 3, ORIENTED, 8,
+     "01 02 14 15 24 25 31 32 40 43 50 53"),
+    (6, 4, [3], 3000, 4, ORIENTED, 4,
+     "01 02 13 23 35 41 42 50 54"),
+    (6, 3, [4], 4000, 5, ORIENTED, 8,
+     "03 04 13 14 20 21 32 35 42 45 50 51"),
+    (6, 5, [3], 3000, 6, ORIENTED, 4,
+     "03 04 10 14 21 32 35 43 51 52"),
+    (6, 3, [6], 2000, 7, ORIENTED, 7,
+     "01 02 03 14 21 23 25 34 40 42 45 50 51 53"),
+    (7, 3, [4], 5000, 8, ORIENTED, 12,
+     "03 05 10 12 16 23 25 31 34 40 42 46 51 54 63 65"),
+    (7, 3, [5], 4000, 9, ORIENTED, 12,
+     "04 05 10 13 16 20 23 26 30 34 35 41 42 51 52 64 65"),
+    (7, 3, ["TT3"], 4000, 10, ORIENTED, 12,
+     "01 02 04 15 16 25 26 31 32 34 45 46 50 53 60 63"),
+    (7, 4, [3], 5000, 11, ORIENTED, 7,
+     "04 05 12 13 23 26 30 36 41 45 51 52 60 64"),
+    (7, 5, [3], 3000, 12, ORIENTED, 12,
+     "01 02 13 14 21 23 24 34 35 45 50 56 60 61 62"),
+    (7, 3, [6], 3000, 13, ORIENTED, 9,
+     "02 04 06 14 16 24 25 26 30 31 32 35 43 50 54 56 63"),
+    (7, 4, [5], 3000, 14, ORIENTED, 8,
+     "01 03 14 16 20 32 34 36 42 45 50 51 62 65"),
+    (8, 3, [4], 5000, 15, ORIENTED, 18,
+     "01 06 07 12 15 20 23 24 31 36 37 41 46 47 50 53 54 62 65 72 75"),
+    (8, 4, [3], 4000, 16, ORIENTED, 16,
+     "02 05 06 13 14 25 26 30 32 40 42 51 57 61 65 67 73 74"),
+    (8, 3, [5], 3000, 17, ORIENTED, 12,
+     "01 03 04 05 12 20 26 27 32 41 42 43 52 61 63 64 65 71 73 74 75"),
+    (8, 5, [4], 3000, 18, ORIENTED, 12,
+     "03 05 10 12 25 27 32 36 40 42 51 54 56 60 67 71 73 74"),
+    (8, 4, [6], 3000, 19, ORIENTED, 20,
+     "03 04 07 13 14 17 20 21 23 26 34 42 45 46 50 51 53 56 60 61 63 67 74"),
+    (8, 3, ["TT3"], 5000, 20, ORIENTED, 18,
+     "02 05 06 12 15 16 24 27 32 35 36 40 41 43 54 57 64 67 70 71 73"),
+    (9, 3, [4], 5000, 21, ORIENTED, 27,
+     "01 06 08 12 14 17 20 23 25 31 36 38 40 43 45 51 56 58 62 64 67 70 73 75 82 84 87"),
+    (9, 4, [3], 3000, 22, ORIENTED, 17,
+     "04 05 06 07 10 14 16 21 23 28 30 31 34 36 45 47 52 57 64 65 72 78 81 83 86"),
+    (9, 3, [5, 6], 3000, 23, ORIENTED, 15,
+     "06 10 13 14 15 17 20 23 24 25 27 30 35 36 46 56 61 62 68 70 75 76 80 83 84 85 87"),
+    (9, 5, [3], 2000, 24, ORIENTED, 45,
+     "01 05 08 12 14 17 26 27 30 31 35 38 42 46 47 51 58 60 63 65 76 81 82 84 87"),
+    (10, 3, [4], 4000, 25, ORIENTED, 36,
+     "02 03 06 12 13 16 24 25 27 34 35 37 40 41 48 49 50 51 58 59 64 65 67 70 71 78 79 82 83 86 92 93 96"),
+    (10, 4, [3], 4000, 26, ORIENTED, 21,
+     "01 05 12 15 19 25 26 29 30 34 40 41 42 57 59 60 63 67 68 73 74 78 80 84 93 96 97 98"),
+    (10, 3, ["TT3"], 3000, 27, ORIENTED, 36,
+     "01 03 07 15 16 18 21 23 27 35 36 38 41 43 47 50 52 54 59 60 62 64 69 75 76 78 80 82 84 89 91 93 97"),
+    (10, 3, [6], 2000, 28, ORIENTED, 14,
+     "03 06 08 13 14 16 20 27 37 39 43 46 50 53 56 57 69 78 82 83 85 90 91 94 95 98"),
+    (4, 2, [3], 3000, 29, DIRECTED, 4,
+     "01 03 10 12 21 23 30 32"),
+    (5, 3, [2, 4], 3000, 30, DIRECTED, 4,
+     "01 03 12 14 20 32 34 40"),
+    (5, 4, [5], 3000, 31, DIRECTED, 6,
+     "01 02 03 04 10 12 13 14 20 21 23 24 40 41 42 43"),
+    (6, 4, [3], 3000, 32, DIRECTED, 18,
+     "01 04 05 10 12 13 21 24 25 31 34 35 40 42 43 50 52 53"),
+    (6, 3, [4], 3000, 33, DIRECTED, 8,
+     "02 03 04 12 13 14 23 25 30 31 43 45 50 51 52 54"),
+]
+
+
+@pytest.mark.parametrize("n,k,forbidden,budget,seed,mode,copies,arcs", PINNED_ANNEAL)
+def test_local_search_pinned_records(n, k, forbidden, budget, seed, mode, copies, arcs):
+    record = local_search_extremal(n, k, forbidden, budget=budget, seed=seed, mode=mode)
+    assert record.max_copies == copies
+    assert sorted(record.witnesses[0].arcs) == [(int(a[0]), int(a[1])) for a in arcs.split()]
+
+
 def test_anneal_incremental_count_matches_recount():
-    # the arc-through path counts keep the running count exact, and a
-    # rejected move leaves it unchanged
-    for k, forbidden in ((3, [4]), (4, [3]), (5, [3])):
+    # the through-arc path counts keep the running count exact; a forbidden
+    # move really closes a forbidden pattern and leaves the graph and the
+    # count unchanged, and revert() restores the graph and count from before
+    # the last applied move.  k = 4 with C4 forbidden sends both the count
+    # and the check through the two-interior formula; the digon cases move
+    # two arcs of one pair at once and let paths turn back along a digon
+    cases = ((ORIENTED, 3, [4]), (ORIENTED, 4, [3]), (ORIENTED, 5, [3]), (ORIENTED, 4, [4]),
+             (ORIENTED, 3, ["TT3"]), (DIRECTED, 3, [4]), (DIRECTED, 4, [5]), (DIRECTED, 4, [3]))
+    for mode, k, forbidden in cases:
         rng = random.Random(k)
-        state = _AnnealState(8, k, forbidden, "oriented")
+        state = _AnnealState(8, k, forbidden, mode)
         outcomes = set()
         peak = 0
         for _ in range(400):
+            before = (sorted(state.graph().arcs), state.count)
             idx = rng.randrange(len(state.pairs))
-            outcomes.add(state.try_set(idx, rng.randrange(3)) is None)
-            assert state.count == count_cycle_copies(state.graph(), k)
+            new_state = rng.randrange(3 if mode == ORIENTED else 4)
+            if state.try_set(idx, new_state) is None:
+                outcomes.add("forbidden")
+                assert (sorted(state.graph().arcs), state.count) == before
+                moved = list(state.states)
+                moved[idx] = new_state
+                assert contains_forbidden(state.graph(moved), forbidden)
+            elif rng.random() < 0.3:
+                outcomes.add("reverted")
+                state.revert()
+                assert (sorted(state.graph().arcs), state.count) == before
+            else:
+                outcomes.add("applied")
+                assert state.states[idx] == new_state
+            g = state.graph()
+            assert state.count == count_cycle_copies(g, k)
+            assert not contains_forbidden(g, forbidden)
             peak = max(peak, state.count)
-        assert outcomes == {True, False} and peak > 0
+        assert outcomes == {"forbidden", "reverted", "applied"}
+        assert (peak > 0) == (k not in forbidden)
 
 
 def test_local_search_records_hold_under_optimize_flag():

@@ -15,7 +15,6 @@ from dicycles.graphs import (
     random_bipartite_orientation,
 )
 from dicycles.spectral import (
-    CycleBoundReport,
     NotCompleteBipartiteError,
     PreconditionViolatedError,
     bipartite_cycle_bound,
