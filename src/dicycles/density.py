@@ -6,8 +6,12 @@ shared walk expansion, with its analytic gradient.  Threshold patterns have
 no such model; :func:`threshold_density` evaluates their genuine
 multidimensional integral over the cycle by a transfer-matrix quadrature
 whose kernels carry exact per-cell areas, with a Monte-Carlo cross-check.
+A full arc's kernel is the all-ones matrix, so its steps factor the trace
+into matrix-vector products.
 Optimizers: multi-start projected gradient ascent on the weight simplex,
-and golden-section search for the threshold constant.
+and golden-section search for the threshold constant.  The ascent
+evaluates the polynomial and its gradient as exact integer sums over one
+common denominator, so every step sees the correctly rounded exact value.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .pattern_walks import (
     density_monomials,
     evaluate_monomials,
     monomial_gradient,
+    monomial_gradient_ratio,
+    monomial_ratio,
 )
 
 
@@ -167,11 +173,15 @@ def optimize_weights(model: DensityModel, initializations=None,
         raise DensityError(f"the C{model.k} density of this pattern is identically zero")
     p = len(next(iter(model.monomials)))
 
+    # exact integer sums; int true division rounds correctly, so each value
+    # is float() of the exact Fraction, bit for bit
     def f(w):
-        return float(evaluate_monomials(model.monomials, w))
+        num, den = monomial_ratio(model.monomials, w.tolist())
+        return num / den
 
     def grad(w):
-        return np.array([float(x) for x in monomial_gradient(model.monomials, w)])
+        nums, den = monomial_gradient_ratio(model.monomials, w.tolist())
+        return np.array([g / den for g in nums])
 
     if initializations is None:
         initializations = _default_initializations(p)
@@ -219,11 +229,12 @@ def _forward_cell_integrals(c: float, resolution: int) -> np.ndarray:
 
 
 def _threshold_matrices(c: float, resolution: int) -> dict[str, np.ndarray]:
+    # a step along a full (one-directional) arc, "O", has the all-ones
+    # kernel, which _tag_trace applies without building it
     fwd = _forward_cell_integrals(c, resolution)
     return {
         "F": fwd,                    # step along a skeleton arc
         "B": 1.0 - fwd.T,            # step against a skeleton arc
-        "O": np.ones_like(fwd),      # step along a full (one-directional) arc
     }
 
 
@@ -260,16 +271,49 @@ def _threshold_walks(pattern: PatternSpec, k: int):
     return grouped
 
 
+def _tag_trace(tag: tuple[str, ...], kernels: dict[str, np.ndarray], resolution: int) -> float:
+    """Trace of the product of the tag's kernels.
+
+    The full-arc kernel "O" is the all-ones matrix J = 1 1^T, so a tag that
+    contains it factors: rotated to start at an "O", tr(J S_1 J S_2 ... J S_m)
+    is the product of the 1^T S_i 1, each a chain of matrix-vector products
+    (an empty segment gives 1^T 1 = N).  Tags without "O" take the dense
+    matrix trace.
+    """
+    if "O" not in tag:
+        mats = [kernels[t] for t in tag]
+        prod = mats[0]
+        for m in mats[1:-1]:
+            prod = prod @ m
+        return float(np.tensordot(prod, mats[-1].T, axes=2))
+    start = tag.index("O")
+    total = 1.0
+    for segment in "".join(tag[start:] + tag[:start]).split("O")[1:]:
+        v = np.ones(resolution)
+        for t in reversed(segment):
+            v = kernels[t] @ v
+        total *= float(v.sum())
+    return total
+
+
 def threshold_density(c: float, k: int = 5, resolution: int = 512,
                       pattern: Optional[PatternSpec] = None,
                       weights: Optional[tuple[Fraction, ...]] = None) -> float:
     """Limit k-cycle copy density of a threshold pattern.
 
     The k-dimensional cycle integral factors through transfer matrices of
-    the per-step kernels; traces are shared across walks with the same
-    cyclic kernel sequence.  Error decreases quadratically with the grid
-    resolution.
+    the per-step kernels on a resolution x resolution grid; traces are
+    shared across walks with the same cyclic kernel sequence.  The
+    full-arc kernel has rank one, so a sequence that contains it costs
+    matrix-vector products instead of matrix products.  Error decreases
+    quadratically with the grid resolution.  Needs k >= 3 (an oriented
+    pattern has no shorter cycles, and the grid would report its own
+    cell-average error) and resolution >= 1.
     """
+    if k < 3:
+        raise DensityError(f"k must be at least 3, got {k}")
+    if resolution < 1:
+        raise DensityError(f"resolution must be at least 1, got {resolution}")
     if pattern is None:
         pattern = threshold_c7_pattern(c)
     if weights is None:
@@ -280,12 +324,7 @@ def threshold_density(c: float, k: int = 5, resolution: int = 512,
     scale = float(resolution) ** k
     total = 0.0
     for tag, expo_counts in grouped.items():
-        mats = [kernels[t] for t in tag]
-        prod = mats[0]
-        for m in mats[1:-1]:
-            prod = prod @ m
-        trace = float(np.tensordot(prod, mats[-1].T, axes=2)) if len(mats) > 1 else float(np.trace(prod))
-        integral = trace / scale
+        integral = _tag_trace(tag, kernels, resolution) / scale
         for expo, count in expo_counts.items():
             mono = count
             for w, e in zip(weights, expo):

@@ -212,30 +212,73 @@ def density_monomials(pattern: PatternSpec, k: int) -> dict[tuple[int, ...], Fra
     return monos
 
 
-def evaluate_monomials(monos: dict[tuple[int, ...], Fraction], weights) -> Fraction:
-    total = Fraction(0)
-    for expo, coeff in monos.items():
-        term = coeff
-        for w, e in zip(weights, expo):
+def _as_ratio(x) -> tuple[int, int]:
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:  # numpy integers, strings
+        x = Fraction(x)
+        return x.numerator, x.denominator
+
+
+def _integer_form(monos: dict[tuple[int, ...], Fraction], weights):
+    """The polynomial at the weights as integers.
+
+    Weights go over one common denominator D (a power of two for floats)
+    and coefficients over their lcm L, so that the value is
+    sum(C * prod(N_j ** e_j) * D ** pad) / (L * D ** top), with C = c * L,
+    N_j = w_j * D, top the largest degree and pad = top - degree.
+    Returns ([(C, exponents, pad)], [N_j], D, L, top).
+    """
+    ratios = [_as_ratio(w) for w in weights]
+    denom = math.lcm(*(d for _, d in ratios))
+    nums = [n * (denom // d) for n, d in ratios]
+    coeffs = [_as_ratio(c) for c in monos.values()]
+    lcm = math.lcm(*(d for _, d in coeffs))
+    top = max((sum(expo) for expo in monos), default=0)
+    terms = [(n * (lcm // d), expo, top - sum(expo)) for (n, d), expo in zip(coeffs, monos)]
+    return terms, nums, denom, lcm, top
+
+
+def monomial_ratio(monos: dict[tuple[int, ...], Fraction], weights) -> tuple[int, int]:
+    """The polynomial's value at the weights as (numerator, denominator)
+    integers, not reduced; ``numerator / denominator`` is the correctly
+    rounded float of the exact value."""
+    terms, nums, denom, lcm, top = _integer_form(monos, weights)
+    total = 0
+    for coeff, expo, pad in terms:
+        term = coeff * denom ** pad
+        for n, e in zip(nums, expo):
             if e:
-                term *= Fraction(w) ** e
+                term *= n ** e
         total += term
-    return total
+    return total, lcm * denom ** top
 
 
-def monomial_gradient(monos: dict[tuple[int, ...], Fraction], weights) -> list[Fraction]:
+def monomial_gradient_ratio(monos: dict[tuple[int, ...], Fraction],
+                            weights) -> tuple[list[int], int]:
+    """The gradient at the weights as per-blob integer numerators over one
+    shared denominator."""
+    terms, nums, denom, lcm, top = _integer_form(monos, weights)
     p = len(next(iter(monos))) if monos else len(weights)
-    grad = [Fraction(0)] * p
-    ws = [Fraction(w) for w in weights]
-    for expo, coeff in monos.items():
+    grad = [0] * p
+    for coeff, expo, pad in terms:
         for b in range(p):
             e = expo[b]
             if not e:
                 continue
-            term = coeff * e
+            term = coeff * e * denom ** pad
             for j in range(p):
                 ej = expo[j] - (1 if j == b else 0)
                 if ej:
-                    term *= ws[j] ** ej
+                    term *= nums[j] ** ej
             grad[b] += term
-    return grad
+    return grad, lcm * denom ** max(top - 1, 0)
+
+
+def evaluate_monomials(monos: dict[tuple[int, ...], Fraction], weights) -> Fraction:
+    return Fraction(*monomial_ratio(monos, weights))
+
+
+def monomial_gradient(monos: dict[tuple[int, ...], Fraction], weights) -> list[Fraction]:
+    grad, denom = monomial_gradient_ratio(monos, weights)
+    return [Fraction(g, denom) for g in grad]

@@ -132,6 +132,16 @@ def test_optimize_zero_density_is_json_error(capsys):
         assert json.loads(err.strip())["error"] == "DensityError"
 
 
+def test_optimize_threshold_bad_input_is_json_error(capsys):
+    # resolution 0 divided by zero, k = 0 indexed an empty walk, and k = 2
+    # reported the grid's own cell-average error as a density
+    for flag, value in (("--resolution", "0"), ("--k", "0"), ("--k", "2")):
+        code, payload, err = run_cli(capsys, "optimize", "--pattern", "threshold",
+                                     "--resolution", "32", flag, value)
+        assert code == 2 and payload is None
+        assert json.loads(err.strip())["error"] == "DensityError"
+
+
 def test_usage_error_is_json_exit_2(capsys):
     code = main(["count", "--k", "3"])  # missing --in
     captured = capsys.readouterr()

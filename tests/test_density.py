@@ -1,5 +1,6 @@
 """Density evaluators, gradients, optimizers, and the threshold quadrature."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,9 @@ from dicycles.constructions import (
     threshold_c7_pattern,
 )
 from dicycles.density import (
+    DensityError,
     WeightsOffSimplexError,
+    _forward_cell_integrals,
     density_model,
     evaluate_density,
     hub_split_model,
@@ -29,11 +32,13 @@ from dicycles.density import (
     project_simplex,
     threshold_density,
 )
-from dicycles.graphs import ArcRule, PatternError, directed_cycle, uniform_pattern
+from dicycles.graphs import THRESHOLD, ArcRule, PatternError, directed_cycle, uniform_pattern
 from dicycles.pattern_walks import (
     density_monomials,
     evaluate_monomials,
     monomial_gradient,
+    monomial_gradient_ratio,
+    monomial_ratio,
     pattern_cycle_count,
 )
 
@@ -46,6 +51,137 @@ NAMED_PATTERNS = {
     "hub_1/5": hub_triangle_pattern(Fraction(1, 5)),
     **{f"cycle_{d}": uniform_pattern(directed_cycle(d)) for d in range(3, 7)},
 }
+
+
+def reference_evaluate(monos, weights):
+    """Per-term Fraction evaluation: the oracle for the integer evaluator."""
+    total = Fraction(0)
+    for expo, coeff in monos.items():
+        term = coeff
+        for w, e in zip(weights, expo):
+            if e:
+                term *= Fraction(w) ** e
+        total += term
+    return total
+
+
+def reference_gradient(monos, weights):
+    p = len(next(iter(monos))) if monos else len(weights)
+    grad = [Fraction(0)] * p
+    ws = [Fraction(w) for w in weights]
+    for expo, coeff in monos.items():
+        for b in range(p):
+            e = expo[b]
+            if not e:
+                continue
+            term = coeff * e
+            for j in range(p):
+                ej = expo[j] - (1 if j == b else 0)
+                if ej:
+                    term *= ws[j] ** ej
+            grad[b] += term
+    return grad
+
+
+def _evaluator_models():
+    models = [(f"hub:{t}", hub_split_model(t).monomials) for t in range(2, 6)]
+    # mixed degrees and signs exercise the padding of lower-degree terms
+    models.append(("mixed", {(0, 0, 0): Fraction(5), (1, 0, 2): Fraction(3, 7),
+                             (2, 1, 1): Fraction(-1, 2), (0, 1, 0): Fraction(2)}))
+    models += [(f"{name} k={k}", density_monomials(pattern, k))
+               for name, pattern in sorted(NAMED_PATTERNS.items()) for k in range(2, 8)]
+    return models
+
+
+def _random_simplex_points(rng, p):
+    """Fraction and float points, some with zero weights."""
+    points = []
+    for zeros in (0, 0, 1, p - 1):
+        draws = [rng.random() + 0.01 for _ in range(p)]
+        for i in rng.sample(range(p), zeros):
+            draws[i] = 0.0
+        total = sum(draws)
+        floats = [x / total for x in draws]
+        fracs = [Fraction(x).limit_denominator(rng.choice((7, 1000, 10 ** 9))) for x in floats]
+        fracs[fracs.index(max(fracs))] += 1 - sum(fracs)
+        points += [floats, fracs]
+    return points
+
+
+def test_integer_evaluator_matches_fraction_oracle():
+    rng = random.Random(20261018)
+    for name, monos in _evaluator_models():
+        p = len(next(iter(monos))) if monos else 2
+        for w in _random_simplex_points(rng, p) + [[Fraction(1, p)] * p]:
+            assert evaluate_monomials(monos, w) == reference_evaluate(monos, w), name
+            assert monomial_gradient(monos, w) == reference_gradient(monos, w), name
+
+
+def test_integer_division_is_float_of_fraction_bit_for_bit():
+    # the optimizer divides the integer numerator by the denominator; that
+    # must be float() of the exact value, so its results stay byte-identical
+    rng = random.Random(53)
+    for name, monos in _evaluator_models():
+        if not monos:
+            continue
+        p = len(next(iter(monos)))
+        for w in _random_simplex_points(rng, p):
+            num, den = monomial_ratio(monos, w)
+            assert (num / den).hex() == float(reference_evaluate(monos, w)).hex(), name
+            nums, den = monomial_gradient_ratio(monos, w)
+            assert [(g / den).hex() for g in nums] == \
+                [float(g).hex() for g in reference_gradient(monos, w)], name
+
+
+# optimize_weights results of every `dicycles optimize` polynomial pattern
+# (cycle:d at k = d) and of the benchmark's one-start C3 call, as the
+# per-term Fraction evaluator gave them: (weights, value, weights_rational,
+# value_rational)
+PINNED_OPTIMA = {
+    "c5c7": ((0.2999999991107352, 0.2999999991107352, 0.20000000088926484, 0.20000000088926484),
+             0.0005400000000000003, ("3/10", "3/10", "1/5", "1/5"), "27/50000"),
+    "c5c3": ((0.24999999820161112, 0.2500000013941498, 0.24999999835262982, 0.2500000020516095),
+             0.001953125000000002, ("1/4", "1/4", "1/4", "1/4"), "1/512"),
+    "cycle:3": ((0.3333333304111112, 0.3333333391778419, 0.3333333304110471),
+                0.037037037037037056, ("1/3", "1/3", "1/3"), "1/27"),
+    "cycle:4": ((0.2499999967767168, 0.25000000263361666, 0.24999999712984344, 0.2500000034598233),
+                0.003906250000000003, ("1/4", "1/4", "1/4", "1/4"), "1/256"),
+    "cycle:5": ((0.19999999826514633, 0.20000000045646169, 0.20000000039530144,
+                 0.20000000043820323, 0.2000000004448875),
+                0.0003200000000000003, ("1/5",) * 5, "1/3125"),
+    "cycle:6": ((0.1666666663322847, 0.1666666663298181, 0.1666666663230086,
+                 0.16666666620444764, 0.16666666848424888, 0.1666666663261923),
+                2.1433470507544607e-05, ("1/6",) * 6, "1/46656"),
+    "hub:2": ((0.4999999943709478, 0.5000000056290523), 0.25, ("1/2", "1/2"), "1/4"),
+    "hub:3": ((0.49999999415908003, 0.5000000058409202), 0.5000000000000001,
+              ("1/2", "1/2"), "1/2"),
+    "cross": ((0.33333333585761976, 0.33333333223682127, 0.33333333190555914),
+              0.037037037037037056, ("1/3", "1/3", "1/3"), "1/27"),
+}
+
+
+def _pinned_model(name):
+    if name == "c5c7":
+        return density_model(c5c7_pattern(), 5), None
+    if name == "c5c3":
+        return density_model(c5c3_pattern(), 5), None
+    if name.startswith("hub:"):
+        return hub_split_model(int(name[4:])), None
+    if name == "cross":
+        return density_model(uniform_pattern(directed_cycle(3)), 3), [[0.5, 0.3, 0.2]]
+    d = int(name[6:])
+    return density_model(uniform_pattern(directed_cycle(d)), d), None
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OPTIMA))
+def test_optimize_weights_pinned(name):
+    model, inits = _pinned_model(name)
+    result = optimize_weights(model, inits)
+    weights, value, weights_rational, value_rational = PINNED_OPTIMA[name]
+    assert [w.hex() for w in result.weights] == [w.hex() for w in weights]
+    assert result.value.hex() == value.hex()
+    assert result.weights_rational == tuple(Fraction(w) for w in weights_rational)
+    assert result.value_rational == Fraction(value_rational)
 
 
 def test_exact_density_values():
@@ -222,3 +358,69 @@ def test_optimize_threshold_fast_resolution():
 def test_optimize_threshold_range_validation():
     with pytest.raises(ValueError):
         optimize_threshold(c_range=(0.9, 0.2))
+
+
+def dense_threshold_reference(c, k, resolution, pattern):
+    """tr(T^k) / (k N^k) over the blob-by-cell transfer matrix T, whose
+    (a, b) block is w_b times the step kernel, with the full-arc kernel
+    materialized as the all-ones matrix."""
+    n = resolution
+    fwd = _forward_cell_integrals(c, n)
+    w = [float(x) for x in pattern.blob_weights]
+    t = np.zeros((pattern.p * n, pattern.p * n))
+    for (u, v), rule in pattern.arc_rule.items():
+        if rule.kind == THRESHOLD:
+            t[u * n:(u + 1) * n, v * n:(v + 1) * n] += w[v] * fwd
+            t[v * n:(v + 1) * n, u * n:(u + 1) * n] += w[u] * (1.0 - fwd.T)
+        else:
+            t[u * n:(u + 1) * n, v * n:(v + 1) * n] += w[v] * np.ones((n, n))
+    return float(np.trace(np.linalg.matrix_power(t, k))) / (k * n ** k)
+
+
+def _all_threshold_pattern(c):
+    base = seven_cycle_with_chords()
+    return uniform_pattern(base, arc_rule={arc: ArcRule("threshold", c) for arc in base.arcs})
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3, 0.67757, 1.0])
+def test_threshold_quadrature_matches_dense_reference(c):
+    # every threshold_c7 tag holds a full arc from k = 3 on, and k >= 5
+    # gives tags with two or more full-arc segments
+    pattern = threshold_c7_pattern(c)
+    for k in range(3, 8):
+        for n in (32, 64):
+            ref = dense_threshold_reference(c, k, n, pattern)
+            assert threshold_density(c, k=k, resolution=n) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+    n = 128
+    ref = dense_threshold_reference(c, 5, n, pattern)
+    assert threshold_density(c, k=5, resolution=n) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+def test_threshold_all_arcs_variant_matches_dense_reference():
+    # no full arcs: every tag takes the dense matrix trace
+    for c, n in ((0.7, 32), (0.4, 64), (0.75, 128)):
+        pattern = _all_threshold_pattern(c)
+        for k in (3, 4, 5, 6, 7):
+            ref = dense_threshold_reference(c, k, n, pattern)
+            dens = threshold_density(c, k=k, resolution=n, pattern=pattern)
+            assert dens == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("kwargs", [{"resolution": 0}, {"resolution": -3}, {"k": 2}, {"k": 0}])
+def test_threshold_rejects_bad_resolution_and_k(kwargs):
+    with pytest.raises(DensityError):
+        threshold_density(0.5, **kwargs)
+    with pytest.raises(DensityError):
+        optimize_threshold(**kwargs)
+
+
+def test_density_results_are_python_floats():
+    assert type(threshold_density(0.67757, resolution=64)) is float
+    assert type(threshold_density(0.7, resolution=32, pattern=_all_threshold_pattern(0.7))) is float
+    result = optimize_threshold(resolution=32)
+    assert all(type(x) is float for x in (result.c_star, result.density, result.density_per_choose))
+    assert type(result.resolution) is int and type(result.evaluations) is int
+    json.dumps(result.to_dict())
+    weights = optimize_weights(density_model(uniform_pattern(directed_cycle(3)), 3), [[0.5, 0.3, 0.2]])
+    assert type(weights.value) is float and all(type(w) is float for w in weights.weights)
+    json.dumps(weights.to_dict())
