@@ -448,34 +448,35 @@ def random_bipartite_orientation(n: int, seed: int) -> OrientedGraph:
     return OrientedGraph(n, arcs, ORIENTED)
 
 
+def twin_classes(g: OrientedGraph) -> list[int]:
+    """The twin class of each vertex.
+
+    Twins are vertices with identical out- and in-neighborhoods; classes
+    are numbered in the order of their minimum members.  Twins are never
+    adjacent, since an arc between them would put each in its own
+    neighborhood.
+    """
+    index: dict[tuple[int, int], int] = {}
+    return [index.setdefault(key, len(index)) for key in zip(g.out_bits(), g.in_bits())]
+
+
 def quotient_by_equivalence(g: OrientedGraph) -> tuple[OrientedGraph, tuple[int, ...]]:
-    """Merge vertices with identical out- and in-neighborhoods.
+    """Merge twins (see :func:`twin_classes`).
 
     Returns the quotient graph and the class sizes; classes are ordered by
     their minimum member, and there is an arc between two classes iff there
     is an arc between all representatives (equivalently, any).
     """
-    out, inn = g.out_bits(), g.in_bits()
-    key_to_class: dict[tuple[int, int], int] = {}
-    rep: list[int] = []
-    members: list[list[int]] = []
-    label = [0] * g.n
-    for v in range(g.n):
-        key = (out[v], inn[v])
-        cls = key_to_class.get(key)
-        if cls is None:
-            cls = len(rep)
-            key_to_class[key] = cls
-            rep.append(v)
-            members.append([])
-        label[v] = cls
-        members[cls].append(v)
-    arcs = set()
-    for u, v in g.arcs:
-        if label[u] != label[v]:
-            arcs.add((label[u], label[v]))
-    q = OrientedGraph(len(rep), arcs, g.mode)
-    return q, tuple(len(m) for m in members)
+    label = twin_classes(g)
+    sizes = [0] * (max(label, default=-1) + 1)
+    first = []  # the first member of each class stands for it
+    for v, c in enumerate(label):
+        if not sizes[c]:
+            first.append(v)
+        sizes[c] += 1
+    out = g.out_bits()
+    arcs = [(a, b) for a, u in enumerate(first) for b, v in enumerate(first) if out[u] >> v & 1]
+    return OrientedGraph(len(sizes), arcs, g.mode), tuple(sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from dicycles.counting import (
     thick_arcs,
     vertex_cycle_counts,
 )
+from dicycles.constructions import ConstructionId, closed_form_count, generate
 from dicycles.graphs import (
     DIRECTED,
     ORIENTED,
@@ -34,7 +35,9 @@ from dicycles.graphs import (
     balanced_blow_up,
     directed_cycle,
     new_graph,
+    quotient_by_equivalence,
     random_bipartite_orientation,
+    twin_classes,
 )
 from dicycles.search import _cycle_arc_patterns, has_transitive_triangle
 
@@ -466,6 +469,25 @@ def test_more_than_64_vertices_use_the_dfs():
     assert_valid_witness(g, 3, report)
 
 
+def test_more_than_64_vertices_without_twins_use_the_dfs(monkeypatch):
+    # a random 60-vertex graph and 5 isolated vertices: too few twins for
+    # the twin route and too many vertices for the frontier, so the DFS
+    # counts, and the isolated vertices change no count of the 60-vertex part
+    rng = random.Random(65)
+    core = random_oriented(rng, 60, 0.1)
+    g = OrientedGraph(65, core.arcs)
+    assert counting._twins(g) is None and not counting._frontier_ok(g, 2)
+    calls = spy(monkeypatch, "_simple_paths")
+    for order in (3, 5):
+        assert count_paths(g, order) == counting._frontier_count(core, order - 1, None)
+    # k = 6 so that the trace route declines on the closed 3-walks
+    assert not counting._walks_are_cycles(g, 6)
+    assert count_cycle_copies(g, 6) == counting._frontier_count(core, 5, counting._above(core.in_bits()))
+    mat = counting._arc_matrix(core, 6)
+    assert arc_cycle_multiplicities(g, 6) == {(u, v): int(mat[u, v]) for (u, v) in core.arcs}
+    assert calls["_simple_paths"] == 2 * 65 + 65
+
+
 def test_int64_bound_falls_back_and_stays_exact():
     # a hub with out-degree 62 and a long directed path: 64 * 62**10 >= 2**63,
     # so paths and cycles with 10 arcs take the DFS
@@ -583,3 +605,148 @@ def test_trace_route_declines_on_short_closed_walks():
     # the same holds above 64 vertices, where the fallback is the DFS
     big = balanced_blow_up(directed_cycle(3), 66)
     assert count_cycle_copies(big, 6) == dfs_cycles(big, 6) != count_closed_walks(big, 6) // 6
+
+
+# ---------------------------------------------------------------------------
+# Twin classes against the frontier, the depth-first counter and enumeration
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def random_blow_ups(draw):
+    # a 2-5-vertex pattern whose blobs of 1-5 vertices are independent
+    # sets, tournaments or (directed mode) complete digraphs, n <= 20
+    directed = draw(st.booleans())
+    p = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    states = draw(st.lists(st.integers(0, 3 if directed else 2), min_size=len(pairs),
+                           max_size=len(pairs)).filter(any))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=p, max_size=p)
+                 .filter(lambda s: sum(s) <= 20))
+    # independent blobs are twin classes; listing them twice draws them more often
+    blobs = ("independent", "independent", "tournament") + (("digon",) if directed else ())
+    kinds = draw(st.lists(st.sampled_from(blobs), min_size=p, max_size=p))
+    offset = [sum(sizes[:i]) for i in range(p)]
+    blob = [range(offset[i], offset[i] + sizes[i]) for i in range(p)]
+    arcs = [(u, v) for (i, j), c in zip(pairs, states)
+            for (a, b), bit in (((i, j), 1), ((j, i), 2)) if c & bit
+            for u in blob[a] for v in blob[b]]
+    for i, kind in enumerate(kinds):
+        inner = [(u, v) for u in blob[i] for v in blob[i] if u < v]
+        if kind == "tournament":
+            flips = draw(st.lists(st.booleans(), min_size=len(inner), max_size=len(inner)))
+            arcs += [(v, u) if f else (u, v) for (u, v), f in zip(inner, flips)]
+        elif kind == "digon":
+            arcs += inner + [(v, u) for u, v in inner]
+    return OrientedGraph(sum(sizes), arcs, DIRECTED if directed else ORIENTED)
+
+
+def all_twins(g):
+    # the twin classes without the routing test, so every example reaches
+    # the twin counters
+    quotient, sizes = quotient_by_equivalence(g)
+    return counting._Twins(twin_classes(g), sizes, [counting._members(b) for b in quotient.out_bits()])
+
+
+# the depth-first and enumeration oracles run where they have at most this
+# many cycles or paths to visit; the frontier runs on every example
+_DFS_WORK = 20_000
+
+
+@settings(max_examples=100)
+@given(random_blow_ups())
+def test_twin_route_matches_frontier_and_dfs(g):
+    tw = all_twins(g)
+    inn = g.in_bits()
+    for k in range(3, min(8, g.n) + 1):
+        expected = counting._frontier_count(g, k - 1, counting._above(inn))
+        closings = counting._twin_closings(tw, k)
+        assert sum(closings.values()) == k * expected
+        assert count_cycle_copies(g, k) == expected
+        mat = counting._arc_matrix(g, k)
+        mult = counting._twin_arc_counts(g, tw, k)
+        assert mult == {(u, v): int(mat[u, v]) for (u, v) in g.arcs}
+        assert arc_cycle_multiplicities(g, k) == mult
+        if expected <= _DFS_WORK:
+            assert dfs_cycles(g, k) == expected
+            assert enumerated_arc_counts(g, k) == mult
+    for order in range(2, min(8, g.n) + 1):
+        expected = counting._frontier_count(g, order - 1, None)
+        assert counting._twin_paths(tw, order - 1) == expected
+        assert count_paths(g, order) == expected
+        if expected <= _DFS_WORK:
+            assert dfs_paths(g, order) == expected
+
+
+@pytest.mark.parametrize("cid, k", [
+    (ConstructionId("balanced_cycle_blowup", d=5), 10),
+    (ConstructionId("balanced_cycle_blowup", d=6), 12),
+    (ConstructionId("c7_chords_blowup"), 7),
+    (ConstructionId("complete_bipartite_digraph"), 6),
+])
+def test_twin_route_matches_closed_forms_at_n_60(cid, k):
+    g = generate(cid, 60)
+    assert counting._twins(g) is not None
+    copies = count_cycle_copies(g, k)
+    assert copies == closed_form_count(cid, 60, k)
+    assert sum(arc_cycle_multiplicities(g, k).values()) == k * copies
+
+
+def spy(monkeypatch, *names):
+    # record the calls of the named counting helpers
+    calls = {name: 0 for name in names}
+    for name in names:
+        def wrapper(*args, _name=name, _f=getattr(counting, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(counting, name, wrapper)
+    return calls
+
+
+def test_twin_route_taken_on_blow_ups_only(monkeypatch):
+    calls = spy(monkeypatch, "_twin_paths", "_twin_closings", "_frontier_count", "_arc_matrix")
+    g = random_bipartite_orientation(16, 3)
+    assert counting._twins(g) is None
+    # k = 8, since closed 4-walks keep the trace route from answering
+    count_paths(g, 6), count_cycle_copies(g, 8), arc_cycle_multiplicities(g, 6)
+    assert calls == {"_twin_paths": 0, "_twin_closings": 0, "_frontier_count": 2, "_arc_matrix": 1}
+    g = balanced_blow_up(directed_cycle(4), 16)
+    count_paths(g, 6), count_cycle_copies(g, 8), arc_cycle_multiplicities(g, 8)
+    assert calls == {"_twin_paths": 1, "_twin_closings": 2, "_frontier_count": 2, "_arc_matrix": 1}
+
+
+def clear_input(rng, n, d, pendants=3):
+    # the C_d blow-up, three arcs inside blobs and pendant sources
+    g = balanced_blow_up(directed_cycle(d), n)
+    sizes = [n // d + (i < n % d) for i in range(d)]
+    starts = [sum(sizes[:i]) for i in range(d)]
+    extra = set()
+    while len(extra) < 3:  # arcs inside a blob lie on no d-cycle
+        i = rng.randrange(d)
+        extra.add(tuple(sorted(rng.sample(range(starts[i], starts[i] + sizes[i]), 2))))
+    for x in range(n, n + pendants):  # sources lie on no cycle at all
+        extra.update((x, v) for v in rng.sample(range(n), rng.randint(2, 4)))
+    return OrientedGraph(n + pendants, g.arcs | extra), g
+
+
+@pytest.mark.parametrize("d, n", [(4, 32), (5, 35), (6, 36)])
+def test_twin_route_on_clear_inputs(monkeypatch, d, n):
+    g, blow_up = clear_input(random.Random(d * n), n, d)
+    mat = counting._arc_matrix(g, d)
+    mult = arc_cycle_multiplicities(g, d)
+    assert mult == {(u, v): int(mat[u, v]) for (u, v) in g.arcs} == enumerated_arc_counts(g, d)
+    calls = spy(monkeypatch, "_twin_closings", "_arc_matrix")
+    result = clear(g, d, d + 1)
+    assert result.cleared == blow_up
+    assert result.removed_vertices == 3 and result.removed_arcs == g.num_arcs - blow_up.num_arcs
+    # the second pass, on the blow-up and the isolated sources, takes the twin route
+    assert calls["_twin_closings"] >= 1
+
+
+def test_count_report_computes_per_arc_counts_once(monkeypatch):
+    g, _ = clear_input(random.Random(1), 20, 4)
+    per_arc, per_vertex = arc_cycle_multiplicities(g, 4), vertex_cycle_counts(g, 4)
+    calls = spy(monkeypatch, "arc_cycle_multiplicities")
+    report = count_report(g, 4, per_arc=True, per_vertex=True)
+    assert calls["arc_cycle_multiplicities"] == 1
+    assert report.per_arc == per_arc and report.per_vertex == per_vertex
