@@ -611,16 +611,15 @@ class ClearingResult:
 
 
 def clear(g: OrientedGraph, k: int, ell: int) -> ClearingResult:
-    """Delete arcs and vertices on no k-cycle until a fixed point."""
-    current = g
-    removed_arcs = 0
-    while True:
-        mult = arc_cycle_multiplicities(current, k)
-        dead = {arc for arc, m in mult.items() if m == 0}
-        if not dead:
-            break
-        removed_arcs += len(dead)
-        current = OrientedGraph(current.n, current.arcs - dead, current.mode)
+    """Delete arcs and vertices on no k-cycle.
+
+    One pass reaches the fixed point: a k-cycle uses only arcs on k-cycles,
+    so deleting the other arcs leaves every k-cycle, and every remaining
+    arc on one.
+    """
+    dead = {arc for arc, m in arc_cycle_multiplicities(g, k).items() if m == 0}
+    removed_arcs = len(dead)
+    current = OrientedGraph(g.n, g.arcs - dead, g.mode) if dead else g
     # every remaining arc lies on a k-cycle, so exactly the vertices that
     # keep an arc do; deleting the others changes no arc's multiplicity
     und = current.und_bits()

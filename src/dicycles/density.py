@@ -1,13 +1,13 @@
 """Analytic copy densities of pattern limit objects and their optimizers.
 
+Both models walk :func:`pattern_walks.step_table`, the one step model.
 Polynomial patterns (full arcs, tournament or bipartite blobs) get a
 :class:`DensityModel`: the exact rational density polynomial from the
-shared walk expansion, with its analytic gradient.  Threshold patterns have
-no such model; :func:`threshold_density` evaluates their genuine
-multidimensional integral over the cycle by a transfer-matrix quadrature
-whose kernels carry exact per-cell areas, with a Monte-Carlo cross-check.
-A full arc's kernel is the all-ones matrix, so its steps factor the trace
-into matrix-vector products.
+walk expansion.  Threshold patterns with independent blobs get
+:func:`threshold_density`, a transfer-matrix quadrature of their cycle
+integral whose kernels carry exact per-cell areas, with a Monte-Carlo
+cross-check.  A full arc's kernel is the all-ones matrix, so its steps
+factor the trace into matrix-vector products.
 Optimizers: multi-start projected gradient ascent on the weight simplex,
 and golden-section search for the threshold constant.  The ascent
 evaluates the polynomial and its gradient as exact integer sums over one
@@ -27,12 +27,16 @@ import numpy as np
 from .constructions import threshold_c7_pattern
 from .graphs import THRESHOLD, PatternError, PatternSpec
 from .pattern_walks import (
+    AGAINST,
+    ALONG,
+    CROSS,
+    STAY,
     closed_walks,
     density_monomials,
     evaluate_monomials,
-    monomial_gradient,
     monomial_gradient_ratio,
     monomial_ratio,
+    step_table,
 )
 
 
@@ -62,7 +66,6 @@ class DensityModel:
     polynomial in the blob weights (exponent tuple -> coefficient).
     """
 
-    pattern: Optional[PatternSpec]
     k: int
     monomials: dict
 
@@ -70,14 +73,11 @@ class DensityModel:
         _check_simplex(weights)
         return evaluate_monomials(self.monomials, weights)
 
-    def gradient(self, weights) -> list[Fraction]:
-        return monomial_gradient(self.monomials, weights)
-
 
 def density_model(pattern: PatternSpec, k: int) -> DensityModel:
     """Exact density model; a threshold pattern raises PatternError (see
     :func:`threshold_density`)."""
-    return DensityModel(pattern, k, density_monomials(pattern, k))
+    return DensityModel(k, density_monomials(pattern, k))
 
 
 def hub_split_model(t: int) -> DensityModel:
@@ -88,7 +88,7 @@ def hub_split_model(t: int) -> DensityModel:
     """
     if t < 2:
         raise DensityError("t must be at least 2")
-    return DensityModel(None, 3, {(1, 1): Fraction(t - 1)})
+    return DensityModel(3, {(1, 1): Fraction(t - 1)})
 
 
 def evaluate_density(model: DensityModel, weights) -> Fraction:
@@ -229,30 +229,24 @@ def _forward_cell_integrals(c: float, resolution: int) -> np.ndarray:
 
 
 def _threshold_matrices(c: float, resolution: int) -> dict[str, np.ndarray]:
-    # a step along a full (one-directional) arc, "O", has the all-ones
-    # kernel, which _tag_trace applies without building it
+    # a CROSS step, along a full arc, has the all-ones kernel, which
+    # _tag_trace applies without building it
     fwd = _forward_cell_integrals(c, resolution)
-    return {
-        "F": fwd,                    # step along a skeleton arc
-        "B": 1.0 - fwd.T,            # step against a skeleton arc
-    }
+    return {ALONG: fwd, AGAINST: 1.0 - fwd.T}
 
 
-def _threshold_steps(pattern: PatternSpec) -> list[list[tuple[int, str]]]:
-    """Per-blob step table: (next blob, kernel tag)."""
-    p = pattern.p
-    steps: list[list[tuple[int, str]]] = [[] for _ in range(p)]
-    c_seen = set()
-    for (u, v), rule in sorted(pattern.arc_rule.items()):
-        if rule.kind == THRESHOLD:
-            c_seen.add(rule.c)
-            steps[u].append((v, "F"))
-            steps[v].append((u, "B"))
-        else:
-            steps[u].append((v, "O"))
-    if len(c_seen) > 1:
+def _kernel_steps(pattern: PatternSpec) -> list[list[tuple[int, str]]]:
+    """The step table, if the threshold kernels cover every step: no stay
+    steps, one threshold constant and one step per ordered blob pair.
+    Other patterns raise PatternError rather than lose steps."""
+    table = step_table(pattern)
+    if any(tag == STAY for steps in table for _, tag in steps):
+        raise PatternError("the threshold kernels cover independent blobs only")
+    if len({rule.c for rule in pattern.arc_rule.values() if rule.kind == THRESHOLD}) > 1:
         raise PatternError("mixed threshold constants are not supported")
-    return steps
+    if any(len({b for b, _ in steps}) < len(steps) for steps in table):
+        raise PatternError("two steps between one pair of blobs are not supported")
+    return table
 
 
 def _threshold_walks(pattern: PatternSpec, k: int):
@@ -261,7 +255,7 @@ def _threshold_walks(pattern: PatternSpec, k: int):
     Returns {canonical cyclic tag tuple: {blob exponent tuple: count}}.
     """
     grouped: dict[tuple, dict[tuple, int]] = {}
-    for blobs, tags in closed_walks(_threshold_steps(pattern), k):
+    for blobs, tags in closed_walks(_kernel_steps(pattern), k):
         expo = [0] * pattern.p
         for b in blobs:
             expo[b] += 1
@@ -274,21 +268,21 @@ def _threshold_walks(pattern: PatternSpec, k: int):
 def _tag_trace(tag: tuple[str, ...], kernels: dict[str, np.ndarray], resolution: int) -> float:
     """Trace of the product of the tag's kernels.
 
-    The full-arc kernel "O" is the all-ones matrix J = 1 1^T, so a tag that
-    contains it factors: rotated to start at an "O", tr(J S_1 J S_2 ... J S_m)
+    The full-arc kernel of CROSS is the all-ones matrix J = 1 1^T, so a tag
+    that contains it factors: rotated to start at a CROSS, tr(J S_1 J S_2 ... J S_m)
     is the product of the 1^T S_i 1, each a chain of matrix-vector products
-    (an empty segment gives 1^T 1 = N).  Tags without "O" take the dense
+    (an empty segment gives 1^T 1 = N).  Tags without CROSS take the dense
     matrix trace.
     """
-    if "O" not in tag:
+    if CROSS not in tag:
         mats = [kernels[t] for t in tag]
         prod = mats[0]
         for m in mats[1:-1]:
             prod = prod @ m
         return float(np.tensordot(prod, mats[-1].T, axes=2))
-    start = tag.index("O")
+    start = tag.index(CROSS)
     total = 1.0
-    for segment in "".join(tag[start:] + tag[:start]).split("O")[1:]:
+    for segment in "".join(tag[start:] + tag[:start]).split(CROSS)[1:]:
         v = np.ones(resolution)
         for t in reversed(segment):
             v = kernels[t] @ v
@@ -308,7 +302,8 @@ def threshold_density(c: float, k: int = 5, resolution: int = 512,
     matrix-vector products instead of matrix products.  Error decreases
     quadratically with the grid resolution.  Needs k >= 3 (an oriented
     pattern has no shorter cycles, and the grid would report its own
-    cell-average error) and resolution >= 1.
+    cell-average error) and resolution >= 1.  A pattern the kernels do not
+    cover raises PatternError (see :func:`_kernel_steps`).
     """
     if k < 3:
         raise DensityError(f"k must be at least 3, got {k}")
@@ -340,15 +335,13 @@ def mc_threshold_density(c: float, samples: int, seed: int, k: int = 5,
         pattern = threshold_c7_pattern(c)
     p = pattern.p
     weights = np.array([float(w) for w in pattern.blob_weights])
-    # relation[a, b]: 0 none, 1/2 threshold along/against the skeleton arc,
+    # rel[a, b]: 0 no step, 1/2 threshold along/against the skeleton arc,
     # 3 full arc a->b (always present, never reversed)
+    code = {ALONG: 1, AGAINST: 2, CROSS: 3}
     rel = np.zeros((p, p), np.int8)
-    for (u, v), rule in pattern.arc_rule.items():
-        if rule.kind == THRESHOLD:
-            rel[u, v] = 1
-            rel[v, u] = 2
-        else:
-            rel[u, v] = 3
+    for a, steps in enumerate(_kernel_steps(pattern)):
+        for b, tag in steps:
+            rel[a, b] = code[tag]
     rng = np.random.default_rng(seed)
     blobs = rng.choice(p, size=(samples, k), p=weights)
     coords = rng.random((samples, k))

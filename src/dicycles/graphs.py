@@ -269,9 +269,6 @@ class PatternSpec:
     def p(self) -> int:
         return self.base.n
 
-    def rule(self, u: int, v: int) -> ArcRule:
-        return self.arc_rule[(u, v)]
-
     def has_threshold(self) -> bool:
         return any(r.kind == THRESHOLD for r in self.arc_rule.values())
 

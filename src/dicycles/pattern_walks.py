@@ -1,9 +1,10 @@
 """Closed-walk enumeration over pattern skeletons.
 
-A directed k-cycle in a blow-up projects to a closed k-walk on the blobs,
-where cross arcs advance along base arcs and internal structure (transitive
-tournaments, one-way bipartite splits) absorbs consecutive "stay" steps.
-Enumerating these walks once yields, per walk, both
+A directed k-cycle in a blow-up projects to a closed k-walk over
+:func:`step_table`, the one step model of a pattern: cross arcs advance
+along base arcs and internal structure (transitive tournaments, one-way
+bipartite splits) absorbs consecutive "stay" steps.  Enumerating these
+walks once yields, per walk, both
 
 * the exact number of vertex assignments at finite blob sizes (falling
   factorials, with one valid ordering per tournament chain and part-respecting
@@ -14,7 +15,7 @@ Enumerating these walks once yields, per walk, both
 
 Each cycle subgraph corresponds to exactly k linear walks (its rotations),
 so sums over linear walks are divided by k.  Threshold arc rules are not
-polynomial and are handled by quadrature in the density module instead.
+polynomial; the density module integrates their walks by quadrature.
 """
 
 from __future__ import annotations
@@ -24,18 +25,37 @@ from fractions import Fraction
 
 from .graphs import (
     ONE_WAY_BIPARTITE,
+    THRESHOLD,
     TRANSITIVE_TOURNAMENT,
     PatternError,
     PatternSpec,
     _bipartite_first_part,
 )
 
-CROSS = 0
-STAY = 1
+# step tags; single characters, so a walk's tags join into a string
+STAY = "S"     # inside a tournament or one-way bipartite blob
+CROSS = "O"    # along a full base arc
+ALONG = "F"    # along a threshold base arc
+AGAINST = "B"  # against a threshold base arc
 
 
-def _stay_allowed(pattern: PatternSpec, blob: int) -> bool:
-    return pattern.blob_internal[blob].kind in (TRANSITIVE_TOURNAMENT, ONE_WAY_BIPARTITE)
+def step_table(pattern: PatternSpec) -> list[list[tuple[int, str]]]:
+    """Per-blob steps as (next blob, tag).
+
+    A tournament or one-way bipartite blob first gets its STAY step; then
+    each base arc u -> v, in sorted order, gives a CROSS step u -> v if it
+    is full, or an ALONG step u -> v and an AGAINST step v -> u if it is a
+    threshold arc.
+    """
+    table = [[(b, STAY)] if internal.kind in (TRANSITIVE_TOURNAMENT, ONE_WAY_BIPARTITE) else []
+             for b, internal in enumerate(pattern.blob_internal)]
+    for (u, v), rule in sorted(pattern.arc_rule.items()):
+        if rule.kind == THRESHOLD:
+            table[u].append((v, ALONG))
+            table[v].append((u, AGAINST))
+        else:
+            table[u].append((v, CROSS))
+    return table
 
 
 def closed_walks(table: list[list[tuple[int, object]]], k: int) -> list[tuple[tuple[int, ...], tuple]]:
@@ -69,24 +89,22 @@ def closed_walks(table: list[list[tuple[int, object]]], k: int) -> list[tuple[tu
     return walks
 
 
-def enumerate_closed_walks(pattern: PatternSpec, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All linear closed k-walks as (blobs, step kinds).
+def enumerate_closed_walks(pattern: PatternSpec, k: int) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
+    """All linear closed k-walks that leave a blob, as (blobs, step tags).
 
     ``blobs[t]`` is the blob of the t-th vertex; ``steps[t]`` (CROSS or
-    STAY) describes the move from vertex t to vertex (t+1) mod k.
+    STAY) describes the move from vertex t to vertex (t+1) mod k.  A walk
+    of stay steps only would be a cycle inside one blob, which the acyclic
+    internal structures do not have.
     """
     if pattern.has_threshold():
         raise PatternError("threshold patterns have no polynomial walk expansion")
     if k < 2:
         raise ValueError("k must be at least 2")
-    arcs = sorted(pattern.base.arcs)
-    table = [([(b, STAY)] if _stay_allowed(pattern, b) else [])
-             + [(v, CROSS) for (u, v) in arcs if u == b]
-             for b in range(pattern.p)]
-    return closed_walks(table, k)
+    return [walk for walk in closed_walks(step_table(pattern), k) if CROSS in walk[1]]
 
 
-def _cyclic_runs(blobs: tuple[int, ...], steps: tuple[int, ...]) -> dict[int, list[int]]:
+def _cyclic_runs(blobs: tuple[int, ...], steps: tuple[str, ...]) -> dict[int, list[int]]:
     """Group the walk's vertices into per-blob visit runs.
 
     Returns blob -> list of run step-lengths (a run of r stay steps spans
@@ -95,11 +113,6 @@ def _cyclic_runs(blobs: tuple[int, ...], steps: tuple[int, ...]) -> dict[int, li
     """
     k = len(blobs)
     runs: dict[int, list[int]] = {}
-    if all(s == STAY for s in steps):
-        # a cycle entirely inside one blob; impossible under the acyclic
-        # internal structures, signalled with a negative run length
-        runs.setdefault(blobs[0], []).append(-1)
-        return runs
     # rotate so position 0 starts a run (previous step is a cross)
     start = next(t for t in range(k) if steps[t - 1] == CROSS)
     t = 0
@@ -113,29 +126,18 @@ def _cyclic_runs(blobs: tuple[int, ...], steps: tuple[int, ...]) -> dict[int, li
     return runs
 
 
-def _falling(s: int, m: int) -> int:
-    out = 1
-    for i in range(m):
-        out *= s - i
-        if out == 0:
-            return 0
-    return out
-
-
 def finite_walk_count(pattern: PatternSpec, sizes: tuple[int, ...],
-                      blobs: tuple[int, ...], steps: tuple[int, ...]) -> int:
+                      blobs: tuple[int, ...], steps: tuple[str, ...]) -> int:
     """Vertex assignments realizing one linear walk at the given blob sizes."""
     total = 1
     for blob, run_lengths in _cyclic_runs(blobs, steps).items():
-        if any(r < 0 for r in run_lengths):
-            return 0
         s = sizes[blob]
         internal = pattern.blob_internal[blob]
         if internal.kind == TRANSITIVE_TOURNAMENT:
             # a run of r steps is an increasing chain on r+1 distinct
             # vertices: one valid ordering per chosen set
             vertices = sum(r + 1 for r in run_lengths)
-            ways = _falling(s, vertices)
+            ways = math.perm(s, vertices)
             for r in run_lengths:
                 ways //= math.factorial(r + 1)
         elif internal.kind == ONE_WAY_BIPARTITE:
@@ -143,12 +145,14 @@ def finite_walk_count(pattern: PatternSpec, sizes: tuple[int, ...],
                 return 0  # two consecutive internal arcs are impossible
             pairs = sum(1 for r in run_lengths if r == 1)
             singles = sum(1 for r in run_lengths if r == 0)
+            if 2 * pairs > s:
+                return 0
             h1 = _bipartite_first_part(s, internal.split)
-            ways = _falling(h1, pairs) * _falling(s - h1, pairs) * _falling(s - 2 * pairs, singles)
+            ways = math.perm(h1, pairs) * math.perm(s - h1, pairs) * math.perm(s - 2 * pairs, singles)
         else:
             if any(r > 0 for r in run_lengths):
                 return 0
-            ways = _falling(s, len(run_lengths))
+            ways = math.perm(s, len(run_lengths))
         if ways == 0:
             return 0
         total *= ways
@@ -156,15 +160,13 @@ def finite_walk_count(pattern: PatternSpec, sizes: tuple[int, ...],
 
 
 def limit_walk_coefficient(pattern: PatternSpec, blobs: tuple[int, ...],
-                           steps: tuple[int, ...]) -> Fraction:
+                           steps: tuple[str, ...]) -> Fraction:
     """Limit of finite_walk_count / prod(sizes[b] for b in blobs) as the
     sizes grow proportionally: the structural factor (tournament orderings,
     bipartite splits) that multiplies the walk's weight monomial.
     """
     total = Fraction(1)
     for blob, run_lengths in _cyclic_runs(blobs, steps).items():
-        if any(r < 0 for r in run_lengths):
-            return Fraction(0)
         internal = pattern.blob_internal[blob]
         if internal.kind == TRANSITIVE_TOURNAMENT:
             for r in run_lengths:

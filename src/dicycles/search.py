@@ -51,17 +51,18 @@ def parse_forbidden(items) -> tuple:
     out = []
     for item in items:
         if isinstance(item, int):
-            if item < 2:
-                raise SearchError(f"forbidden cycle length {item} too small")
-            out.append(item)
+            length = item
         else:
             token = str(item).strip().upper()
             if token in ("TT3", "TRANSITIVE_TRIANGLE"):
                 out.append(TT3)
-            elif token.startswith("C") and token[1:].isdigit():
-                out.append(int(token[1:]))
-            else:
+                continue
+            if not (token.startswith("C") and token[1:].isdigit()):
                 raise SearchError(f"cannot parse forbidden pattern {item!r}")
+            length = int(token[1:])
+        if length < 2:
+            raise SearchError(f"forbidden cycle length {length} too small")
+        out.append(length)
     return tuple(out)
 
 

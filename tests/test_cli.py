@@ -142,6 +142,13 @@ def test_optimize_threshold_bad_input_is_json_error(capsys):
         assert json.loads(err.strip())["error"] == "DensityError"
 
 
+def test_search_short_forbidden_length_is_json_error(capsys):
+    code, payload, err = run_cli(capsys, "search", "--local", "--n", "5", "--k", "3",
+                                 "--forbid", "C1", "--budget", "100")
+    assert code == 2 and payload is None
+    assert json.loads(err.strip())["error"] == "SearchError"
+
+
 def test_usage_error_is_json_exit_2(capsys):
     code = main(["count", "--k", "3"])  # missing --in
     captured = capsys.readouterr()

@@ -735,12 +735,12 @@ def test_twin_route_on_clear_inputs(monkeypatch, d, n):
     mat = counting._arc_matrix(g, d)
     mult = arc_cycle_multiplicities(g, d)
     assert mult == {(u, v): int(mat[u, v]) for (u, v) in g.arcs} == enumerated_arc_counts(g, d)
-    calls = spy(monkeypatch, "_twin_closings", "_arc_matrix")
+    calls = spy(monkeypatch, "arc_cycle_multiplicities")
     result = clear(g, d, d + 1)
     assert result.cleared == blow_up
     assert result.removed_vertices == 3 and result.removed_arcs == g.num_arcs - blow_up.num_arcs
-    # the second pass, on the blow-up and the isolated sources, takes the twin route
-    assert calls["_twin_closings"] >= 1
+    # deleting the arcs on no d-cycle keeps every d-cycle, so one pass suffices
+    assert calls["arc_cycle_multiplicities"] == 1
 
 
 def test_count_report_computes_per_arc_counts_once(monkeypatch):

@@ -32,14 +32,26 @@ from dicycles.density import (
     project_simplex,
     threshold_density,
 )
-from dicycles.graphs import THRESHOLD, ArcRule, PatternError, directed_cycle, uniform_pattern
+from dicycles.graphs import (
+    DIRECTED,
+    THRESHOLD,
+    ArcRule,
+    PatternError,
+    directed_cycle,
+    uniform_pattern,
+)
 from dicycles.pattern_walks import (
+    AGAINST,
+    ALONG,
+    CROSS,
+    STAY,
     density_monomials,
     evaluate_monomials,
     monomial_gradient,
     monomial_gradient_ratio,
     monomial_ratio,
     pattern_cycle_count,
+    step_table,
 )
 
 NAMED_PATTERNS = {
@@ -404,6 +416,57 @@ def test_threshold_all_arcs_variant_matches_dense_reference():
             ref = dense_threshold_reference(c, k, n, pattern)
             dens = threshold_density(c, k=k, resolution=n, pattern=pattern)
             assert dens == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+def test_step_table_lists_stays_first_then_sorted_arcs():
+    assert step_table(c5c7_pattern()) == [[(0, STAY), (1, CROSS)], [(1, STAY), (2, CROSS)],
+                                          [(3, CROSS)], [(0, CROSS)]]
+    # 0 -> 1 is a threshold cycle arc, 0 -> 3 a full chord, 6 -> 0 a threshold cycle arc
+    assert step_table(threshold_c7_pattern(0.5))[0] == [(1, ALONG), (3, CROSS), (6, AGAINST)]
+
+
+@pytest.mark.parametrize("name", ["c5c3", "c5c7"])
+def test_threshold_kernels_reject_blob_internal_structure(name):
+    # the stay steps of tournament and bipartite blobs have no kernel;
+    # dropping them read 0.0 where the densities are 1/512 and 27/50000
+    pattern = NAMED_PATTERNS[name]
+    with pytest.raises(PatternError):
+        threshold_density(0.5, k=5, resolution=32, pattern=pattern)
+    with pytest.raises(PatternError):
+        mc_threshold_density(0.5, 1000, seed=0, pattern=pattern)
+
+
+def test_threshold_kernels_reject_mixed_constants_and_parallel_steps():
+    base = seven_cycle_with_chords()
+    mixed = uniform_pattern(base, arc_rule={arc: ArcRule(THRESHOLD, 0.3 + 0.4 * (i % 2))
+                                            for i, arc in enumerate(sorted(base.arcs))})
+    # a threshold arc 0 -> 1 beside a full arc 1 -> 0 gives two steps 1 -> 0,
+    # of which the Monte-Carlo estimator kept one
+    digon = uniform_pattern(directed_cycle(2, DIRECTED), arc_rule={(0, 1): ArcRule(THRESHOLD, 0.5)})
+    for pattern in (mixed, digon):
+        with pytest.raises(PatternError):
+            threshold_density(0.5, k=4, resolution=32, pattern=pattern)
+        with pytest.raises(PatternError):
+            mc_threshold_density(0.5, 1000, seed=0, k=4, pattern=pattern)
+
+
+FULL_ARC_CASES = ([(f"cycle_{d}", k) for d in range(3, 7) for k in (d, 2 * d)]
+                  + [("c7_chords", k) for k in (5, 6, 7)])
+
+
+@pytest.mark.parametrize("name,k", FULL_ARC_CASES)
+def test_quadrature_matches_walk_expansion_on_full_arc_patterns(name, k):
+    # both walk the same step table; with full arcs over independent blobs
+    # every kernel is all ones, so the quadrature is the polynomial at any c
+    pattern = NAMED_PATTERNS[name]
+    skewed = [Fraction(b + 1) for b in range(pattern.p)]
+    skewed = [w / sum(skewed) for w in skewed]
+    for weights in (pattern.blob_weights, tuple(skewed)):
+        exact = float(evaluate_density(density_model(pattern, k), weights))
+        assert exact > 0
+        for c in (0.0, 0.3, 1.0):
+            dens = threshold_density(c, k=k, resolution=8, pattern=pattern, weights=weights)
+            assert dens == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("kwargs", [{"resolution": 0}, {"resolution": -3}, {"k": 2}, {"k": 0}])

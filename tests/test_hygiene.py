@@ -1,9 +1,11 @@
-"""Source hygiene of src/dicycles: no unused imports, no assert statements.
+"""Source hygiene of src/dicycles: no unused imports, no assert
+statements, no dead definitions.
 
 An unused import is dead weight.  An ``assert`` is stripped by
 ``python -O``, so a check that must always run cannot live in one.  The
 package ``__init__`` re-exports what it imports, so its imports count as
-used.
+used.  A function or method that nothing in src/, tests/ or perfbench/
+references is dead code.
 """
 
 import ast
@@ -11,8 +13,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dicycles"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dicycles"
 MODULES = sorted(SRC.glob("*.py"))
+
+# definitions that only code outside the repository calls, with the reason
+CALLED_FROM_OUTSIDE = {
+    "cli.py:_JsonArgumentParser.error": "argparse calls it on a usage error",
+}
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -34,11 +42,65 @@ def assert_lines(tree: ast.Module) -> list[int]:
     return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
 
 
+def definitions(tree: ast.Module) -> list[tuple[str, bool]]:
+    """(qualified name, is method) of each function and method, dunders
+    excepted: Python calls those itself."""
+    found = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    found.append((prefix + child.name, in_class))
+                visit(child, prefix + child.name + ".", False)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", True)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, "", False)
+    return found
+
+
+def references(trees) -> tuple[set[str], set[str]]:
+    """(names loaded or imported, attribute names) across the trees."""
+    names, attrs = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def dead_definitions(module_trees: dict[str, ast.Module], names: set[str],
+                     attrs: set[str]) -> list[str]:
+    """A method counts as referenced by attribute name; a function by name,
+    import or attribute."""
+    dead = []
+    for module, tree in module_trees.items():
+        for qualname, is_method in definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if name not in attrs and (is_method or name not in names):
+                dead.append(f"{module}:{qualname}")
+    return sorted(dead)
+
+
 def test_scanners_find_what_they_look_for():
     tree = ast.parse("import os, os.path as osp\nfrom x import (a, b as c)\n"
                      "from __future__ import annotations\nassert a\nprint(os)\n")
     assert unused_imports(tree) == [(1, "osp"), (2, "c")]
     assert assert_lines(tree) == [4]
+    tree = ast.parse("def used(): pass\ndef dead(): pass\ndef by_attr(): pass\n"
+                     "class K:\n    def __init__(self): pass\n    def m(self): pass\n"
+                     "    def used(self): pass\n    def dead_m(self):\n        def inner(): pass\n"
+                     "        inner()\n")
+    names, attrs = references([ast.parse("from m import used\nx.by_attr()\nK().m()\n"), tree])
+    assert dead_definitions({"m.py": tree}, names, attrs) == ["m.py:K.dead_m", "m.py:K.used",
+                                                              "m.py:dead"]
 
 
 def test_modules_found():
@@ -51,3 +113,15 @@ def test_module_hygiene(path):
     if path.name != "__init__.py":
         assert unused_imports(tree) == []
     assert assert_lines(tree) == []
+
+
+def test_no_dead_definitions():
+    # a method named like a called function, or a function named like a
+    # used attribute, still counts as referenced: the scan is by name
+    module_trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    others = [ast.parse(path.read_text())
+              for folder in ("tests", "perfbench") for path in sorted((ROOT / folder).glob("*.py"))]
+    names, attrs = references([*module_trees.values(), *others])
+    dead = dead_definitions(module_trees, names, attrs)
+    assert [d for d in dead if d not in CALLED_FROM_OUTSIDE] == []
+    assert sorted(CALLED_FROM_OUTSIDE) == [d for d in dead if d in CALLED_FROM_OUTSIDE]

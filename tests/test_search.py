@@ -21,6 +21,7 @@ from dicycles.graphs import (
 )
 from dicycles.numtheory import ceil_cubic_value
 from dicycles.search import (
+    SearchError,
     TooLargeError,
     _AnnealState,
     _cycle_arc_patterns,
@@ -41,6 +42,15 @@ def test_parse_forbidden():
         parse_forbidden(["pentagon"])
     with pytest.raises(ValueError):
         parse_forbidden([1])
+
+
+@pytest.mark.parametrize("item", [1, 0, -3, "C1", "C0", "c1"])
+def test_parse_forbidden_rejects_short_lengths_in_both_spellings(item):
+    with pytest.raises(SearchError, match="too small"):
+        parse_forbidden([item])
+    # the annealer rejects it before spending its budget
+    with pytest.raises(SearchError):
+        local_search_extremal(5, 3, [item], 100, 0)
 
 
 def test_exhaustive_examples():
