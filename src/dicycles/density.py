@@ -8,10 +8,17 @@ walk expansion.  Threshold patterns with independent blobs get
 integral whose kernels carry exact per-cell areas, with a Monte-Carlo
 cross-check.  A full arc's kernel is the all-ones matrix, so its steps
 factor the trace into matrix-vector products.
+The quadrature integrates the kernels of its argument c, so a pattern
+built for another threshold constant raises PatternError.
 Optimizers: multi-start projected gradient ascent on the weight simplex,
 and golden-section search for the threshold constant.  The ascent
-evaluates the polynomial and its gradient as exact integer sums over one
-common denominator, so every step sees the correctly rounded exact value.
+compiles the polynomial once per call (:class:`CompiledMonomials`) and
+evaluates it, and its gradient, as exact integer sums over one common
+denominator, so every step sees the correctly rounded exact value.  A
+rejected step leaves the weights where they were, so the gradient is
+evaluated only at accepted points.  The steps and the simplex projection
+run on Python float lists, which for a handful of blobs cost less than
+numpy arrays and give the same floats.
 """
 
 from __future__ import annotations
@@ -31,11 +38,10 @@ from .pattern_walks import (
     ALONG,
     CROSS,
     STAY,
+    CompiledMonomials,
     closed_walks,
     density_monomials,
     evaluate_monomials,
-    monomial_gradient_ratio,
-    monomial_ratio,
     step_table,
 )
 
@@ -101,13 +107,23 @@ def evaluate_density(model: DensityModel, weights) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _project(v: list[float]) -> list[float]:
+    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based), on
+    Python floats: the same operations in the same order as the numpy
+    form, so the same floats."""
+    css = 0.0
+    for i, x in enumerate(sorted(v, reverse=True)):
+        css += x
+        t = (1.0 - css) / (i + 1)
+        if x + t > 0:
+            lam = t
+    # as np.maximum(y, 0.0): +0.0 for every y <= 0, where max(y, 0.0) keeps -0.0
+    return [y if (y := x + lam) > 0.0 else 0.0 for x in v]
+
+
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = 1} (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u + (1.0 - css) / (np.arange(len(v)) + 1) > 0)[0][-1]
-    lam = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + lam, 0.0)
+    return np.array(_project(np.asarray(v, dtype=float).tolist()))
 
 
 @dataclass(frozen=True)
@@ -140,19 +156,27 @@ def _default_initializations(p: int) -> list[np.ndarray]:
     return inits
 
 
-def _ascend(f, grad, w: np.ndarray, tolerance: float, max_iter: int = 20000) -> tuple[np.ndarray, float]:
-    value = f(w)
+def _ascend(poly: CompiledMonomials, w: list[float], tolerance: float,
+            max_iter: int = 20000) -> tuple[list[float], float]:
+    # int true division rounds correctly, so each value is float() of the
+    # exact Fraction, bit for bit; the gradient is kept until w moves
+    num, den = poly.ratio(w)
+    value = num / den
+    grad = None
     step = 0.25
     for _ in range(max_iter):
-        g = grad(w)
-        cand = project_simplex(w + step * g)
-        cand_value = f(cand)
+        if grad is None:
+            nums, den = poly.gradient_ratio(w)
+            grad = [g / den for g in nums]
+        cand = _project([x + step * g for x, g in zip(w, grad)])
+        num, den = poly.ratio(cand)
+        cand_value = num / den
         if cand_value > value + tolerance * max(abs(value), 1e-30):
-            w, value = cand, cand_value
+            w, value, grad = cand, cand_value, None
             step *= 1.3
         else:
             if cand_value > value:
-                w, value = cand, cand_value
+                w, value, grad = cand, cand_value, None
             step *= 0.5
             if step < 1e-16:
                 break
@@ -171,36 +195,24 @@ def optimize_weights(model: DensityModel, initializations=None,
     """
     if not any(model.monomials.values()):
         raise DensityError(f"the C{model.k} density of this pattern is identically zero")
-    p = len(next(iter(model.monomials)))
-
-    # exact integer sums; int true division rounds correctly, so each value
-    # is float() of the exact Fraction, bit for bit
-    def f(w):
-        num, den = monomial_ratio(model.monomials, w.tolist())
-        return num / den
-
-    def grad(w):
-        nums, den = monomial_gradient_ratio(model.monomials, w.tolist())
-        return np.array([g / den for g in nums])
-
+    poly = CompiledMonomials(model.monomials)
     if initializations is None:
-        initializations = _default_initializations(p)
+        initializations = _default_initializations(poly.p)
     best_w, best_v = None, -math.inf
     for w0 in initializations:
-        w = project_simplex(np.asarray(w0, dtype=float))
-        w, v = _ascend(f, grad, w, tolerance)
+        w = _project(np.asarray(w0, dtype=float).tolist())
+        w, v = _ascend(poly, w, tolerance)
         if v > best_v + 1e-15 or (abs(v - best_v) <= 1e-15
                                   and best_w is not None and tuple(w) < tuple(best_w)):
             best_w, best_v = w, v
 
     rational = [Fraction(x).limit_denominator(10 ** 6) for x in best_w]
     drift = 1 - sum(rational)
-    rational[int(np.argmax(best_w))] += drift
+    rational[best_w.index(max(best_w))] += drift
     value_rational = None
     if all(x >= 0 for x in rational):
-        value_rational = evaluate_monomials(model.monomials, rational)
-    return WeightsResult(tuple(float(x) for x in best_w), best_v,
-                         tuple(rational), value_rational)
+        value_rational = Fraction(*poly.ratio(rational))
+    return WeightsResult(tuple(best_w), best_v, tuple(rational), value_rational)
 
 
 # ---------------------------------------------------------------------------
@@ -235,27 +247,31 @@ def _threshold_matrices(c: float, resolution: int) -> dict[str, np.ndarray]:
     return {ALONG: fwd, AGAINST: 1.0 - fwd.T}
 
 
-def _kernel_steps(pattern: PatternSpec) -> list[list[tuple[int, str]]]:
-    """The step table, if the threshold kernels cover every step: no stay
-    steps, one threshold constant and one step per ordered blob pair.
-    Other patterns raise PatternError rather than lose steps."""
+def _kernel_steps(pattern: PatternSpec, c: float) -> list[list[tuple[int, str]]]:
+    """The step table, if the threshold kernels for constant c cover every
+    step: no stay steps, no threshold constant other than c and one step
+    per ordered blob pair.  Other patterns raise PatternError rather than
+    lose steps or integrate the wrong kernel."""
     table = step_table(pattern)
     if any(tag == STAY for steps in table for _, tag in steps):
         raise PatternError("the threshold kernels cover independent blobs only")
-    if len({rule.c for rule in pattern.arc_rule.values() if rule.kind == THRESHOLD}) > 1:
+    constants = {float(rule.c) for rule in pattern.arc_rule.values() if rule.kind == THRESHOLD}
+    if len(constants) > 1:
         raise PatternError("mixed threshold constants are not supported")
+    if constants and constants != {float(c)}:
+        raise PatternError(f"the pattern's threshold constant {constants.pop()} differs from c = {c}")
     if any(len({b for b, _ in steps}) < len(steps) for steps in table):
         raise PatternError("two steps between one pair of blobs are not supported")
     return table
 
 
-def _threshold_walks(pattern: PatternSpec, k: int):
+def _threshold_walks(pattern: PatternSpec, c: float, k: int):
     """Closed k-walks over the step table, grouped by cyclic kernel pattern.
 
     Returns {canonical cyclic tag tuple: {blob exponent tuple: count}}.
     """
     grouped: dict[tuple, dict[tuple, int]] = {}
-    for blobs, tags in closed_walks(_kernel_steps(pattern), k):
+    for blobs, tags in closed_walks(_kernel_steps(pattern, c), k):
         expo = [0] * pattern.p
         for b in blobs:
             expo[b] += 1
@@ -303,7 +319,8 @@ def threshold_density(c: float, k: int = 5, resolution: int = 512,
     quadratically with the grid resolution.  Needs k >= 3 (an oriented
     pattern has no shorter cycles, and the grid would report its own
     cell-average error) and resolution >= 1.  A pattern the kernels do not
-    cover raises PatternError (see :func:`_kernel_steps`).
+    cover, or whose threshold constant is not c, raises PatternError (see
+    :func:`_kernel_steps`).
     """
     if k < 3:
         raise DensityError(f"k must be at least 3, got {k}")
@@ -314,8 +331,8 @@ def threshold_density(c: float, k: int = 5, resolution: int = 512,
     if weights is None:
         weights = pattern.blob_weights
     _check_simplex(weights)
+    grouped = _threshold_walks(pattern, c, k)
     kernels = _threshold_matrices(c, resolution)
-    grouped = _threshold_walks(pattern, k)
     scale = float(resolution) ** k
     total = 0.0
     for tag, expo_counts in grouped.items():
@@ -330,7 +347,8 @@ def threshold_density(c: float, k: int = 5, resolution: int = 512,
 
 def mc_threshold_density(c: float, samples: int, seed: int, k: int = 5,
                          pattern: Optional[PatternSpec] = None) -> tuple[float, float]:
-    """Monte-Carlo estimate of the same density with its standard error."""
+    """Monte-Carlo estimate of the same density with its standard error;
+    the same patterns raise PatternError."""
     if pattern is None:
         pattern = threshold_c7_pattern(c)
     p = pattern.p
@@ -339,7 +357,7 @@ def mc_threshold_density(c: float, samples: int, seed: int, k: int = 5,
     # 3 full arc a->b (always present, never reversed)
     code = {ALONG: 1, AGAINST: 2, CROSS: 3}
     rel = np.zeros((p, p), np.int8)
-    for a, steps in enumerate(_kernel_steps(pattern)):
+    for a, steps in enumerate(_kernel_steps(pattern, c)):
         for b, tag in steps:
             rel[a, b] = code[tag]
     rng = np.random.default_rng(seed)

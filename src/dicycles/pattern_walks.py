@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from .graphs import (
     ONE_WAY_BIPARTITE,
@@ -222,59 +224,86 @@ def _as_ratio(x) -> tuple[int, int]:
         return x.numerator, x.denominator
 
 
-def _integer_form(monos: dict[tuple[int, ...], Fraction], weights):
-    """The polynomial at the weights as integers.
+class CompiledMonomials:
+    """A polynomial (exponent tuple -> rational coefficient) put into
+    integer form once, for exact evaluation at many weight vectors.
 
-    Weights go over one common denominator D (a power of two for floats)
-    and coefficients over their lcm L, so that the value is
-    sum(C * prod(N_j ** e_j) * D ** pad) / (L * D ** top), with C = c * L,
-    N_j = w_j * D, top the largest degree and pad = top - degree.
-    Returns ([(C, exponents, pad)], [N_j], D, L, top).
+    Coefficients go over their lcm L, and the weights of one evaluation
+    over their common denominator D (a power of two for floats), as
+    integers N_j = w_j * D.  The value is then
+    sum(C * D ** pad * prod(N_j ** e_j)) / (L * D ** top), with C = c * L,
+    top the largest degree and pad = top - degree.  Gradient entry b is
+    the same sum over the terms C * e_b with e_b lowered by one, over
+    L * D ** (top - 1).  Each term is kept as its integer coefficient and
+    the positions of its factors in the power table of an evaluation,
+    [N_0 ** 0, ..., N_0 ** m_0, N_1 ** 0, ..., D ** 0, ..., D ** m], where
+    m_j and m are the highest powers that any term takes.
     """
-    ratios = [_as_ratio(w) for w in weights]
-    denom = math.lcm(*(d for _, d in ratios))
-    nums = [n * (denom // d) for n, d in ratios]
-    coeffs = [_as_ratio(c) for c in monos.values()]
-    lcm = math.lcm(*(d for _, d in coeffs))
-    top = max((sum(expo) for expo in monos), default=0)
-    terms = [(n * (lcm // d), expo, top - sum(expo)) for (n, d), expo in zip(coeffs, monos)]
-    return terms, nums, denom, lcm, top
+
+    def __init__(self, monos: dict[tuple[int, ...], Fraction]):
+        self.p = len(next(iter(monos))) if monos else 0
+        coeffs = [_as_ratio(c) for c in monos.values()]
+        self.lcm = math.lcm(*(d for _, d in coeffs))
+        self.top = max((sum(expo) for expo in monos), default=0)
+        # exponents of N_0, ..., N_{p-1} and, last, of D
+        terms = [(n * (self.lcm // d), expo + (self.top - sum(expo),))
+                 for (n, d), expo in zip(coeffs, monos)]
+        self.degrees = [max((expo[j] for _, expo in terms), default=0) for j in range(self.p + 1)]
+        offsets = list(accumulate((degree + 1 for degree in self.degrees), initial=0))
+
+        def factors(expo):
+            return tuple(offset + e for offset, e in zip(offsets, expo) if e)
+
+        self.terms = [(coeff, factors(expo)) for coeff, expo in terms]
+        self.gradient_terms = [
+            [(coeff * expo[b], factors(expo[:b] + (expo[b] - 1,) + expo[b + 1:]))
+             for coeff, expo in terms if expo[b]]
+            for b in range(self.p)]
+
+    def _table(self, weights) -> tuple[list[int], int]:
+        ratios = [_as_ratio(w) for w in weights]
+        denom = math.lcm(*(d for _, d in ratios))
+        bases = [n * (denom // d) for n, d in (ratios[j] for j in range(self.p))] + [denom]
+        table = []
+        for base, degree in zip(bases, self.degrees):
+            table += accumulate(repeat(base, degree), mul, initial=1)
+        return table, denom
+
+    def ratio(self, weights) -> tuple[int, int]:
+        """The value at the weights as (numerator, denominator) integers,
+        not reduced; ``numerator / denominator`` is the correctly rounded
+        float of the exact value."""
+        table, denom = self._table(weights)
+        return _term_sum(self.terms, table), self.lcm * denom ** self.top
+
+    def gradient_ratio(self, weights) -> tuple[list[int], int]:
+        """The gradient at the weights as per-blob integer numerators over
+        one shared denominator."""
+        if not self.p:
+            return [0] * len(weights), 1
+        table, denom = self._table(weights)
+        nums = [_term_sum(terms, table) for terms in self.gradient_terms]
+        return nums, self.lcm * denom ** max(self.top - 1, 0)
+
+
+def _term_sum(terms, table) -> int:
+    total = 0
+    for coeff, factors in terms:
+        for i in factors:
+            coeff *= table[i]
+        total += coeff
+    return total
 
 
 def monomial_ratio(monos: dict[tuple[int, ...], Fraction], weights) -> tuple[int, int]:
-    """The polynomial's value at the weights as (numerator, denominator)
-    integers, not reduced; ``numerator / denominator`` is the correctly
-    rounded float of the exact value."""
-    terms, nums, denom, lcm, top = _integer_form(monos, weights)
-    total = 0
-    for coeff, expo, pad in terms:
-        term = coeff * denom ** pad
-        for n, e in zip(nums, expo):
-            if e:
-                term *= n ** e
-        total += term
-    return total, lcm * denom ** top
+    """:meth:`CompiledMonomials.ratio` of the polynomial."""
+    return CompiledMonomials(monos).ratio(weights)
 
 
 def monomial_gradient_ratio(monos: dict[tuple[int, ...], Fraction],
                             weights) -> tuple[list[int], int]:
-    """The gradient at the weights as per-blob integer numerators over one
-    shared denominator."""
-    terms, nums, denom, lcm, top = _integer_form(monos, weights)
-    p = len(next(iter(monos))) if monos else len(weights)
-    grad = [0] * p
-    for coeff, expo, pad in terms:
-        for b in range(p):
-            e = expo[b]
-            if not e:
-                continue
-            term = coeff * e * denom ** pad
-            for j in range(p):
-                ej = expo[j] - (1 if j == b else 0)
-                if ej:
-                    term *= nums[j] ** ej
-            grad[b] += term
-    return grad, lcm * denom ** max(top - 1, 0)
+    """:meth:`CompiledMonomials.gradient_ratio` of the polynomial."""
+    return CompiledMonomials(monos).gradient_ratio(weights)
 
 
 def evaluate_monomials(monos: dict[tuple[int, ...], Fraction], weights) -> Fraction:

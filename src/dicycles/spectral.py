@@ -40,38 +40,23 @@ def complete_bipartite_sides(g: OrientedGraph) -> Optional[tuple[int, ...]]:
     """Vertex sides (0/1 labels) if g orients a complete bipartite graph.
 
     Returns None when the underlying undirected graph is not complete
-    bipartite with both sides nonempty.
+    bipartite with both sides nonempty.  Side 1 is the neighbourhood of
+    vertex 0; then every vertex must be adjacent to exactly the other side.
     """
     n = g.n
     if n < 2:
         return None
-    und = g.und_bits()
-    for u, v in g.arcs:
-        if u < v and (v, u) in g.arcs:
-            return None  # digons never orient a simple underlying edge
-    side = [-1] * n
-    side[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        mask = und[v]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            u = low.bit_length() - 1
-            if side[u] == -1:
-                side[u] = 1 - side[v]
-                queue.append(u)
-            elif side[u] == side[v]:
-                return None
-    if any(s == -1 for s in side):
-        return None  # disconnected: sides would be ambiguous
-    for u in range(n):
-        for v in range(u + 1, n):
-            adjacent = bool(und[u] >> v & 1)
-            if adjacent != (side[u] != side[v]):
-                return None
-    return tuple(side)
+    out, inn = g.out_bits(), g.in_bits()
+    if any(o & i for o, i in zip(out, inn)):
+        return None  # digons never orient a simple underlying edge
+    side1 = out[0] | inn[0]
+    if not side1:
+        return None
+    side0 = ((1 << n) - 1) ^ side1
+    for v in range(n):
+        if out[v] | inn[v] != (side0 if side1 >> v & 1 else side1):
+            return None
+    return tuple(side1 >> v & 1 for v in range(n))
 
 
 @dataclass(frozen=True)

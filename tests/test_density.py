@@ -23,6 +23,7 @@ from dicycles.density import (
     DensityError,
     WeightsOffSimplexError,
     _forward_cell_integrals,
+    _project,
     density_model,
     evaluate_density,
     hub_split_model,
@@ -45,6 +46,7 @@ from dicycles.pattern_walks import (
     ALONG,
     CROSS,
     STAY,
+    CompiledMonomials,
     density_monomials,
     evaluate_monomials,
     monomial_gradient,
@@ -143,6 +145,94 @@ def test_integer_division_is_float_of_fraction_bit_for_bit():
             nums, den = monomial_gradient_ratio(monos, w)
             assert [(g / den).hex() for g in nums] == \
                 [float(g).hex() for g in reference_gradient(monos, w)], name
+
+
+def test_compiled_evaluator_matches_fraction_oracle_at_every_point():
+    # one compilation serves every evaluation, as in the optimizer
+    rng = random.Random(20261019)
+    for name, monos in _evaluator_models():
+        p = len(next(iter(monos))) if monos else 2
+        poly = CompiledMonomials(monos)
+        for w in _random_simplex_points(rng, p) + [[Fraction(1, p)] * p, [1.0] + [0.0] * (p - 1)]:
+            exact = reference_evaluate(monos, w)
+            num, den = poly.ratio(w)
+            assert Fraction(num, den) == exact, name
+            assert (num / den).hex() == float(exact).hex(), name
+            exact_grad = reference_gradient(monos, w)
+            nums, den = poly.gradient_ratio(w)
+            assert [Fraction(g, den) for g in nums] == exact_grad, name
+            assert [(g / den).hex() for g in nums] == [float(g).hex() for g in exact_grad], name
+
+
+def numpy_project_simplex(v):
+    """The sort-based projection as numpy operations: the reference for
+    the Python-float projection."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u + (1.0 - css) / (np.arange(len(v)) + 1) > 0)[0][-1]
+    lam = (1.0 - css[rho]) / (rho + 1.0)
+    return np.maximum(v + lam, 0.0)
+
+
+def _projection_inputs():
+    rng = random.Random(1019)
+    vectors = [[0.3], [-2.5], [1.0], [0.0], [-0.0, 1.0], [0.5, 0.5], [0.0, 0.0, 0.0],
+               [-1.0, -1.0, -1.0], [-3.0, -0.5, -7.25, -0.5], [2.0, 2.0, -1.0, 2.0],
+               [1.0, 0.0, -0.0, 0.0], [0.9, 0.1, -1e-17, 1e-17]]
+    for _ in range(600):
+        p = rng.randint(1, 8)
+        kind = rng.randrange(5)
+        if kind == 0:  # near the simplex, as the ascent's candidates are
+            v = [rng.random() for _ in range(p)]
+            v = [x / sum(v) + rng.gauss(0, 0.05) for x in v]
+        elif kind == 1:  # all negative
+            v = [-rng.expovariate(1.0) for _ in range(p)]
+        elif kind == 2:  # ties
+            pool = [rng.uniform(-1, 2) for _ in range(2)]
+            v = [rng.choice(pool) for _ in range(p)]
+        elif kind == 3:  # one large entry: the rest clip to zero
+            v = [rng.uniform(-0.5, 0.5) for _ in range(p)]
+            v[rng.randrange(p)] = rng.uniform(2, 50)
+        else:
+            v = [rng.gauss(0, 3) for _ in range(p)]
+        vectors.append(v)
+    return vectors
+
+
+def test_float_projection_matches_numpy_bit_for_bit():
+    vectors = _projection_inputs()
+    assert len(vectors) >= 500
+    clipped = 0
+    for v in vectors:
+        expected = [x.hex() for x in numpy_project_simplex(np.array(v)).tolist()]
+        assert [x.hex() for x in _project(v)] == expected, v
+        assert [x.hex() for x in project_simplex(np.array(v)).tolist()] == expected, v
+        clipped += "0x0.0p+0" in expected
+    # hex strings also tell -0.0 from +0.0
+    assert clipped > 100
+
+
+def test_ascent_evaluates_the_gradient_once_per_point(monkeypatch):
+    model = density_model(c5c3_pattern(), 5)
+    expected = optimize_weights(model)
+    values, gradients = [], []
+    ratio, gradient_ratio = CompiledMonomials.ratio, CompiledMonomials.gradient_ratio
+
+    def spy_ratio(self, weights):
+        values.append(tuple(weights))
+        return ratio(self, weights)
+
+    def spy_gradient(self, weights):
+        gradients.append(tuple(weights))
+        return gradient_ratio(self, weights)
+
+    monkeypatch.setattr(CompiledMonomials, "ratio", spy_ratio)
+    monkeypatch.setattr(CompiledMonomials, "gradient_ratio", spy_gradient)
+    assert optimize_weights(model) == expected
+    # a rejected candidate leaves w where it was, and with it the gradient
+    assert all(a != b for a, b in zip(gradients, gradients[1:]))
+    assert set(gradients) <= set(values)
+    assert 11 <= len(gradients) < len(values) / 2
 
 
 # optimize_weights results of every `dicycles optimize` polynomial pattern
@@ -434,6 +524,21 @@ def test_threshold_kernels_reject_blob_internal_structure(name):
         threshold_density(0.5, k=5, resolution=32, pattern=pattern)
     with pytest.raises(PatternError):
         mc_threshold_density(0.5, 1000, seed=0, pattern=pattern)
+
+
+def test_threshold_constant_comes_from_the_pattern_or_raises():
+    # the quadrature and the Monte-Carlo check both read the kernel for c;
+    # a pattern built for another constant raises instead of being
+    # integrated with the wrong kernel
+    pattern = threshold_c7_pattern(0.7)
+    with pytest.raises(PatternError, match="threshold constant"):
+        threshold_density(0.3, resolution=128, pattern=pattern)
+    with pytest.raises(PatternError, match="threshold constant"):
+        mc_threshold_density(0.3, 1000, seed=0, pattern=pattern)
+    own = threshold_density(0.7, resolution=128, pattern=pattern)
+    assert own.hex() == threshold_density(0.7, resolution=128).hex()
+    assert own == pytest.approx(0.00043084382, rel=1e-9)
+    assert threshold_density(0.3, resolution=128) == pytest.approx(0.00035104749970260335, rel=1e-12)
 
 
 def test_threshold_kernels_reject_mixed_constants_and_parallel_steps():

@@ -8,6 +8,7 @@ import pytest
 
 from dicycles.counting import count_closed_walks, count_cycle_copies
 from dicycles.graphs import (
+    DIRECTED,
     OrientedGraph,
     balanced_blow_up,
     directed_cycle,
@@ -157,6 +158,76 @@ def test_complete_bipartite_detection():
     assert complete_bipartite_sides(directed_cycle(6)) is None
     g = new_graph(3, [(0, 1), (1, 2), (2, 0)])
     assert complete_bipartite_sides(g) is None
+
+
+def reference_bipartite_sides(g):
+    """Two-colouring by search, then an all-pairs check: the reference for
+    complete_bipartite_sides."""
+    n = g.n
+    if n < 2:
+        return None
+    und = g.und_bits()
+    for u, v in g.arcs:
+        if u < v and (v, u) in g.arcs:
+            return None
+    side = [-1] * n
+    side[0] = 0
+    queue = [0]
+    while queue:
+        v = queue.pop()
+        for u in range(n):
+            if und[v] >> u & 1:
+                if side[u] == -1:
+                    side[u] = 1 - side[v]
+                    queue.append(u)
+                elif side[u] == side[v]:
+                    return None
+    if -1 in side:
+        return None
+    for u in range(n):
+        for v in range(u + 1, n):
+            if bool(und[u] >> v & 1) != (side[u] != side[v]):
+                return None
+    return tuple(side)
+
+
+def _bipartition_cases():
+    rng = random.Random(4242)
+    cases = [new_graph(0, []), new_graph(1, []), new_graph(2, []), new_graph(5, []),
+             new_graph(2, [(0, 1)]), new_graph(2, [(0, 1), (1, 0)], DIRECTED)]
+    cases += [directed_cycle(d) for d in (3, 4, 5, 6, 7)]
+    for n in range(2, 9):
+        # K_{1,n-1} with the centre at each end of the labels
+        cases.append(new_graph(n, [(0, v) if v % 2 else (v, 0) for v in range(1, n)]))
+        cases.append(new_graph(n, [(v, n - 1) for v in range(n - 1)]))
+    for _ in range(150):
+        n = rng.randint(2, 14)
+        side = [rng.randrange(2) for _ in range(n)]
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+                for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+        g = new_graph(n, arcs)
+        cases.append(g)
+        if arcs:
+            cases.append(new_graph(n, [a for a in arcs if a != rng.choice(arcs)]))
+            u, v = rng.choice(arcs)
+            cases.append(new_graph(n, arcs + [(v, u)], DIRECTED))
+        same = [(u, v) for u in range(1, n) for v in range(u + 1, n) if side[u] == side[v]]
+        if same:
+            cases.append(new_graph(n, arcs + [rng.choice(same)]))
+        # two complete bipartite pieces side by side
+        m = rng.randint(2, 6)
+        cases.append(new_graph(n + m, arcs + [(n + i, n + j) for i in range(m // 2)
+                                              for j in range(m // 2, m)]))
+    return cases
+
+
+def test_complete_bipartite_sides_matches_pairwise_reference():
+    found = 0
+    for g in _bipartition_cases():
+        sides = complete_bipartite_sides(g)
+        assert sides == reference_bipartite_sides(g), (g.n, sorted(g.arcs))
+        found += sides is not None
+    assert found > 100
 
 
 def test_scalar_real_part_inequality():
