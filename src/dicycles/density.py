@@ -110,15 +110,26 @@ def evaluate_density(model: DensityModel, weights) -> Fraction:
 def _project(v: list[float]) -> list[float]:
     """Euclidean projection onto {x >= 0, sum x = 1} (sort-based), on
     Python floats: the same operations in the same order as the numpy
-    form, so the same floats."""
-    css = 0.0
-    for i, x in enumerate(sorted(v, reverse=True)):
-        css += x
-        t = (1.0 - css) / (i + 1)
-        if x + t > 0:
-            lam = t
-    # as np.maximum(y, 0.0): +0.0 for every y <= 0, where max(y, 0.0) keeps -0.0
-    return [y if (y := x + lam) > 0.0 else 0.0 for x in v]
+    form, so the same floats.
+
+    When the largest entry u swamps 1.0, u + (1 - u) rounds to 0 and no
+    index passes the test; the projection does not change when a constant
+    is added to every entry, so only then is v - max(v) projected instead.
+    """
+    w = v
+    for _ in range(2):
+        css, lam = 0.0, None
+        for i, x in enumerate(sorted(w, reverse=True)):
+            css += x
+            t = (1.0 - css) / (i + 1)
+            if x + t > 0:
+                lam = t
+        if lam is not None:
+            # as np.maximum(y, 0.0): +0.0 for every y <= 0, where max(y, 0.0) keeps -0.0
+            return [y if (y := x + lam) > 0.0 else 0.0 for x in w]
+        top = max(w)
+        w = [x - top for x in w]
+    raise DensityError(f"cannot project {v} onto the simplex")
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

@@ -94,30 +94,33 @@ def brauer_bound(generators) -> int:
 def representable(q: RepresentabilityQuery) -> RepresentabilityResult:
     """Exact decision by bounded dynamic programming over values.
 
-    The witness, when one exists, is lexicographically minimal in the
-    coefficient vector (smallest x_1, then x_2, ...).
+    Each suffix's reachable values are one integer bitset: bit v is set iff
+    v <= target is a combination of a_{i+1..k}.  Closing a row under a
+    generator a ORs in its shifts by a, 2a, 4a, ... while they fit, which
+    after j shifts adds every multiple up to (2^j - 1) a.  The witness,
+    when one exists, is lexicographically minimal in the coefficient vector
+    (smallest x_1, then x_2, ...).
     """
     gens = q.generators
     target = q.target
     k = len(gens)
-    # suffix reachability: reach[i][v] == 1 iff v is representable by a_{i+1..k}
-    suffix: list[bytearray] = [bytearray(target + 1) for _ in range(k + 1)]
-    suffix[k][0] = 1
+    full = (1 << (target + 1)) - 1
+    suffix = [0] * k + [1]
     for i in range(k - 1, -1, -1):
-        row = bytearray(suffix[i + 1])
-        a = gens[i]
-        for v in range(a, target + 1):
-            if row[v - a]:
-                row[v] = 1
+        row = suffix[i + 1]
+        shift = gens[i]
+        while shift <= target:
+            row |= (row << shift) & full
+            shift <<= 1
         suffix[i] = row
-    if not suffix[0][target]:
+    if not suffix[0] >> target & 1:
         return RepresentabilityResult(False, None, brauer_bound(gens), gcd_chain(gens))
     witness = []
     rest = target
     for i in range(k):
         a = gens[i]
         x = 0
-        while not suffix[i + 1][rest - x * a]:
+        while not suffix[i + 1] >> (rest - x * a) & 1:
             x += 1
         witness.append(x)
         rest -= x * a

@@ -12,10 +12,12 @@ hot path; canonical forms only deduplicate the reported witnesses.  Local
 search is simulated annealing over pair states with forbidden-pattern
 rejection; it reports lower bounds only.  A move touches the bitmasks of
 one pair's two vertices: it counts only the cycles through the arcs it
-changes (paths with one or two interior vertices by bitmask formulas,
-other lengths by the shared DFS), and a rejected or forbidden move restores
-the saved masks and count without counting again.  These shortcuts leave
-the random stream, and so every seeded record, as they were.
+changes (paths with one to three interior vertices by bitmask formulas,
+longer ones by the shared DFS), and a rejected or forbidden move restores
+the saved masks and count without counting again.  Its pair and state are
+drawn by the same ``getrandbits`` rejection loop that ``randrange`` runs,
+without the call.  These shortcuts leave the random stream, and so every
+seeded record, as they were.
 """
 
 from __future__ import annotations
@@ -315,11 +317,14 @@ def _through_paths(out: list[int], inn: list[int], start: int, end: int, arcs: i
     end -> start present they are its cycles of length arcs + 1; without
     it, the cycles that adding it would close.
 
-    One or two interior vertices are counted by bitmask formulas: the
-    middles of start -> w -> end are out[start] & inn[end], and the paths
+    One to three interior vertices are counted by bitmask formulas: the
+    middles of start -> w -> end are out[start] & inn[end]; the paths
     start -> c -> d -> end are, for each c, the d in out[c] & inn[end]
-    other than start.  Other lengths go to the general DFS.  With ``limit``
-    the count may stop early once it reaches the limit.
+    other than start; and the paths start -> a -> b -> c -> end are, for
+    each middle b, the pairs of an a in A = out[start] & inn[b] other than
+    end and a c in C = out[b] & inn[end] other than start with a != c,
+    that is |A| |C| - |A & C|.  Longer paths go to the general DFS.  With
+    ``limit`` the count may stop early once it reaches the limit.
     """
     if arcs == 2:
         return (out[start] & inn[end]).bit_count()
@@ -333,6 +338,20 @@ def _through_paths(out: list[int], inn: list[int], start: int, end: int, arcs: i
             total += (out[low.bit_length() - 1] & ends).bit_count()
             if limit is not None and total >= limit:
                 break
+        return total
+    if arcs == 4:
+        firsts = out[start] & ~(1 << end)
+        lasts = inn[end] & ~(1 << start)
+        total = 0
+        for b, into in enumerate(inn):
+            if b == start or b == end:
+                continue
+            before = firsts & into
+            if before:
+                after = out[b] & lasts
+                total += before.bit_count() * after.bit_count() - (before & after).bit_count()
+                if limit is not None and total >= limit:
+                    break
         return total
     return _simple_paths(out, start, arcs, ~(1 << end), 1 << end, limit)
 
@@ -426,18 +445,27 @@ def local_search_extremal(n: int, k: int, forbidden, budget: int, seed: int,
     rejected downhill move and a forbidden move restore the saved masks and
     count rather than counting again, and a new best saves only the pair
     states; the witness graph is built once, at the end, and re-verified
-    through the counting module.  Each move draws one ``randrange`` for the
-    pair, one for its new state and, if applied and downhill, one
-    ``random``, so the stream, and with it every record, is the same as
-    when every move was counted again.
+    through the counting module.  Each move draws a pair, a new state and,
+    if applied and downhill, one ``random``.  The pair and the state are
+    drawn as ``randrange(m)`` draws them, by ``getrandbits(m.bit_length())``
+    redrawn while at least m, so the stream, and with it every record, is
+    the same as when every move called ``randrange`` and was counted again.
+
+    With fewer than two vertices there is no pair to draw, and the empty
+    graph is returned without drawing; k < 2 raises :class:`SearchError`,
+    as in :func:`exhaustive_extremal`.
     """
+    if k < 2:
+        raise SearchError("k must be at least 2")
     rng = random.Random(seed)
     state = _AnnealState(n, k, forbidden, mode)
     n_states = 3 if mode == ORIENTED else 4
     n_pairs = len(state.pairs)
+    # randrange(m) draws m.bit_length() bits, not (m - 1).bit_length()
+    pair_bits, state_bits = n_pairs.bit_length(), n_states.bit_length()
     states = state.states
     try_set, revert = state.try_set, state.revert
-    randrange, uniform, exp = rng.randrange, rng.random, math.exp
+    getrandbits, uniform, exp = rng.getrandbits, rng.random, math.exp
     best_count = 0
     best_states = list(states)
     t0, t_end = 1.0, 0.02
@@ -445,13 +473,18 @@ def local_search_extremal(n: int, k: int, forbidden, budget: int, seed: int,
     temperature = t0
     stagnation = 0
     restart_after = max(budget // 10, 1000)
-    for _ in range(budget):
+    # with no pair, getrandbits(0) is 0 and the draw below would never end
+    for _ in range(budget if n_pairs else 0):
         temperature *= cooling
         if stagnation >= restart_after:
             temperature = t0
             stagnation = 0
-        idx = randrange(n_pairs)
-        new_state = randrange(n_states)
+        idx = getrandbits(pair_bits)
+        while idx >= n_pairs:
+            idx = getrandbits(pair_bits)
+        new_state = getrandbits(state_bits)
+        while new_state >= n_states:
+            new_state = getrandbits(state_bits)
         if new_state == states[idx]:
             continue
         delta = try_set(idx, new_state)

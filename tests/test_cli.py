@@ -1,6 +1,10 @@
 """Command-line surface: JSON reports, manifests, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from dicycles.cli import main
 
@@ -147,6 +151,27 @@ def test_search_short_forbidden_length_is_json_error(capsys):
                                  "--forbid", "C1", "--budget", "100")
     assert code == 2 and payload is None
     assert json.loads(err.strip())["error"] == "SearchError"
+
+
+def test_local_search_below_two_vertices_reports_the_empty_graph():
+    # a separate process with a timeout: a draw loop over zero pairs never ends
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "dicycles.cli", "search", "--n", "1", "--k", "3",
+                           "--forbid", "C4", "--local", "--budget", "100"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["max_copies"] == "0" and payload["method"] == "local_search"
+    assert payload["witnesses"] == ["1 0\n"]
+
+
+def test_search_k_below_two_is_json_error(capsys):
+    for extra in (["--local", "--budget", "100"], []):
+        code, payload, err = run_cli(capsys, "search", "--n", "5", "--k", "1",
+                                     "--forbid", "C4", *extra)
+        assert code == 2 and payload is None
+        assert json.loads(err.strip()) == {"error": "SearchError",
+                                           "message": "k must be at least 2"}
 
 
 def test_usage_error_is_json_exit_2(capsys):

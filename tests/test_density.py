@@ -212,6 +212,22 @@ def test_float_projection_matches_numpy_bit_for_bit():
     assert clipped > 100
 
 
+def test_projection_when_the_largest_entry_swamps_one():
+    # u + (1 - u) rounds to 0 at these sizes, so no index passes the test;
+    # the projection is that of v - max(v)
+    assert project_simplex(np.array([1e20, 0.0])).tolist() == [1.0, 0.0]
+    assert project_simplex(np.array([1e17, 1e17])).tolist() == [0.5, 0.5]
+    assert _project([0.0, 3e19, -1.0, 3e19]) == [0.0, 0.5, 0.0, 0.5]
+    # a start that far out is projected onto the vertex it points at
+    model = density_model(c5c3_pattern(), 5)
+    p = len(next(iter(model.monomials)))
+    assert (optimize_weights(model, [[1e20] + [0.0] * (p - 1)])
+            == optimize_weights(model, [[1.0] + [0.0] * (p - 1)]))
+    for v in ([math.inf, 0.0], [math.nan, 1.0]):
+        with pytest.raises(DensityError, match="cannot project"):
+            _project(v)
+
+
 def test_ascent_evaluates_the_gradient_once_per_point(monkeypatch):
     model = density_model(c5c3_pattern(), 5)
     expected = optimize_weights(model)

@@ -1,5 +1,6 @@
 """Representability, divisor parameter, and the predicted-value table."""
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -78,6 +79,40 @@ def test_representability_sweep_against_oracle():
                 assert got.representable == oracle_representable(ell, gens), (gens, ell)
                 if ell > bound and ell % dk == 0:
                     assert got.representable, (gens, ell)
+
+
+def bytearray_representable(ell, gens):
+    """The suffix DP as one bytearray per suffix, scanned value by value:
+    the reference for the bitset rows.  Returns (representable, witness)."""
+    k = len(gens)
+    suffix = [bytearray(ell + 1) for _ in range(k + 1)]
+    suffix[k][0] = 1
+    for i in range(k - 1, -1, -1):
+        row = bytearray(suffix[i + 1])
+        for v in range(gens[i], ell + 1):
+            if row[v - gens[i]]:
+                row[v] = 1
+        suffix[i] = row
+    if not suffix[0][ell]:
+        return False, None
+    witness, rest = [], ell
+    for i, a in enumerate(gens):
+        x = 0
+        while not suffix[i + 1][rest - x * a]:
+            x += 1
+        witness.append(x)
+        rest -= x * a
+    return True, tuple(witness)
+
+
+def test_bitset_rows_match_bytearray_reference():
+    rng = random.Random(7)
+    cases = [(1,), (7,), (2, 4), (5, 5, 5), (6, 10, 15), (3, 1000), (64, 1), (1, 1, 1, 1)]
+    cases += [tuple(rng.sample(range(1, 40), rng.randint(1, 4))) for _ in range(40)]
+    for gens in cases:
+        for ell in list(range(0, 130)) + [255, 256, 257, 1023, 1024]:
+            got = representable(RepresentabilityQuery(ell, gens))
+            assert (got.representable, got.witness) == bytearray_representable(ell, gens), (gens, ell)
 
 
 def test_smallest_valid_divisor():

@@ -1,17 +1,18 @@
 """Exhaustive scan and simulated annealing against known small values."""
 
 import json
+import math
 import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dicycles.counting import count_cycle_copies, has_cycle_subgraph
+from dicycles.counting import _simple_paths, count_cycle_copies, has_cycle_subgraph
 from dicycles.graphs import (
     DIRECTED,
     ORIENTED,
@@ -23,10 +24,13 @@ from dicycles.numtheory import ceil_cubic_value
 from dicycles.search import (
     SearchError,
     TooLargeError,
+    ExtremalRecord,
     _AnnealState,
+    _check_witness,
     _cycle_arc_patterns,
     _decode,
     _forbidden_patterns,
+    _through_paths,
     contains_forbidden,
     exhaustive_extremal,
     has_transitive_triangle,
@@ -287,6 +291,33 @@ PINNED_ANNEAL = [
      "01 04 05 10 12 13 21 24 25 31 34 35 40 42 43 50 52 53"),
     (6, 3, [4], 3000, 33, DIRECTED, 8,
      "02 03 04 12 13 14 23 25 30 31 43 45 50 51 52 54"),
+    # vertices in hexadecimal from here on.  n = 11 and 12 have 55 and 66
+    # pairs, drawn as 6 and 7 bits with rejection; the k = 5 and C5 rows
+    # send the counts and the checks through the three-interior formula
+    (11, 3, [4], 3000, 34, ORIENTED, 48,
+     "02 05 08 12 15 18 24 27 29 2a 32 35 38 40 41 43 46 54 57 59 5a 62 65 68 70 71 73 76 84 87 "
+     "89 8a 90 91 93 96 a0 a1 a3 a6"),
+    (11, 5, [3], 2000, 35, ORIENTED, 74,
+     "08 0a 10 19 21 24 26 27 29 31 32 34 36 37 39 40 41 47 49 51 52 53 54 57 61 64 67 69 6a 70 "
+     "71 79 82 83 85 86 8a 90 9a a5"),
+    (11, 3, [5], 3000, 36, ORIENTED, 42,
+     "02 03 05 12 13 15 26 27 29 2a 36 37 39 3a 42 43 45 48 56 57 59 5a 60 61 64 67 68 69 70 71 "
+     "78 82 83 85 90 91 98 a0 a1 a4 a7 a8 a9"),
+    (12, 4, [3], 3000, 37, ORIENTED, 72,
+     "01 04 0a 14 17 18 20 23 25 26 29 2b 31 34 3a 47 48 50 53 56 5b 61 63 64 6a 72 75 79 82 85 "
+     "89 90 93 96 9b a1 a7 a8 b1 b3 b4 ba"),
+    (12, 3, [5], 3000, 38, ORIENTED, 12,
+     "02 07 0a 10 21 29 34 41 42 46 47 48 49 4b 50 52 54 57 59 61 63 65 68 6a 71 72 79 80 81 82 "
+     "83 85 87 8a 90 a1 a9 b2 b3 b5 b8 b9"),
+    (12, 5, [4], 2000, 39, ORIENTED, 22,
+     "0a 10 21 26 29 31 32 35 41 43 4a 4b 50 54 60 61 63 65 69 71 75 76 7a 82 83 84 87 90 91 95 "
+     "97 a5 a8 b0 b1 b2 b5 b8"),
+    (6, 5, [3], 3000, 40, DIRECTED, 8,
+     "01 05 12 13 23 24 32 34 40 45 50 51"),
+    (7, 5, [4], 3000, 41, DIRECTED, 16,
+     "02 03 04 10 12 13 16 21 25 31 35 40 41 45 46 50 56 62 63 64"),
+    (8, 5, [2, 3], 3000, 42, DIRECTED, 24,
+     "02 06 10 13 27 30 32 36 40 41 43 50 51 53 54 62 67 71 74 75"),
 ]
 
 
@@ -294,7 +325,7 @@ PINNED_ANNEAL = [
 def test_local_search_pinned_records(n, k, forbidden, budget, seed, mode, copies, arcs):
     record = local_search_extremal(n, k, forbidden, budget=budget, seed=seed, mode=mode)
     assert record.max_copies == copies
-    assert sorted(record.witnesses[0].arcs) == [(int(a[0]), int(a[1])) for a in arcs.split()]
+    assert sorted(record.witnesses[0].arcs) == [(int(a[0], 16), int(a[1], 16)) for a in arcs.split()]
 
 
 def test_anneal_incremental_count_matches_recount():
@@ -302,10 +333,12 @@ def test_anneal_incremental_count_matches_recount():
     # move really closes a forbidden pattern and leaves the graph and the
     # count unchanged, and revert() restores the graph and count from before
     # the last applied move.  k = 4 with C4 forbidden sends both the count
-    # and the check through the two-interior formula; the digon cases move
-    # two arcs of one pair at once and let paths turn back along a digon
+    # and the check through the two-interior formula, k = 5 and C5 through
+    # the three-interior one; the digon cases move two arcs of one pair at
+    # once and let paths turn back along a digon
     cases = ((ORIENTED, 3, [4]), (ORIENTED, 4, [3]), (ORIENTED, 5, [3]), (ORIENTED, 4, [4]),
-             (ORIENTED, 3, ["TT3"]), (DIRECTED, 3, [4]), (DIRECTED, 4, [5]), (DIRECTED, 4, [3]))
+             (ORIENTED, 3, ["TT3"]), (ORIENTED, 3, [5]), (DIRECTED, 3, [4]), (DIRECTED, 4, [5]),
+             (DIRECTED, 4, [3]), (DIRECTED, 5, [3]))
     for mode, k, forbidden in cases:
         rng = random.Random(k)
         state = _AnnealState(8, k, forbidden, mode)
@@ -334,6 +367,141 @@ def test_anneal_incremental_count_matches_recount():
             peak = max(peak, state.count)
         assert outcomes == {"forbidden", "reverted", "applied"}
         assert (peak > 0) == (k not in forbidden)
+
+
+def _brute_paths(out, start, end, arcs):
+    """Simple paths start -> end with ``arcs`` arcs, by every ordered choice
+    of their interior vertices."""
+    others = [v for v in range(len(out)) if v not in (start, end)]
+    return sum(all(out[a] >> b & 1 for a, b in zip((start,) + mid, mid + (end,)))
+               for mid in permutations(others, arcs - 1))
+
+
+def test_through_paths_three_interior_formula_matches_dfs_and_brute_force():
+    rng = random.Random(2024)
+    checked = hits = 0
+    for trial in range(160):
+        n = rng.randint(2, 12)
+        mode = (ORIENTED, DIRECTED)[trial % 2]
+        density = rng.choice((0.2, 0.4, 0.6, 0.9))
+        out, inn = [0] * n, [0] * n
+        for u, v in combinations(range(n), 2):
+            if rng.random() < density:
+                if mode == DIRECTED and rng.random() < 0.4:
+                    pair = ((u, v), (v, u))  # a digon
+                else:
+                    pair = ((u, v),) if rng.random() < 0.5 else ((v, u),)
+                for a, b in pair:
+                    out[a] |= 1 << b
+                    inn[b] |= 1 << a
+        for start, end in rng.sample(list(permutations(range(n), 2)), min(6, n * (n - 1))):
+            expected = _brute_paths(out, start, end, 4)
+            assert _through_paths(out, inn, start, end, 4) == expected
+            assert _simple_paths(out, start, 4, ~(1 << end), 1 << end) == expected
+            # with a limit only "at least one" has to agree
+            assert (_through_paths(out, inn, start, end, 4, limit=1) >= 1) == (expected >= 1)
+            checked += 1
+            hits += expected > 0
+    assert checked > 500 and hits > 100
+
+
+def _reference_annealer(n, k, forbidden, budget, seed, mode=ORIENTED):
+    """The annealer's move loop as it was with two ``randrange`` calls per
+    move: the reference for the inlined ``getrandbits`` draws."""
+    rng = random.Random(seed)
+    state = _AnnealState(n, k, forbidden, mode)
+    n_states = 3 if mode == ORIENTED else 4
+    n_pairs = len(state.pairs)
+    states = state.states
+    best_count = 0
+    best_states = list(states)
+    t0, t_end = 1.0, 0.02
+    cooling = (t_end / t0) ** (1.0 / max(budget, 1))
+    temperature = t0
+    stagnation = 0
+    restart_after = max(budget // 10, 1000)
+    for _ in range(budget):
+        temperature *= cooling
+        if stagnation >= restart_after:
+            temperature = t0
+            stagnation = 0
+        idx = rng.randrange(n_pairs)
+        new_state = rng.randrange(n_states)
+        if new_state == states[idx]:
+            continue
+        delta = state.try_set(idx, new_state)
+        if delta is None:
+            stagnation += 1
+            continue
+        if delta < 0 and rng.random() >= math.exp(delta / temperature):
+            state.revert()
+            stagnation += 1
+            continue
+        if state.count > best_count:
+            best_count = state.count
+            best_states = list(states)
+            stagnation = 0
+        else:
+            stagnation += 1
+    best_graph = state.graph(best_states)
+    _check_witness(best_graph, k, forbidden, best_count)
+    return ExtremalRecord(n, k, parse_forbidden(forbidden), mode, best_count,
+                          (best_graph,), "local_search", budget)
+
+
+@pytest.mark.parametrize("mode", [ORIENTED, DIRECTED])
+def test_anneal_draws_match_randrange_reference(mode, monkeypatch):
+    # n = 2..12 gives 1..66 pairs, drawn with 1..7 bits; directed mode
+    # draws its 4 states with 3 bits and rejects half of them.  Both runs
+    # must give the same record and leave their generators in the same state
+    generators = []
+
+    class Kept(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            generators.append(self)
+
+    monkeypatch.setattr(random, "Random", Kept)
+    targets = (((3, [4]), (4, [3]), (3, [5]), (5, [3])) if mode == ORIENTED
+               else ((2, [3]), (3, [4]), (5, [3]), (4, [2, 5])))
+    for n in range(2, 13):
+        for i, (k, forbidden) in enumerate(targets):
+            seed = 100 * n + i
+            got = local_search_extremal(n, k, forbidden, 1200, seed, mode)
+            expected = _reference_annealer(n, k, forbidden, 1200, seed, mode)
+            assert got == expected, (n, k, forbidden)
+            assert generators[-2].getstate() == generators[-1].getstate(), (n, k, forbidden)
+    assert len(generators) == 2 * 11 * len(targets)
+
+
+def test_local_search_below_two_vertices_returns_the_empty_graph_without_drawing(monkeypatch):
+    # with no pair to draw, one draw would already be a fault (and a draw
+    # loop over zero pairs would never end), so the spy raises at the first
+    class Spy(random.Random):
+        def getrandbits(self, bits):
+            raise AssertionError(f"drew {bits} bits")
+
+        def random(self):
+            raise AssertionError("drew a float")
+
+    monkeypatch.setattr(random, "Random", Spy)
+    for n in (0, 1):
+        for mode in (ORIENTED, DIRECTED):
+            record = local_search_extremal(n, 3, [4], 100, 0, mode)
+            assert record.max_copies == 0 == exhaustive_extremal(n, 3, [4], mode).max_copies
+            assert [(w.n, len(w.arcs)) for w in record.witnesses] == [(n, 0)]
+            assert record.method == "local_search" and record.search_budget == 100
+    # a run with a pair does reach the spy
+    with pytest.raises(AssertionError, match="drew 1 bits"):
+        local_search_extremal(2, 2, [3], 10, 0)
+
+
+@pytest.mark.parametrize("k", [1, 0, -2])
+def test_local_search_rejects_k_below_two_before_its_budget(k):
+    with pytest.raises(SearchError, match="k must be at least 2"):
+        local_search_extremal(5, k, [4], 10**12, 0)
+    with pytest.raises(SearchError, match="k must be at least 2"):
+        exhaustive_extremal(5, k, [4])
 
 
 def test_local_search_records_hold_under_optimize_flag():
