@@ -192,6 +192,10 @@ def _cmd_count(args, manifest):
 
 
 def _cmd_check(args, manifest):
+    if (args.neighbor_k is None) != (args.neighbor_d is None):
+        raise ValueError("--neighbor-k and --neighbor-d must be given together")
+    if not args.forbid and args.neighbor_k is None:
+        raise ValueError("nothing to check: give --forbid, or --neighbor-k with --neighbor-d")
     g = read_graph(manifest.read_text(args.infile))
     payload: dict = {"n": g.n}
     ok = True
@@ -210,7 +214,7 @@ def _cmd_check(args, manifest):
                 }
             ok = ok and not present
         payload["forbidden"] = rows
-    if args.neighbor_k is not None and args.neighbor_d is not None:
+    if args.neighbor_k is not None:
         report = counting.check_neighbor_condition(g, args.neighbor_k, args.neighbor_d)
         payload["neighbor_condition"] = {
             "holds": report.holds, "limit": report.limit,

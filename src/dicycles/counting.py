@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from operator import mul
 from typing import Callable, Iterator, Optional
 
@@ -529,13 +530,21 @@ def _walks_are_cycles(g: OrientedGraph, length: int) -> bool:
     """
     if length < 4:
         return True
+    # the flags for j = 2 .. length // 2, one product each, up to the first closed walk
+    return not any(islice(_closed_walk_flags(g), 1, length // 2))
+
+
+def _closed_walk_flags(g: OrientedGraph) -> Iterator[bool]:
+    """Yield, for j = 1, 2, ..., whether a closed j-walk exists.
+
+    The clipped power M^j (reachability in exactly j steps) is one boolean
+    product from M^(j-1), so the first L flags cost L - 1 products.  A
+    single long length is cheaper by :func:`has_closed_walk`.
+    """
     a = power = adjacency_matrix(g)
-    for _ in range(length // 2 - 1):
-        # the clipped power M^j for j = 2 .. length // 2: reachability in j steps
+    while True:
+        yield bool(power.diagonal().any())
         power = _product(power, a, boolean=True)
-        if power.diagonal().any():
-            return False
-    return True
 
 
 def has_cycle_subgraph(g: OrientedGraph, length: int) -> bool:

@@ -82,6 +82,8 @@ def brauer_bound(generators) -> int:
     gens = tuple(int(a) for a in generators)
     if not gens:
         raise EmptyGeneratorsError("at least one generator required")
+    if any(a < 1 for a in gens):
+        raise NumTheoryError("generators must be positive")
     if len(gens) == 1:
         return -gens[0]  # degenerate: every multiple of a_1 above -a_1 works
     chain = gcd_chain(gens)
@@ -162,13 +164,16 @@ ORDER_ONLY = "order-only"
 class PredictedValue:
     """One row of the known-regime table for (k, ell, mode).
 
-    ``coefficient`` is the proven leading coefficient (exact rational) when
-    a proven asymptotic pins it down, ``exponent`` the power of n it
-    multiplies.  For
-    the open (5, 4) case ``interval`` holds the known bounds in units of
-    C(n, 5).  ``lower_bound_coefficient`` is the best construction value
-    known for the pair, populated even when no matching upper bound is
-    proven.  ``hypotheses`` records the checks that selected the regime.
+    ``coefficient`` is the exact rational leading coefficient of the row's
+    regime: proven on EXACT and ASYMPTOTIC rows, conjectured on CONJECTURAL
+    ones.  ``exponent`` is the power of n it multiplies.  A row with a
+    coefficient uses it as ``lower_bound_coefficient``, and its ``value``
+    is ``float(coefficient) * n ** exponent``, except on the EXACT row,
+    whose value is the exact integer at n.  An ORDER_ONLY row has no
+    coefficient, only the best construction value known for the pair as
+    ``lower_bound_coefficient``.  The open (5, 4) row has neither; its
+    ``interval`` holds the known bounds in units of C(n, 5).
+    ``hypotheses`` records the checks that selected the regime.
     """
 
     k: int
@@ -205,31 +210,22 @@ class PredictedValue:
 
 
 def ceil_cubic_value(n: int) -> int:
-    """ceil(n/3) * ceil((n-1)/3) * ceil((n-2)/3)."""
-    return math.ceil(n / 3) * math.ceil((n - 1) / 3) * math.ceil((n - 2) / 3)
-
-
-def _value_at(coeff: Fraction, exponent: int, n: int) -> float:
-    return float(coeff) * n ** exponent
-
-
-def _blowup_coefficient(k: int, d: int) -> Fraction:
-    # leading term of n/k * (n/d)^(k-1)
-    return Fraction(1, k) * Fraction(1, d) ** (k - 1)
-
-
-def _bipartite_coefficient(k: int) -> Fraction:
-    # leading term of 2/k * (n/4)^k
-    return Fraction(2, k) * Fraction(1, 4) ** k
+    """ceil(n/3) * ceil((n-1)/3) * ceil((n-2)/3), in integers at every n."""
+    return math.prod(-(-m // 3) for m in (n, n - 1, n - 2))
 
 
 def predicted_extremal(k: int, ell: int, n: int, mode: str = ORIENTED) -> PredictedValue:
     """Known extremal regimes: tag, leading coefficient, hypothesis checks.
 
-    Small cases (k <= 5 oriented) have their own sharp regimes; the
-    general regimes require the stated lower bounds on ell and parity
-    conditions, and anything not covered is reported as order-only with
-    only a construction lower bound attached.
+    When k divides ell the order is n^(k-1); oriented k = 3 has a
+    coefficient there (the hub construction), every other row only a
+    singleton-blob lower bound.  Otherwise d is the smallest valid divisor
+    of k for the mode.  Small cases (k <= 5 oriented) have their own
+    sharp regimes; the general regimes require the stated lower bounds on
+    ell and parity conditions, and anything not covered is reported as
+    order-only with only a construction lower bound attached.  Every row
+    is made by one builder, which applies the coefficient rule of
+    :class:`PredictedValue`.
     """
     if k < 3 or ell < 3 or k == ell:
         raise InvalidParametersError("need k >= 3, ell >= 3, k != ell")
@@ -237,106 +233,59 @@ def predicted_extremal(k: int, ell: int, n: int, mode: str = ORIENTED) -> Predic
         raise InvalidParametersError(f"unknown mode {mode!r}")
 
     sparse = ell % k == 0
+    d = None if sparse else smallest_valid_divisor(k, ell, mode)
+
+    def row(regime, exponent, coefficient=None, **fields):
+        if coefficient is not None:
+            fields["lower_bound_coefficient"] = coefficient
+            fields["value"] = (ceil_cubic_value(n) if regime == EXACT
+                               else float(coefficient) * n ** exponent)
+        return PredictedValue(k, ell, mode, regime, exponent, coefficient, d=d, **fields)
+
+    if sparse:
+        hypotheses = {"k_divides_ell": True}
+        if mode == ORIENTED and k == 3:
+            if ell == 6:
+                return row(ASYMPTOTIC, 2, Fraction(1, 4), hypotheses=hypotheses)
+            return row(CONJECTURAL, 2, Fraction(ell // 3 - 1, 4), hypotheses=hypotheses,
+                       note="conjectured; hub construction lower bound")
+        return row(ORDER_ONLY, k - 1, lower_bound_coefficient=Fraction(1, (k - 1) ** (k - 1)),
+                   hypotheses=hypotheses,
+                   note="order n^(k-1); singleton-blob blow-up lower bound")
+
+    # leading term of n/k * (n/d)^(k-1), the d-cycle blow-up
+    blowup = Fraction(1, k * d ** (k - 1))
 
     if mode == DIRECTED:
-        if sparse:
-            lb = Fraction(1, (k - 1) ** (k - 1))
-            return PredictedValue(k, ell, mode, ORDER_ONLY, k - 1,
-                                  lower_bound_coefficient=lb,
-                                  hypotheses={"k_divides_ell": True},
-                                  note="order n^(k-1); singleton-blob blow-up lower bound")
-        d = smallest_valid_divisor(k, ell, DIRECTED)
-        coeff = _blowup_coefficient(k, d)
-        hyp = {"k_divides_ell": False, "ell_ge_2(k-1)^2": ell >= 2 * (k - 1) ** 2}
-        if hyp["ell_ge_2(k-1)^2"]:
-            return PredictedValue(k, ell, mode, ASYMPTOTIC, k, coeff,
-                                  _value_at(coeff, k, n), d=d,
-                                  lower_bound_coefficient=coeff, hypotheses=hyp)
-        return PredictedValue(k, ell, mode, ORDER_ONLY, k, d=d,
-                              lower_bound_coefficient=coeff, hypotheses=hyp,
-                              note="ell below the proven digon-mode threshold; "
-                                   "d-cycle blow-up gives the lower bound")
+        hypotheses = {"k_divides_ell": False, "ell_ge_2(k-1)^2": ell >= 2 * (k - 1) ** 2}
+        if hypotheses["ell_ge_2(k-1)^2"]:
+            return row(ASYMPTOTIC, k, blowup, hypotheses=hypotheses)
+        return row(ORDER_ONLY, k, lower_bound_coefficient=blowup, hypotheses=hypotheses,
+                   note="ell below the proven digon-mode threshold; "
+                        "d-cycle blow-up gives the lower bound")
 
-    # oriented mode
-    if sparse:
-        if k == 3 and ell == 6:
-            coeff = Fraction(1, 4)
-            return PredictedValue(k, ell, mode, ASYMPTOTIC, 2, coeff,
-                                  _value_at(coeff, 2, n),
-                                  lower_bound_coefficient=coeff,
-                                  hypotheses={"k_divides_ell": True})
-        if k == 3:
-            t = ell // 3
-            coeff = Fraction(t - 1, 4)
-            return PredictedValue(k, ell, mode, CONJECTURAL, 2, coeff,
-                                  _value_at(coeff, 2, n),
-                                  lower_bound_coefficient=coeff,
-                                  hypotheses={"k_divides_ell": True},
-                                  note="conjectured; hub construction lower bound")
-        lb = Fraction(1, (k - 1) ** (k - 1))
-        return PredictedValue(k, ell, mode, ORDER_ONLY, k - 1,
-                              lower_bound_coefficient=lb,
-                              hypotheses={"k_divides_ell": True},
-                              note="order n^(k-1); singleton-blob blow-up lower bound")
-
-    d = smallest_valid_divisor(k, ell, ORIENTED)
-
-    if k == 3:
-        if ell in (4, 5):
-            return PredictedValue(k, ell, mode, EXACT, 3, Fraction(1, 27),
-                                  ceil_cubic_value(n), d=d,
-                                  lower_bound_coefficient=Fraction(1, 27),
-                                  hypotheses={"small_ell": True},
-                                  note="exact ceiling product at every n")
-        coeff = Fraction(1, 27)
-        return PredictedValue(k, ell, mode, ASYMPTOTIC, 3, coeff,
-                              _value_at(coeff, 3, n), d=d,
-                              lower_bound_coefficient=coeff,
-                              hypotheses={"ell>6": ell > 6})
-
-    if k == 4:
-        if ell == 3:
-            coeff = Fraction(1, 4 ** 4 - 1)
-            return PredictedValue(k, ell, mode, ASYMPTOTIC, 4, coeff,
-                                  _value_at(coeff, 4, n), d=d,
-                                  lower_bound_coefficient=coeff,
-                                  hypotheses={"ell": 3},
-                                  note="stated with the iterated blow-up; the exact "
-                                       "recursion trends to n^4/252 (see construction "
-                                       "closed forms)")
-        coeff = Fraction(1, 256)
-        return PredictedValue(k, ell, mode, ASYMPTOTIC, 4, coeff,
-                              _value_at(coeff, 4, n), d=d,
-                              lower_bound_coefficient=coeff,
-                              hypotheses={"ell>4": ell > 4})
-
-    if k == 5:
-        if ell == 3:
-            coeff = Fraction(1, 512)
-            return PredictedValue(k, ell, mode, ASYMPTOTIC, 5, coeff,
-                                  _value_at(coeff, 5, n), d=d,
-                                  lower_bound_coefficient=coeff,
-                                  hypotheses={"ell": 3},
-                                  note="4-cycle blow-up with tournament blobs")
-        if ell == 4:
-            return PredictedValue(k, ell, mode, OPEN_INTERVAL, 5,
-                                  interval=(0.0517, 0.0567), d=d,
-                                  lower_bound_coefficient=None,
-                                  hypotheses={"ell": 4},
-                                  note="open; bounds in units of C(n,5): threshold "
-                                       "construction vs certificate ceiling")
-        if ell == 7:
-            coeff = Fraction(27, 16) * Fraction(1, 5) ** 5
-            return PredictedValue(k, ell, mode, ASYMPTOTIC, 5, coeff,
-                                  _value_at(coeff, 5, n), d=d,
-                                  lower_bound_coefficient=coeff,
-                                  hypotheses={"ell": 7},
-                                  note="unbalanced 4-cycle blow-up with bipartite blobs")
-        coeff = Fraction(1, 3125)
-        return PredictedValue(k, ell, mode, ASYMPTOTIC, 5, coeff,
-                              _value_at(coeff, 5, n), d=d,
-                              lower_bound_coefficient=coeff,
-                              hypotheses={"ell>5": ell > 5, "ell_not_7": True})
+    if k == 3 and ell in (4, 5):
+        return row(EXACT, 3, Fraction(1, 27), hypotheses={"small_ell": True},
+                   note="exact ceiling product at every n")
+    if k == 5 and ell == 4:
+        return row(OPEN_INTERVAL, 5, interval=(0.0517, 0.0567), hypotheses={"ell": 4},
+                   note="open; bounds in units of C(n,5): threshold "
+                        "construction vs certificate ceiling")
+    if k <= 5:
+        # (coefficient, hypotheses, note) by (k, ell), with (k, None) for any other ell
+        small = {
+            (3, None): (Fraction(1, 27), {"ell>6": ell > 6}, ""),
+            (4, 3): (Fraction(1, 4 ** 4 - 1), {"ell": 3},
+                     "stated with the iterated blow-up; the exact recursion trends "
+                     "to n^4/252 (see construction closed forms)"),
+            (4, None): (Fraction(1, 256), {"ell>4": ell > 4}, ""),
+            (5, 3): (Fraction(1, 512), {"ell": 3}, "4-cycle blow-up with tournament blobs"),
+            (5, 7): (Fraction(27, 16) * Fraction(1, 5) ** 5, {"ell": 7},
+                     "unbalanced 4-cycle blow-up with bipartite blobs"),
+            (5, None): (Fraction(1, 3125), {"ell>5": ell > 5, "ell_not_7": True}, ""),
+        }
+        coefficient, hypotheses, note = small.get((k, ell), small[k, None])
+        return row(ASYMPTOTIC, k, coefficient, hypotheses=hypotheses, note=note)
 
     # general k >= 6
     hyp_blowup = {
@@ -349,24 +298,14 @@ def predicted_extremal(k: int, ell: int, n: int, mode: str = ORIENTED) -> Predic
         "ell_odd": ell % 2 == 1,
         "3_divides_k_implies_3_divides_ell": (k % 3 != 0) or (ell % 3 == 0),
     }
-    blowup_coeff = _blowup_coefficient(k, d)
-    lower = blowup_coeff
-    if k % 2 == 0 and ell % 2 == 1:
-        lower = max(lower, _bipartite_coefficient(k))
-
+    # leading term of 2/k * (n/4)^k, a random orientation of K_{n/2,n/2}
+    bipartite = Fraction(2, k * 4 ** k)
     if all(hyp_blowup.values()):
-        return PredictedValue(k, ell, mode, ASYMPTOTIC, k, blowup_coeff,
-                              _value_at(blowup_coeff, k, n), d=d,
-                              lower_bound_coefficient=blowup_coeff,
-                              hypotheses=hyp_blowup)
+        return row(ASYMPTOTIC, k, blowup, hypotheses=hyp_blowup)
     if all(hyp_bipartite.values()):
-        coeff = _bipartite_coefficient(k)
-        return PredictedValue(k, ell, mode, ASYMPTOTIC, k, coeff,
-                              _value_at(coeff, k, n), d=d,
-                              lower_bound_coefficient=coeff,
-                              hypotheses=hyp_bipartite,
-                              note="random bipartite orientation regime")
-    return PredictedValue(k, ell, mode, ORDER_ONLY, k, d=d,
-                          lower_bound_coefficient=lower,
-                          hypotheses={**hyp_blowup, **hyp_bipartite},
-                          note="no proven regime covers this (k, ell)")
+        return row(ASYMPTOTIC, k, bipartite, hypotheses=hyp_bipartite,
+                   note="random bipartite orientation regime")
+    lower = max(blowup, bipartite) if k % 2 == 0 and ell % 2 == 1 else blowup
+    return row(ORDER_ONLY, k, lower_bound_coefficient=lower,
+               hypotheses={**hyp_blowup, **hyp_bipartite},
+               note="no proven regime covers this (k, ell)")

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from dicycles.cli import main
 
 
@@ -84,6 +86,19 @@ def test_check_neighbor_condition(tmp_path, capsys):
     code, payload, _ = run_cli(capsys, "check", "--in", str(path),
                                "--neighbor-k", "3", "--neighbor-d", "3")
     assert code == 0 and payload["neighbor_condition"]["holds"]
+
+
+@pytest.mark.parametrize("flags", [["--neighbor-k", "3"], ["--neighbor-d", "3"],
+                                   ["--forbid", "C4", "--neighbor-k", "3"], []],
+                         ids=["k-only", "d-only", "forbid-and-k-only", "nothing"])
+def test_check_without_a_complete_check_is_a_usage_error(tmp_path, capsys, flags):
+    # the neighbor condition needs both flags, and a check with nothing to
+    # check must not report "passed"
+    path = tmp_path / "c3.graph"
+    path.write_text("3 3\n0 1\n1 2\n2 0\n")
+    code, payload, err = run_cli(capsys, "check", "--in", str(path), *flags)
+    assert code == 2 and payload is None
+    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_clear_command(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -696,9 +696,9 @@ def spy(monkeypatch, *names):
     # record the calls of the named counting helpers
     calls = {name: 0 for name in names}
     for name in names:
-        def wrapper(*args, _name=name, _f=getattr(counting, name)):
+        def wrapper(*args, _name=name, _f=getattr(counting, name), **kwargs):
             calls[_name] += 1
-            return _f(*args)
+            return _f(*args, **kwargs)
         monkeypatch.setattr(counting, name, wrapper)
     return calls
 
@@ -750,3 +750,22 @@ def test_count_report_computes_per_arc_counts_once(monkeypatch):
     report = count_report(g, 4, per_arc=True, per_vertex=True)
     assert calls["arc_cycle_multiplicities"] == 1
     assert report.per_arc == per_arc and report.per_vertex == per_vertex
+
+
+def test_closed_walk_flags_match_has_closed_walk():
+    rng = random.Random(11)
+    for n in range(13):
+        for _ in range(3):
+            digons = new_graph(n, [(u, v) for u in range(n) for v in range(n)
+                                   if u != v and rng.random() < 0.3], DIRECTED)
+            for g in (random_oriented(rng, n, 0.6), digons):
+                flags = list(islice(counting._closed_walk_flags(g), 20))
+                assert flags == [has_closed_walk(g, j) for j in range(1, 21)], (n, g.arcs)
+
+
+def test_walks_are_cycles_stops_at_the_first_short_closed_walk(monkeypatch):
+    # blobs of 3 on a triangle: M^2 has an empty diagonal, M^3 does not, so
+    # the check for length 8 stops after the products M^2 and M^3 of j = 2, 3
+    calls = spy(monkeypatch, "_product")
+    assert not counting._walks_are_cycles(balanced_blow_up(directed_cycle(3), 9), 8)
+    assert calls["_product"] == 2

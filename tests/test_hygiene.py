@@ -1,8 +1,11 @@
 """Source hygiene of src/dicycles: no unused imports, no assert
-statements, no dead definitions.
+statements, no float ceilings or floors, no dead definitions.
 
 An unused import is dead weight.  An ``assert`` is stripped by
-``python -O``, so a check that must always run cannot live in one.  The
+``python -O``, so a check that must always run cannot live in one.
+``math.ceil`` or ``math.floor`` of a true division rounds the quotient to
+float64 first, which is wrong for integers above 2**53; an integer
+ceiling is ``-(-a // b)`` and a floor ``a // b``.  The
 package ``__init__`` re-exports what it imports, so its imports count as
 used.  A function or method that nothing in src/, tests/ or perfbench/
 references is dead code.
@@ -40,6 +43,16 @@ def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
 
 def assert_lines(tree: ast.Module) -> list[int]:
     return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def float_roundings(tree: ast.Module) -> list[int]:
+    """Lines of math.ceil / math.floor calls whose argument holds a true division."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "math"
+                  and node.func.attr in ("ceil", "floor")
+                  and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div)
+                          for arg in node.args for sub in ast.walk(arg)))
 
 
 def definitions(tree: ast.Module) -> list[tuple[str, bool]]:
@@ -94,6 +107,9 @@ def test_scanners_find_what_they_look_for():
                      "from __future__ import annotations\nassert a\nprint(os)\n")
     assert unused_imports(tree) == [(1, "osp"), (2, "c")]
     assert assert_lines(tree) == [4]
+    tree = ast.parse("math.ceil(n / 3)\nmath.floor((n - 1) / 3 + 1)\nmath.ceil(n // 3)\n"
+                     "-(-n // 3)\nround(n / 3)\nmath.floor(x)\n")
+    assert float_roundings(tree) == [1, 2]
     tree = ast.parse("def used(): pass\ndef dead(): pass\ndef by_attr(): pass\n"
                      "class K:\n    def __init__(self): pass\n    def m(self): pass\n"
                      "    def used(self): pass\n    def dead_m(self):\n        def inner(): pass\n"
@@ -113,6 +129,7 @@ def test_module_hygiene(path):
     if path.name != "__init__.py":
         assert unused_imports(tree) == []
     assert assert_lines(tree) == []
+    assert float_roundings(tree) == []
 
 
 def test_no_dead_definitions():

@@ -1,5 +1,7 @@
 """Representability, divisor parameter, and the predicted-value table."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -16,6 +18,7 @@ from dicycles.numtheory import (
     EmptyGeneratorsError,
     InvalidParametersError,
     NoSuchDivisorError,
+    NumTheoryError,
     RepresentabilityQuery,
     brauer_bound,
     ceil_cubic_value,
@@ -67,6 +70,9 @@ def test_brauer_bound_examples():
         assert brauer_bound((k, k + 1)) == k * k - k - 1
     with pytest.raises(EmptyGeneratorsError):
         brauer_bound(())
+    for gens in ((0, 0), (-3, 5), (0, 5), (0,), (-1,), (3, 5, -2)):
+        with pytest.raises(NumTheoryError, match="positive"):
+            brauer_bound(gens)
 
 
 def test_representability_sweep_against_oracle():
@@ -148,6 +154,17 @@ def test_predicted_examples():
     assert row.regime == OPEN_INTERVAL and row.interval == (0.0517, 0.0567)
 
 
+def test_ceil_cubic_value_is_exact_at_every_n():
+    # ceil(m/3) = (m + 2) // 3; a float n / 3 loses the last digits of n
+    # above 2**53, and these n gave a wrong product
+    exact = [(n + 2) // 3 * ((n + 1) // 3) * (n // 3) for n in range(2001)]
+    assert [ceil_cubic_value(n) for n in range(2001)] == exact
+    assert ceil_cubic_value(10 ** 17 + 2) == 37037037037037039259259259259259303703703703703704
+    rng = random.Random(5)
+    for n in [3 * 2 ** 53 + 1] + [rng.randrange(10 ** 16, 2 * 10 ** 16) for _ in range(200)]:
+        assert ceil_cubic_value(n) == (n + 2) // 3 * ((n + 1) // 3) * (n // 3), n
+
+
 def test_predicted_small_k_table():
     assert predicted_extremal(3, 7, 9).coefficient == Fraction(1, 27)
     assert predicted_extremal(3, 6, 10).coefficient == Fraction(1, 4)
@@ -219,3 +236,40 @@ def test_predicted_json_round_trip():
     data = row.to_dict()
     assert data["coefficient"] == "27/50000"
     assert data["regime"] == "asymptotic"
+
+
+def predicted_grid():
+    """Each row of the table for both modes, k 3-15, ell 3-119 and four n,
+    keyed "mode k ell n", or the class name of the error it raises."""
+    rows = {}
+    for mode, k, ell, n in product((ORIENTED, DIRECTED), range(3, 16), range(3, 120),
+                                   (1, 7, 24, 100)):
+        try:
+            rows[f"{mode} {k} {ell} {n}"] = predicted_extremal(k, ell, n, mode)
+        except NumTheoryError as exc:
+            rows[f"{mode} {k} {ell} {n}"] = type(exc).__name__
+    return rows
+
+
+def test_predicted_table_is_pinned_on_the_grid():
+    # the digest of the table before its rules were each written once
+    rows = {key: row if isinstance(row, str) else row.to_dict()
+            for key, row in predicted_grid().items()}
+    assert len(rows) == 12168
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "696daddcf1b8255cecd74aa76c3b5ac3a6fd29f8c54164bdf24b11dff75b2fa9"
+
+
+def test_predicted_rows_with_a_coefficient_follow_one_rule():
+    seen = set()
+    for key, row in predicted_grid().items():
+        if isinstance(row, str) or row.coefficient is None:
+            continue
+        n = int(key.split()[-1])
+        assert row.lower_bound_coefficient == row.coefficient, key
+        if row.regime == EXACT:
+            assert row.value == ceil_cubic_value(n), key
+        else:
+            assert row.value == float(row.coefficient) * n ** row.exponent, key
+        seen.add(row.regime)
+    assert seen == {EXACT, ASYMPTOTIC, CONJECTURAL}
