@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     spec = subs.add_parser("spectral", help="eigenvalues and bipartite bounds")
     spec.add_argument("--in", dest="infile", required=True)
     spec.add_argument("--k", type=int, default=None)
-    spec.add_argument("--bipartition", type=int, default=None)
 
     srch = subs.add_parser("search", help="exhaustive or local extremal search")
     srch.add_argument("--n", type=int, required=True)
@@ -284,7 +283,7 @@ def _cmd_optimize(args, manifest):
 
 def _cmd_spectral(args, manifest):
     g = read_graph(manifest.read_text(args.infile))
-    spec = spectral.spectrum(g, bipartition=args.bipartition)
+    spec = spectral.spectrum(g)
     payload = {
         "eigenvalues": [[z.real, z.imag] for z in spec.eigenvalues],
         "symmetrized": list(spec.symmetrized),

@@ -412,6 +412,8 @@ def _vertex_counts(g: OrientedGraph, mult: dict[tuple[int, int], int]) -> dict[i
 
 def arc_cycle_multiplicities(g: OrientedGraph, k: int) -> dict[tuple[int, int], int]:
     """For each arc, the number of k-cycle copies containing it."""
+    if k < 2:
+        raise ValueError("cycle length must be at least 2")
     if k == 2:
         return {(u, v): 1 if (v, u) in g.arcs else 0 for (u, v) in g.arcs}
     if not 3 <= k <= g.n:

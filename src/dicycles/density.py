@@ -167,22 +167,25 @@ def _default_initializations(p: int) -> list[np.ndarray]:
     return inits
 
 
-def _ascend(poly: CompiledMonomials, w: list[float], tolerance: float,
-            max_iter: int = 20000) -> tuple[list[float], float]:
+# the ascent's step cap, and the relative gain a step must make to grow the step size
+_ASCENT_STEPS, _ASCENT_TOL = 20000, 1e-14
+
+
+def _ascend(poly: CompiledMonomials, w: list[float]) -> tuple[list[float], float]:
     # int true division rounds correctly, so each value is float() of the
     # exact Fraction, bit for bit; the gradient is kept until w moves
     num, den = poly.ratio(w)
     value = num / den
     grad = None
     step = 0.25
-    for _ in range(max_iter):
+    for _ in range(_ASCENT_STEPS):
         if grad is None:
             nums, den = poly.gradient_ratio(w)
             grad = [g / den for g in nums]
         cand = _project([x + step * g for x, g in zip(w, grad)])
         num, den = poly.ratio(cand)
         cand_value = num / den
-        if cand_value > value + tolerance * max(abs(value), 1e-30):
+        if cand_value > value + _ASCENT_TOL * max(abs(value), 1e-30):
             w, value, grad = cand, cand_value, None
             step *= 1.3
         else:
@@ -194,8 +197,7 @@ def _ascend(poly: CompiledMonomials, w: list[float], tolerance: float,
     return w, value
 
 
-def optimize_weights(model: DensityModel, initializations=None,
-                     tolerance: float = 1e-14) -> WeightsResult:
+def optimize_weights(model: DensityModel, initializations=None) -> WeightsResult:
     """Multi-start projected gradient ascent on the simplex, then an exact
     rational re-evaluation at rounded weights.
 
@@ -212,7 +214,7 @@ def optimize_weights(model: DensityModel, initializations=None,
     best_w, best_v = None, -math.inf
     for w0 in initializations:
         w = _project(np.asarray(w0, dtype=float).tolist())
-        w, v = _ascend(poly, w, tolerance)
+        w, v = _ascend(poly, w)
         if v > best_v + 1e-15 or (abs(v - best_v) <= 1e-15
                                   and best_w is not None and tuple(w) < tuple(best_w)):
             best_w, best_v = w, v
@@ -406,9 +408,12 @@ class ThresholdResult:
         }
 
 
+# the coarse grid's points, and the bracket width at which golden-section search stops
+_THRESHOLD_GRID, _THRESHOLD_TOL = 9, 1e-4
+
+
 def optimize_threshold(c_range: tuple[float, float] = (0.0, 1.0),
-                       resolution: int = 512, k: int = 5,
-                       grid_points: int = 9, tol: float = 1e-4) -> ThresholdResult:
+                       resolution: int = 512, k: int = 5) -> ThresholdResult:
     """Maximize the threshold-pattern density over the constant c.
 
     A coarse grid brackets the maximum (the objective is empirically
@@ -425,17 +430,17 @@ def optimize_threshold(c_range: tuple[float, float] = (0.0, 1.0),
             cache[c] = threshold_density(c, k=k, resolution=resolution)
         return cache[c]
 
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, _THRESHOLD_GRID)
     values = [f(c) for c in grid]
     best = int(np.argmax(values))
     a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid_points - 1)]
+    b = grid[min(best + 1, _THRESHOLD_GRID - 1)]
 
     phi = (math.sqrt(5.0) - 1) / 2
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > _THRESHOLD_TOL:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + phi * (b - a)

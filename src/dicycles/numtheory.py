@@ -274,15 +274,15 @@ def predicted_extremal(k: int, ell: int, n: int, mode: str = ORIENTED) -> Predic
     if k <= 5:
         # (coefficient, hypotheses, note) by (k, ell), with (k, None) for any other ell
         small = {
-            (3, None): (Fraction(1, 27), {"ell>6": ell > 6}, ""),
+            (3, None): (Fraction(1, 27), {}, ""),
             (4, 3): (Fraction(1, 4 ** 4 - 1), {"ell": 3},
                      "stated with the iterated blow-up; the exact recursion trends "
                      "to n^4/252 (see construction closed forms)"),
-            (4, None): (Fraction(1, 256), {"ell>4": ell > 4}, ""),
+            (4, None): (Fraction(1, 256), {}, ""),
             (5, 3): (Fraction(1, 512), {"ell": 3}, "4-cycle blow-up with tournament blobs"),
             (5, 7): (Fraction(27, 16) * Fraction(1, 5) ** 5, {"ell": 7},
                      "unbalanced 4-cycle blow-up with bipartite blobs"),
-            (5, None): (Fraction(1, 3125), {"ell>5": ell > 5, "ell_not_7": True}, ""),
+            (5, None): (Fraction(1, 3125), {}, ""),
         }
         coefficient, hypotheses, note = small.get((k, ell), small[k, None])
         return row(ASYMPTOTIC, k, coefficient, hypotheses=hypotheses, note=note)

@@ -3,8 +3,8 @@
 The exhaustive engine covers every pair-state assignment (3 states per
 vertex pair in oriented mode, 4 with digons) without scanning them all.
 Forbidding cycles or TT3 is hereditary, so it extends the admissible
-graphs on vertices 0..v-1, held as numpy arrays of pair-state masks, codes
-and cycle counts, by every attachment of vertex v.  Each step tests only
+graphs on vertices 0..v-1, held as numpy arrays of pair-state masks and
+cycle counts, by every attachment of vertex v.  Each step tests only
 the cycle and forbidden patterns through v, as one vectorized product per
 block of graphs, and the graphs on all n vertices are scored without being
 stored.  The reported maximum is exact with no isomorphism machinery in the
@@ -150,21 +150,15 @@ def _forbidden_patterns(n: int, forbidden) -> list[tuple[tuple[int, int], ...]]:
     return pats
 
 
-def _decode(code: int, pairs, mode: str, n: int) -> OrientedGraph:
+def _decode(mask: int, pairs, mode: str, n: int) -> OrientedGraph:
+    """The graph of a pair-state mask (see :func:`_by_top_vertex`)."""
     arcs = []
     for p, (u, v) in enumerate(pairs):
-        if mode == ORIENTED:
-            state = (code // 3 ** p) % 3
-            if state == 1:
-                arcs.append((u, v))
-            elif state == 2:
-                arcs.append((v, u))
-        else:
-            state = (code >> (2 * p)) & 3
-            if state & 1:
-                arcs.append((u, v))
-            if state & 2:
-                arcs.append((v, u))
+        state = (mask >> (2 * p)) & 3
+        if state & 1:
+            arcs.append((u, v))
+        if state & 2:
+            arcs.append((v, u))
     return OrientedGraph(n, arcs, mode)
 
 
@@ -197,21 +191,21 @@ _BLOCK_CELLS = 1 << 18
 _PENALTY = 1024
 
 
-def _extend(frontier, att_mask, att_code, count_pats, forb_pats, last: bool, threads: int):
+def _extend(frontier, att_mask, count_pats, forb_pats, last: bool, threads: int):
     """Attach a new vertex to every frontier graph in every given way.
 
-    ``frontier`` is (masks, codes, counts) of the admissible graphs on the
-    earlier vertices; an attachment adds its arcs and its code.  A pattern
-    through the new vertex is completed exactly when the attachment holds
-    its arcs at the new vertex and the graph holds the rest, so each
-    distinct rest is tested once per graph.  One float32 product of
-    (attachments x rests) weights and (rests x graphs) presence then gives
-    every cell its new count, minus _PENALTY per completed forbidden
-    pattern; every term is an integer far below 2**24, so it is exact.
-    Returns the admissible extensions; with ``last``, only the largest
-    count and its smallest codes (a negative count if none is admissible).
+    ``frontier`` is (masks, counts) of the admissible graphs on the earlier
+    vertices; an attachment adds its arcs to the mask.  A pattern through
+    the new vertex is completed exactly when the attachment holds its arcs
+    at the new vertex and the graph holds the rest, so each distinct rest
+    is tested once per graph.  One float32 product of (attachments x rests)
+    weights and (rests x graphs) presence then gives every cell its new
+    count, minus _PENALTY per completed forbidden pattern; every term is an
+    integer far below 2**24, so it is exact.  Returns the admissible
+    extensions; with ``last``, only the largest count and its smallest
+    masks (a negative count if none is admissible).
     """
-    masks, codes, counts = frontier
+    masks, counts = frontier
     # per attachment and distinct rest: +1 for each count pattern that the
     # attachment activates, -_PENALTY for each forbidden one
     ats = np.concatenate([count_pats[0], forb_pats[0]])
@@ -228,11 +222,10 @@ def _extend(frontier, att_mask, att_code, count_pats, forb_pats, last: bool, thr
         score += counts[cols]
         if not last:
             r, c = np.nonzero(score >= 0)
-            return (masks[cols][c] | att_mask[r], codes[cols][c] + att_code[r],
-                    score[r, c].astype(np.int64))
+            return masks[cols][c] | att_mask[r], score[r, c].astype(np.int64)
         top = score.max()
         r, c = np.divmod(np.flatnonzero(score == top), score.shape[1])
-        hits = codes[cols][c] + att_code[r]
+        hits = masks[cols][c] | att_mask[r]
         hits = np.partition(hits, min(hits.size, MAX_WITNESSES) - 1)[:MAX_WITNESSES]
         return int(top), hits.tolist()
 
@@ -243,7 +236,7 @@ def _extend(frontier, att_mask, att_code, count_pats, forb_pats, last: bool, thr
         results = [block(cols) for cols in blocks]
     if last:
         best = max(top for top, _ in results)
-        return best, sorted(c for top, hits in results if top == best for c in hits)[:MAX_WITNESSES]
+        return best, sorted(m for top, hits in results if top == best for m in hits)[:MAX_WITNESSES]
     return tuple(np.concatenate(col) for col in zip(*results))
 
 
@@ -258,11 +251,12 @@ def exhaustive_extremal(n: int, k: int, forbidden, mode: str = ORIENTED,
     step testing only the patterns through the new vertex (see
     :func:`_extend`), and the graphs on all n vertices are only scored,
     never stored.  n <= 6, in both modes (3 states per pair, or 4 with
-    digons).  A graph's code has the pair states as digits (pair order of
-    ``combinations``); the witnesses are the graphs of the smallest codes
-    attaining the maximum, canonical-form deduplicated and re-verified
-    through the counting module.  ``threads`` maps each step's blocks of
-    frontier graphs over a thread pool; the result does not depend on it.
+    digons).  A graph's mask holds pair p's state in bits 2p and 2p + 1
+    (pair order of ``combinations``); the witnesses are the graphs of the
+    smallest masks attaining the maximum, canonical-form deduplicated and
+    re-verified through the counting module.  ``threads`` maps each step's
+    blocks of frontier graphs over a thread pool; the result does not
+    depend on it.
     """
     if n > 6:
         raise TooLargeError("exhaustive search supports n <= 6")
@@ -275,26 +269,23 @@ def exhaustive_extremal(n: int, k: int, forbidden, mode: str = ORIENTED,
     count_pats = _by_top_vertex(_cycle_arc_patterns(n, k) if k <= n else [], n, index)
     forb_pats = _by_top_vertex(_forbidden_patterns(n, forbidden), n, index)
 
-    # the empty graph on vertex 0; in both modes a pair's mask bits are its state
-    frontier = (np.zeros(1, np.uint64), np.zeros(1, np.int64), np.zeros(1, np.int64))
+    # the empty graph on vertex 0
+    frontier = (np.zeros(1, np.uint64), np.zeros(1, np.int64))
     for v in range(1, n):
-        # every state of the pairs (u, v), u < v, as digits of the code and
-        # as 2-bit fields of the mask
+        # every state of the pairs (u, v), u < v, as 2-bit fields of the mask
         states = np.arange(radix ** v)[:, None] // radix ** np.arange(v) % radix
         pos = np.array([index[u, v] for u in range(v)])
         att_mask = (states @ 4 ** pos).astype(np.uint64)
-        att_code = states @ radix ** pos
-        frontier = _extend(frontier, att_mask, att_code, count_pats[v], forb_pats[v],
-                           v == n - 1, threads)
+        frontier = _extend(frontier, att_mask, count_pats[v], forb_pats[v], v == n - 1, threads)
     # with one vertex or none, the empty graph is the only one
-    best, codes = frontier if n > 1 else (0, [0])
+    best, masks = frontier if n > 1 else (0, [0])
     if best < 0:
         raise SearchError("no admissible graph found (inconsistent forbidden set)")
 
     witnesses = []
     seen = set()
-    for code in codes:
-        g = _decode(code, pairs, mode, n)
+    for mask in masks:
+        g = _decode(mask, pairs, mode, n)
         key = canonical_arcs(g)
         if key in seen:
             continue

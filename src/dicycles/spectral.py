@@ -34,6 +34,8 @@ class PreconditionViolatedError(SpectralError):
 
 
 RESIDUAL_TOL = 1e-9
+# slack of both comparisons in positive_real_part_sum, for eigensolver rounding
+POSITIVE_SUM_TOL = 1e-8
 
 
 def complete_bipartite_sides(g: OrientedGraph) -> Optional[tuple[int, ...]]:
@@ -78,12 +80,11 @@ class Spectrum:
         return float(sum(self.symmetrized[: self.n // 2]))
 
 
-def spectrum(g: OrientedGraph, bipartition: Optional[int] = None) -> Spectrum:
+def spectrum(g: OrientedGraph) -> Spectrum:
     """Dense eigendecomposition with a residual check at 1e-9.
 
-    ``bipartition`` optionally declares that the first m vertices form one
-    side; otherwise the sides are inferred when the graph orients a
-    complete bipartite graph.
+    The bipartition sizes are those of :func:`complete_bipartite_sides`,
+    None unless the graph orients a complete bipartite graph.
     """
     n = g.n
     if n == 0:
@@ -101,16 +102,8 @@ def spectrum(g: OrientedGraph, bipartition: Optional[int] = None) -> Spectrum:
     values = values[order]
     sym = np.linalg.eigvalsh((m + m.T) / 2.0)[::-1]
 
-    sizes: Optional[tuple[int, int]] = None
-    if bipartition is not None:
-        if not 0 < bipartition < n:
-            raise NotCompleteBipartiteError("bipartition size out of range")
-        sizes = (bipartition, n - bipartition)
-    else:
-        sides = complete_bipartite_sides(g)
-        if sides is not None:
-            m0 = sides.count(0)
-            sizes = (m0, n - m0)
+    sides = complete_bipartite_sides(g)
+    sizes = None if sides is None else (n - sum(sides), sum(sides))
     return Spectrum(n, tuple(complex(z) for z in values),
                     tuple(float(x) for x in sym), sizes)
 
@@ -143,7 +136,7 @@ class PositiveSumReport:
         }
 
 
-def positive_real_part_sum(spec: Spectrum, tol: float = 1e-8) -> PositiveSumReport:
+def positive_real_part_sum(spec: Spectrum) -> PositiveSumReport:
     """Top-half real-part sum against both of its upper bounds.
 
     Checks the symmetric-part domination (sum of the largest real parts is
@@ -161,8 +154,8 @@ def positive_real_part_sum(spec: Spectrum, tol: float = 1e-8) -> PositiveSumRepo
         sum_real_parts=s,
         symmetrized_sum=sym,
         bound=bound,
-        within_bound=s <= bound + tol,
-        ky_fan_holds=s <= sym + tol,
+        within_bound=s <= bound + POSITIVE_SUM_TOL,
+        ky_fan_holds=s <= sym + POSITIVE_SUM_TOL,
     )
 
 

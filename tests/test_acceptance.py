@@ -6,14 +6,15 @@ with the headline numbers.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from dicycles import counting
-from dicycles.reproduce import REGISTRY, run
+from dicycles import counting, reproduce
+from dicycles.reproduce import BUDGETS, REGISTRY, run
 
 CRITERIA = [
-    "small_values",        # 1: exact small extremal values, each run <= 10 min
+    "small_values",        # 1: exact small extremal values, <= 10 min
     "counting_oracle",     # 2: 200 random graphs vs naive enumeration + spectrum
     "closed_forms",        # 3: construction counts == closed forms exactly
     "freeness",            # 4: forbidden-cycle sweeps for every construction
@@ -41,6 +42,27 @@ def test_criterion(name):
         summary = summary[:300] + "..."
     print(f"{status} {name} ({result.elapsed:.1f}s): {summary}")
     assert result.passed, f"criterion {name} failed: {result.details}"
+
+
+def test_budgets_are_the_stated_ones():
+    assert BUDGETS == {"small_values": 600, "spectral_bound": 120, "threshold": 300}
+
+
+def test_threshold_details_are_the_same_on_every_run():
+    # details hold no timing; the wrapper alone times a criterion
+    first, second = run("threshold"), run("threshold")
+    assert first.passed and second.passed
+    assert first.details == second.details
+    assert not {"seconds", "time_ok", "runtime"} & set(first.details)
+
+
+@pytest.mark.parametrize("seconds, passed", [(300.0, True), (300.5, False)])
+def test_a_criterion_over_its_budget_fails(monkeypatch, seconds, passed):
+    clock = iter([0.0, seconds])
+    monkeypatch.setattr(reproduce, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    result = run("threshold")
+    assert result.elapsed == seconds and result.passed is passed
+    assert result.details["c_ok"] and result.details["density_ok"]
 
 
 def test_path_bound_fails_on_samples_with_triangles(monkeypatch):

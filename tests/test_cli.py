@@ -78,6 +78,36 @@ def test_check_command_exit_codes(tmp_path, capsys):
     assert code == 1 and not payload["passed"]
 
 
+def test_check_forbid_tt3(tmp_path, capsys):
+    path = tmp_path / "tt3.graph"
+    path.write_text("3 3\n0 1\n1 2\n0 2\n")
+    code, payload, _ = run_cli(capsys, "check", "--in", str(path), "--forbid", "TT3,C3")
+    assert code == 1 and not payload["passed"]
+    assert payload["forbidden"] == {"TT3": {"subgraph": True},
+                                    "C3": {"subgraph": False, "closed_walk": False}}
+    path.write_text("3 3\n0 1\n1 2\n2 0\n")
+    code, payload, _ = run_cli(capsys, "check", "--in", str(path), "--forbid", "TT3")
+    assert code == 0 and payload["forbidden"] == {"TT3": {"subgraph": False}}
+
+
+def test_gen_seeded_and_estimated_constructions(capsys):
+    # a random orientation has no closed form, and the threshold family's
+    # closed form is a limit estimate, reported as a float with its kind
+    code, first, _ = run_cli(capsys, "gen", "--construction", "random_bipartite",
+                             "--n", "12", "--seed", "3")
+    assert code == 0 and first["n"] == 12 and first["arcs"] == 36
+    assert "closed_form_count" not in first and "closed_form_error" not in first
+    _, second, _ = run_cli(capsys, "gen", "--construction", "random_bipartite",
+                           "--n", "12", "--seed", "3")
+    assert first["graph"] == second["graph"] and first["manifest"]["seed"] == 3
+    code, payload, _ = run_cli(capsys, "gen", "--construction", "threshold_c7",
+                               "--n", "14", "--c", "0.67757")
+    assert code == 0
+    estimate = payload["closed_form_count"]
+    assert estimate["k"] == 5 and estimate["kind"] == "limit"
+    assert type(estimate["value"]) is float and estimate["value"] > 0
+
+
 def test_check_neighbor_condition(tmp_path, capsys):
     from dicycles.graphs import balanced_blow_up, directed_cycle, write_graph
 
@@ -99,6 +129,19 @@ def test_check_without_a_complete_check_is_a_usage_error(tmp_path, capsys, flags
     code, payload, err = run_cli(capsys, "check", "--in", str(path), *flags)
     assert code == 2 and payload is None
     assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("k", ["1", "0"])
+def test_clear_and_count_with_k_below_two_are_usage_errors(tmp_path, capsys, k):
+    # clear once deleted every arc and vertex at k = 1 and exited 0
+    path = tmp_path / "c3.graph"
+    path.write_text("3 3\n0 1\n1 2\n2 0\n")
+    for argv in (["clear", "--in", str(path), "--k", k, "--l", "6"],
+                 ["count", "--in", str(path), "--k", k]):
+        code, payload, err = run_cli(capsys, *argv)
+        assert code == 2 and payload is None
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "cycle length must be at least 2"}
 
 
 def test_clear_command(tmp_path, capsys):
@@ -134,6 +177,21 @@ def test_spectral_command(tmp_path, capsys):
     assert payload["cycle_bound"]["holds"]
 
 
+def test_spectral_bipartition_flag_is_a_usage_error(tmp_path, capsys):
+    # the sides are always inferred; a declared size went unchecked and
+    # judged bounds that do not apply
+    from dicycles.graphs import balanced_blow_up, directed_cycle, write_graph
+
+    path = tmp_path / "c3.graph"
+    path.write_text(write_graph(balanced_blow_up(directed_cycle(3), 9)))
+    code, payload, err = run_cli(capsys, "spectral", "--in", str(path), "--bipartition", "4")
+    assert code == 2 and payload is None
+    assert json.loads(err)["error"] == "usage"
+    code, payload, _ = run_cli(capsys, "spectral", "--in", str(path), "--k", "6")
+    assert code == 0 and payload["bipartition"] is None
+    assert "positive_sum" not in payload and "cycle_bound" not in payload
+
+
 def test_optimize_command(capsys):
     code, payload, _ = run_cli(capsys, "optimize", "--pattern", "hub:3")
     assert code == 0
@@ -141,6 +199,18 @@ def test_optimize_command(capsys):
     code, payload, _ = run_cli(capsys, "optimize", "--pattern", "cycle:4", "--k", "4")
     assert code == 0
     assert payload["value_as_rational"] == "1/256"
+
+
+def test_optimize_threshold_and_c5c7_commands(capsys):
+    code, payload, _ = run_cli(capsys, "optimize", "--pattern", "threshold",
+                               "--resolution", "32")
+    assert code == 0
+    assert payload["resolution"] == 32 and payload["evaluations"] > 9
+    assert abs(payload["c_star"] - 0.67757) <= 5e-3
+    code, payload, _ = run_cli(capsys, "optimize", "--pattern", "c5c7")
+    assert code == 0
+    assert max(abs(w - t) for w, t in zip(payload["weights"], (0.3, 0.3, 0.2, 0.2))) <= 1e-3
+    assert abs(payload["value"] - 27 / 50000) <= 1e-5
 
 
 def test_optimize_zero_density_is_json_error(capsys):

@@ -198,6 +198,18 @@ def test_clear_pendant_and_fixed_point():
     assert result.cleared.n == 0 and result.removed_arcs == 3
 
 
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_per_arc_counts_reject_k_below_two(k):
+    # as count_cycle_copies does; k = 1 once gave every arc multiplicity 0,
+    # so clear deleted the whole graph
+    g = balanced_blow_up(directed_cycle(3), 6)
+    for call in (lambda: count_cycle_copies(g, k), lambda: arc_cycle_multiplicities(g, k),
+                 lambda: vertex_cycle_counts(g, k), lambda: thick_arcs(g, k, 1),
+                 lambda: clear(g, k, 6)):
+        with pytest.raises(ValueError, match="cycle length must be at least 2"):
+            call()
+
+
 def test_clear_soundness_on_random_graphs():
     rng = random.Random(3)
     for _ in range(20):

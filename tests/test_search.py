@@ -103,20 +103,23 @@ def test_exhaustive_directed_mode_digons():
 
 
 def _flat_scan(n, k, forbidden, mode):
-    """Reference: every pair-state code at once, masked by the forbidden
-    patterns; returns the maximum and the arcs of the canonically distinct
-    graphs among its four smallest attaining codes."""
+    """Reference: every pair-state assignment at once, masked by the
+    forbidden patterns; returns the maximum and the arcs of the canonically
+    distinct graphs among its four smallest attaining masks."""
     pairs = list(combinations(range(n), 2))
     radix = 3 if mode == ORIENTED else 4
-    codes = np.arange(radix ** len(pairs), dtype=np.int64)
+    # each assignment once, as a base-radix numeral whose digits are the states
+    numerals = np.arange(radix ** len(pairs), dtype=np.int64)
+    masks = np.zeros(numerals.size, np.int64)
     arc = {}
     for p, (u, v) in enumerate(pairs):
-        state = codes // radix ** p % radix  # both modes: bit 0 is u -> v, bit 1 is v -> u
+        state = numerals // radix ** p % radix  # both modes: bit 0 is u -> v, bit 1 is v -> u
+        masks |= state << (2 * p)
         arc[u, v] = (state & 1).astype(bool)
         arc[v, u] = (state & 2).astype(bool)
 
     def matches(pats):
-        total = np.zeros(codes.size, np.int64)
+        total = np.zeros(numerals.size, np.int64)
         for pat in pats:
             total += np.logical_and.reduce([arc[a] for a in pat])
         return total
@@ -125,8 +128,8 @@ def _flat_scan(n, k, forbidden, mode):
     counts[matches(_forbidden_patterns(n, forbidden)) > 0] = -1
     best = int(counts.max())
     witnesses, seen = [], set()
-    for code in np.flatnonzero(counts == best)[:4]:
-        g = _decode(int(code), pairs, mode, n)
+    for mask in np.sort(masks[counts == best])[:4]:
+        g = _decode(int(mask), pairs, mode, n)
         key = canonical_arcs(g)
         if key not in seen:
             seen.add(key)
@@ -172,7 +175,7 @@ def test_exhaustive_pinned_witnesses_at_six():
 
 def test_exhaustive_digon_mode_at_six():
     # forbidding digons leaves the oriented C4-free problem; its first
-    # witness is the graph of code 89298580, as the full 4^15 scan found
+    # witness is the graph of mask 89298580, as the full 4^15 scan found
     record = exhaustive_extremal(6, 3, [2, 4], mode=DIRECTED)
     assert record.max_copies == 8 == ceil_cubic_value(6)
     assert sorted(record.witnesses[0].arcs) == _BIPARTITE_C3_BLOWUP
