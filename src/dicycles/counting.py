@@ -41,7 +41,9 @@ graphs, and graphs that fail the bound, use one bitset depth-first path
 counter with Python integers; only :func:`enumerate_cycles` materializes
 the cycles themselves.  Cycle copies try the trace first, then the twin
 classes, then the frontier, then the depth-first counter; paths and
-per-arc multiplicities start at the twin classes.
+per-arc multiplicities start at the twin classes.  Cycle existence takes
+the same ladder after its closed-walk filter, and the frontier and the
+depth-first counter stop at the first cycle.
 """
 
 from __future__ import annotations
@@ -186,9 +188,11 @@ def _merge(end, vis, mult, start, by_start: bool):
     return end[first], vis[first], np.add.reduceat(mult, first), start[first]
 
 
-def _frontier_count(g: OrientedGraph, arcs: int, last: Optional[np.ndarray]) -> int:
+def _frontier_count(g: OrientedGraph, arcs: int, last: Optional[np.ndarray],
+                    limit: Optional[int] = None) -> int:
     """Simple paths with ``arcs`` arcs from every start; with ``last``, only
-    canonical ones (interior above the start) ending in last[start]."""
+    canonical ones (interior above the start) ending in last[start].  With
+    ``limit`` the count may stop early once it reaches the limit."""
     out = _uint64(g.out_bits())
     total = 0
 
@@ -198,7 +202,7 @@ def _frontier_count(g: OrientedGraph, arcs: int, last: Optional[np.ndarray]) -> 
         if last is not None:
             ends &= last[start]
         total += int(np.bitwise_count(ends).astype(np.int64) @ mult)
-        return False
+        return limit is not None and total >= limit
 
     _frontier(g, arcs, close, canonical=last is not None)
     return total
@@ -353,17 +357,26 @@ def count_cycle_copies(g: OrientedGraph, k: int) -> int:
     if _walks_are_cycles(g, k):
         # each copy is then k closed walks, one per rotation
         return count_closed_walks(g, k) // k
+    return _path_cycles(g, k)
+
+
+def _path_cycles(g: OrientedGraph, k: int, limit: Optional[int] = None) -> int:
+    """k-cycle copies (3 <= k <= n) over the twin classes, else on the
+    frontier, else by the depth-first counter.  With ``limit`` the frontier
+    and the depth-first counter may stop once the count reaches it."""
     tw = _twins(g)
     if tw is not None:
         return sum(_twin_closings(tw, k).values()) // k
     inn = g.in_bits()
     if _frontier_ok(g, k - 1):
-        return _frontier_count(g, k - 1, _above(inn))
+        return _frontier_count(g, k - 1, _above(inn), limit)
     out = g.out_bits()
     total = 0
     for s in range(g.n):
         high = -1 << (s + 1)  # vertices strictly above the canonical start
-        total += _simple_paths(out, s, k - 1, high, inn[s] & high)
+        total += _simple_paths(out, s, k - 1, high, inn[s] & high, limit)
+        if limit is not None and total >= limit:
+            break
     return total
 
 
@@ -553,24 +566,15 @@ def has_cycle_subgraph(g: OrientedGraph, length: int) -> bool:
     """True iff a simple directed cycle of exactly ``length`` exists."""
     if length < 2:
         raise ValueError("cycle length must be at least 2")
-    n = g.n
-    if length > n:
+    if length > g.n:
         return False
     if length == 2:
         return count_digons(g) > 0
     # a closed walk is necessary for a cycle; this filter is cheap and
-    # settles most freeness sweeps without enumeration
+    # settles most freeness sweeps without counting
     if not has_closed_walk(g, length):
         return False
-    if _walks_are_cycles(g, length):
-        return True
-    out = g.out_bits()
-    inn = g.in_bits()
-    for s in range(n):
-        high = -1 << (s + 1)
-        if _simple_paths(out, s, length - 1, high, inn[s] & high, limit=1):
-            return True
-    return False
+    return _walks_are_cycles(g, length) or _path_cycles(g, length, limit=1) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -97,11 +97,6 @@ def hub_split_model(t: int) -> DensityModel:
     return DensityModel(3, {(1, 1): Fraction(t - 1)})
 
 
-def evaluate_density(model: DensityModel, weights) -> Fraction:
-    """Exact copy density at the given simplex weights."""
-    return model.value(weights)
-
-
 # ---------------------------------------------------------------------------
 # Simplex projection and weight optimization
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ class OrientedGraph:
     silently deduplicated.
     """
 
-    __slots__ = ("n", "arcs", "mode", "_out_bits", "_in_bits")
+    __slots__ = ("n", "arcs", "mode", "_out", "_in")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]], mode: str = ORIENTED):
         if mode not in (ORIENTED, DIRECTED):
@@ -67,20 +67,26 @@ class OrientedGraph:
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         arc_set = frozenset((int(u), int(v)) for u, v in arcs)
+        out, inn = [0] * n, [0] * n
         for u, v in arc_set:
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexRangeError(f"arc ({u}, {v}) outside [0, {n})")
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
         if mode == ORIENTED:
-            for u, v in arc_set:
-                if u < v and (v, u) in arc_set:
+            # bit v of out[u] & in[u] is set iff u -> v and v -> u
+            for u in range(n):
+                both = out[u] & inn[u]
+                if both:
+                    v = (both & -both).bit_length() - 1
                     raise DigonError(f"digon between {u} and {v} in oriented mode")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arc_set)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_out_bits", None)
-        object.__setattr__(self, "_in_bits", None)
+        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_in", inn)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrientedGraph is immutable")
@@ -99,22 +105,10 @@ class OrientedGraph:
 
     def out_bits(self) -> list[int]:
         """Out-neighborhoods as bitmasks (index v set in out_bits()[u] iff u->v)."""
-        cached = self._out_bits
-        if cached is None:
-            cached = [0] * self.n
-            for u, v in self.arcs:
-                cached[u] |= 1 << v
-            object.__setattr__(self, "_out_bits", cached)
-        return cached
+        return self._out
 
     def in_bits(self) -> list[int]:
-        cached = self._in_bits
-        if cached is None:
-            cached = [0] * self.n
-            for u, v in self.arcs:
-                cached[v] |= 1 << u
-            object.__setattr__(self, "_in_bits", cached)
-        return cached
+        return self._in
 
     def und_bits(self) -> list[int]:
         """Underlying-undirected neighborhoods as bitmasks."""

@@ -295,21 +295,5 @@ def _term_sum(terms, table) -> int:
     return total
 
 
-def monomial_ratio(monos: dict[tuple[int, ...], Fraction], weights) -> tuple[int, int]:
-    """:meth:`CompiledMonomials.ratio` of the polynomial."""
-    return CompiledMonomials(monos).ratio(weights)
-
-
-def monomial_gradient_ratio(monos: dict[tuple[int, ...], Fraction],
-                            weights) -> tuple[list[int], int]:
-    """:meth:`CompiledMonomials.gradient_ratio` of the polynomial."""
-    return CompiledMonomials(monos).gradient_ratio(weights)
-
-
 def evaluate_monomials(monos: dict[tuple[int, ...], Fraction], weights) -> Fraction:
-    return Fraction(*monomial_ratio(monos, weights))
-
-
-def monomial_gradient(monos: dict[tuple[int, ...], Fraction], weights) -> list[Fraction]:
-    grad, denom = monomial_gradient_ratio(monos, weights)
-    return [Fraction(g, denom) for g in grad]
+    return Fraction(*CompiledMonomials(monos).ratio(weights))

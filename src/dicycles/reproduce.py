@@ -116,7 +116,8 @@ def _naive_cycle_count(g: OrientedGraph, k: int) -> int:
 
 @_timed
 def run_counting_oracle():
-    """DFS counters against naive sequence enumeration and the spectrum."""
+    """Cycle copies (the trace and the frontier at these n <= 8) against
+    naive sequence enumeration, and closed walks against the spectrum."""
     rng = random.Random(20240531)
     graphs = 0
     checks = 0
@@ -196,6 +197,18 @@ def run_closed_forms():
 # -- 4 ---------------------------------------------------------------------
 
 
+# (details key, construction, forbidden cycle length, sizes n) of each
+# construction certified free of its cycle
+_FREENESS_SWEEPS = (
+    ("c5c7_no_C7", ConstructionId("c5c7_bipartite_blobs"), 7, range(8, 41)),
+    ("threshold_no_C4", ConstructionId("threshold_c7", c=C_STAR), 4, range(7, 211)),
+    ("c5c3_no_C3", ConstructionId("c5c3_tournament_blobs"), 3, range(4, 61)),
+    ("c3c6_no_C6", ConstructionId("c3c6_sparse"), 6, range(3, 61)),
+    # the known-regime table's (4, 3) entry rests on this
+    ("iterated_c4_no_C3", ConstructionId("iterated_c4"), 3, range(4, 201)),
+)
+
+
 @_timed
 def run_freeness():
     passed = True
@@ -211,32 +224,10 @@ def run_freeness():
     details["cycle_blowup_walks"] = "ok" if not bad else f"violations {bad[:5]}"
     passed = passed and not bad
 
-    bad = [n for n in range(8, 41)
-           if counting.has_cycle_subgraph(generate(ConstructionId("c5c7_bipartite_blobs"), n), 7)]
-    details["c5c7_no_C7"] = "ok" if not bad else f"C7 at n={bad}"
-    passed = passed and not bad
-
-    cid = ConstructionId("threshold_c7", c=C_STAR)
-    bad = [n for n in range(7, 211)
-           if counting.has_cycle_subgraph(generate(cid, n), 4)]
-    details["threshold_no_C4"] = "ok" if not bad else f"C4 at n={bad[:5]}"
-    passed = passed and not bad
-
-    bad = [n for n in range(4, 61)
-           if counting.has_cycle_subgraph(generate(ConstructionId("c5c3_tournament_blobs"), n), 3)]
-    details["c5c3_no_C3"] = "ok" if not bad else f"C3 at n={bad[:5]}"
-    passed = passed and not bad
-
-    bad = [n for n in range(3, 61)
-           if counting.has_cycle_subgraph(generate(ConstructionId("c3c6_sparse"), n), 6)]
-    details["c3c6_no_C6"] = "ok" if not bad else f"C6 at n={bad[:5]}"
-    passed = passed and not bad
-
-    # the known-regime table's (4, 3) entry rests on this
-    bad = [n for n in range(4, 201)
-           if counting.has_cycle_subgraph(generate(ConstructionId("iterated_c4"), n), 3)]
-    details["iterated_c4_no_C3"] = "ok" if not bad else f"C3 at n={bad[:5]}"
-    passed = passed and not bad
+    for key, cid, ell, sizes in _FREENESS_SWEEPS:
+        bad = [n for n in sizes if counting.has_cycle_subgraph(generate(cid, n), ell)]
+        details[key] = "ok" if not bad else f"C{ell} at n={bad[:5]}"
+        passed = passed and not bad
     return passed, details
 
 

@@ -65,6 +65,20 @@ def test_a_criterion_over_its_budget_fails(monkeypatch, seconds, passed):
     assert result.details["c_ok"] and result.details["density_ok"]
 
 
+def test_freeness_failures_name_the_first_five_sizes(monkeypatch):
+    monkeypatch.setattr(counting, "has_cycle_subgraph", lambda g, length: True)
+    result = run("freeness")
+    assert not result.passed
+    assert result.details == {
+        "cycle_blowup_walks": "ok",
+        "c5c7_no_C7": "C7 at n=[8, 9, 10, 11, 12]",
+        "threshold_no_C4": "C4 at n=[7, 8, 9, 10, 11]",
+        "c5c3_no_C3": "C3 at n=[4, 5, 6, 7, 8]",
+        "c3c6_no_C6": "C6 at n=[3, 4, 5, 6, 7]",
+        "iterated_c4_no_C3": "C3 at n=[4, 5, 6, 7, 8]",
+    }
+
+
 def test_path_bound_fails_on_samples_with_triangles(monkeypatch):
     # the triangle-freeness hypothesis is checked explicitly, so it also
     # holds under python -O: a sample with a triangle fails the criterion

@@ -1,5 +1,6 @@
 """Counting operations: copies, walks, paths, clearing, neighbor condition."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -27,7 +28,7 @@ from dicycles.counting import (
     thick_arcs,
     vertex_cycle_counts,
 )
-from dicycles.constructions import ConstructionId, closed_form_count, generate
+from dicycles.constructions import ConstructionId, TooSmallError, closed_form_count, generate
 from dicycles.graphs import (
     DIRECTED,
     ORIENTED,
@@ -111,12 +112,50 @@ def test_has_cycle_subgraph():
     assert not has_cycle_subgraph(OrientedGraph(5, []), 3)
 
 
+# one or two parameter choices of every construction kind
+CONSTRUCTION_IDS = [
+    ConstructionId("balanced_cycle_blowup", d=3),
+    ConstructionId("balanced_cycle_blowup", d=5),
+    ConstructionId("sparse_singleton_blowup", k=4),
+    ConstructionId("sparse_singleton_blowup", k=6),
+    ConstructionId("iterated_c4"),
+    ConstructionId("c5c3_tournament_blobs"),
+    ConstructionId("c5c7_bipartite_blobs"),
+    ConstructionId("c5c7_bipartite_blobs", variant="opposite"),
+    ConstructionId("c3c6_sparse"),
+    ConstructionId("c7_chords_blowup"),
+    ConstructionId("threshold_c7", c=0.3),
+    ConstructionId("threshold_c7", c=0.7),
+    ConstructionId("random_bipartite"),
+    ConstructionId("complete_bipartite_digraph"),
+    ConstructionId("c3_3t_sparse", t=2),
+    ConstructionId("c3_3t_sparse", t=3),
+]
+
+
+def constructions_at(sizes):
+    for cid in CONSTRUCTION_IDS:
+        for n in sizes:
+            try:
+                yield cid.label(), generate(cid, n, seed=n)
+            except TooSmallError:
+                pass
+
+
+def assert_existence_matches_copies(g):
+    for ell in range(2, g.n + 1):
+        assert has_cycle_subgraph(g, ell) == (count_cycle_copies(g, ell) > 0), (g.arcs, ell)
+
+
 def test_has_cycle_subgraph_matches_enumeration():
     rng = random.Random(31)
-    for _ in range(40):
-        g = random_oriented(rng, rng.randint(3, 7), 0.5)
-        for ell in range(3, g.n + 1):
-            assert has_cycle_subgraph(g, ell) == (naive_count(g, ell) > 0)
+    graphs = [random_oriented(rng, rng.randint(3, 7), 0.5) for _ in range(40)]
+    graphs += [g for _, g in constructions_at(range(2, 13))]
+    for g in graphs:
+        if g.n <= 7:
+            for ell in range(3, g.n + 1):
+                assert has_cycle_subgraph(g, ell) == (naive_count(g, ell) > 0)
+        assert_existence_matches_copies(g)
 
 
 def test_has_cycle_subgraph_directed_c4_with_digons():
@@ -481,13 +520,16 @@ def test_more_than_64_vertices_use_the_dfs():
     assert_valid_witness(g, 3, report)
 
 
-def test_more_than_64_vertices_without_twins_use_the_dfs(monkeypatch):
+def twin_free_65():
     # a random 60-vertex graph and 5 isolated vertices: too few twins for
     # the twin route and too many vertices for the frontier, so the DFS
     # counts, and the isolated vertices change no count of the 60-vertex part
-    rng = random.Random(65)
-    core = random_oriented(rng, 60, 0.1)
-    g = OrientedGraph(65, core.arcs)
+    core = random_oriented(random.Random(65), 60, 0.1)
+    return core, OrientedGraph(65, core.arcs)
+
+
+def test_more_than_64_vertices_without_twins_use_the_dfs(monkeypatch):
+    core, g = twin_free_65()
     assert counting._twins(g) is None and not counting._frontier_ok(g, 2)
     calls = spy(monkeypatch, "_simple_paths")
     for order in (3, 5):
@@ -545,6 +587,7 @@ def test_trace_route_matches_dfs(g):
             assert k >= 6  # some closed 3-walk is needed to decline
         assert count_cycle_copies(g, k) == cycles
         assert has_cycle_subgraph(g, k) == (cycles > 0)
+    assert_existence_matches_copies(g)
 
 
 @settings(max_examples=40)
@@ -781,3 +824,83 @@ def test_walks_are_cycles_stops_at_the_first_short_closed_walk(monkeypatch):
     calls = spy(monkeypatch, "_product")
     assert not counting._walks_are_cycles(balanced_blow_up(directed_cycle(3), 9), 8)
     assert calls["_product"] == 2
+
+
+# ---------------------------------------------------------------------------
+# Cycle existence on the copy counters' ladder
+# ---------------------------------------------------------------------------
+
+
+def test_long_cycle_check_on_a_blow_up_takes_no_dfs(monkeypatch):
+    # the twin counters answer; the depth-first counter took 28 s here
+    def dfs(*args, **kwargs):
+        raise AssertionError("the depth-first counter ran")
+
+    monkeypatch.setattr(counting, "_simple_paths", dfs)
+    assert not has_cycle_subgraph(generate(ConstructionId("c3_3t_sparse", t=4), 40), 12)
+
+
+def count_closings(monkeypatch):
+    # record the calls of the close hook that every frontier run is given
+    calls = {"close": 0}
+    frontier = counting._frontier
+
+    def wrapper(g, arcs, close, **kwargs):
+        def counted(*args):
+            calls["close"] += 1
+            return close(*args)
+        return frontier(g, arcs, counted, **kwargs)
+
+    monkeypatch.setattr(counting, "_frontier", wrapper)
+    return calls
+
+
+def test_existence_stops_the_frontier_at_the_first_cycle(monkeypatch):
+    # twin-free, with closed 3-walks, so neither the twin counters nor the
+    # trace answer, and with 29,937 8-cycles spread over many chunks
+    g = random_oriented(random.Random(24), 24, 0.5)
+    assert counting._twins(g) is None and not counting._walks_are_cycles(g, 8)
+    calls = count_closings(monkeypatch)
+    assert counting._path_cycles(g, 8) == 29_937
+    full, calls["close"] = calls["close"], 0
+    assert has_cycle_subgraph(g, 8)
+    assert calls["close"] < full
+
+
+def test_existence_stops_the_dfs_between_starts(monkeypatch):
+    _, g = twin_free_65()
+    assert not counting._walks_are_cycles(g, 6)
+    calls = spy(monkeypatch, "_simple_paths")
+    assert has_cycle_subgraph(g, 6)
+    assert 0 < calls["_simple_paths"] < 65
+
+
+def grid_graphs():
+    yield from constructions_at((5, 9, 14, 20, 30))
+    rng = random.Random(2026)
+    for i in range(200):
+        n = rng.randint(3, 12)
+        directed = i % 2 == 1
+        p = rng.choice((0.2, 0.35, 0.5, 0.7))
+        arcs = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                r = rng.random()
+                if r < p / 2:
+                    arcs.append((u, v))
+                elif r < p:
+                    arcs.append((v, u))
+                if directed and rng.random() < p / 4:
+                    arcs += [(u, v), (v, u)]
+        yield "random", OrientedGraph(n, arcs, DIRECTED if directed else ORIENTED)
+
+
+def test_has_cycle_subgraph_is_pinned_on_the_grid():
+    # 76 construction graphs (n = 5-30) and 200 random oriented and
+    # digon-mode graphs (n = 3-12), each asked for every length 2-12; the
+    # digest was recorded with the former canonical-start depth-first check
+    rows = [[label, g.n, g.mode, sorted(g.arcs), [has_cycle_subgraph(g, ell) for ell in range(2, 13)]]
+            for label, g in grid_graphs()]
+    assert len(rows) == 276 and sum(sum(flags) for *_, flags in rows) == 976
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "c7dbdd699842e0c73a45a7f85a3ecfaf0c1fa7f622ceea86fa86abf64215dac5"

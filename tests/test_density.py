@@ -25,7 +25,6 @@ from dicycles.density import (
     _forward_cell_integrals,
     _project,
     density_model,
-    evaluate_density,
     hub_split_model,
     mc_threshold_density,
     optimize_threshold,
@@ -49,9 +48,6 @@ from dicycles.pattern_walks import (
     CompiledMonomials,
     density_monomials,
     evaluate_monomials,
-    monomial_gradient,
-    monomial_gradient_ratio,
-    monomial_ratio,
     pattern_cycle_count,
     step_table,
 )
@@ -122,13 +118,18 @@ def _random_simplex_points(rng, p):
     return points
 
 
+def exact_gradient(monos, w):
+    nums, den = CompiledMonomials(monos).gradient_ratio(w)
+    return [Fraction(g, den) for g in nums]
+
+
 def test_integer_evaluator_matches_fraction_oracle():
     rng = random.Random(20261018)
     for name, monos in _evaluator_models():
         p = len(next(iter(monos))) if monos else 2
         for w in _random_simplex_points(rng, p) + [[Fraction(1, p)] * p]:
             assert evaluate_monomials(monos, w) == reference_evaluate(monos, w), name
-            assert monomial_gradient(monos, w) == reference_gradient(monos, w), name
+            assert exact_gradient(monos, w) == reference_gradient(monos, w), name
 
 
 def test_integer_division_is_float_of_fraction_bit_for_bit():
@@ -140,9 +141,9 @@ def test_integer_division_is_float_of_fraction_bit_for_bit():
             continue
         p = len(next(iter(monos)))
         for w in _random_simplex_points(rng, p):
-            num, den = monomial_ratio(monos, w)
+            num, den = CompiledMonomials(monos).ratio(w)
             assert (num / den).hex() == float(reference_evaluate(monos, w)).hex(), name
-            nums, den = monomial_gradient_ratio(monos, w)
+            nums, den = CompiledMonomials(monos).gradient_ratio(w)
             assert [(g / den).hex() for g in nums] == \
                 [float(g).hex() for g in reference_gradient(monos, w)], name
 
@@ -304,25 +305,25 @@ def test_optimize_weights_pinned(name):
 
 def test_exact_density_values():
     model = density_model(uniform_pattern(directed_cycle(5)), 5)
-    assert evaluate_density(model, [Fraction(1, 5)] * 5) == Fraction(1, 5) ** 5
+    assert model.value([Fraction(1, 5)] * 5) == Fraction(1, 5) ** 5
 
     model = density_model(c5c7_pattern(), 5)
     w = (Fraction(3, 10), Fraction(3, 10), Fraction(1, 5), Fraction(1, 5))
-    assert evaluate_density(model, w) == Fraction(27, 50000)
+    assert model.value(w) == Fraction(27, 50000)
 
     model = density_model(c5c3_pattern(), 5)
-    assert evaluate_density(model, [Fraction(1, 4)] * 4) == Fraction(1, 512)
+    assert model.value([Fraction(1, 4)] * 4) == Fraction(1, 512)
 
     model = density_model(c7_chords_pattern(), 5)
-    assert evaluate_density(model, [Fraction(1, 7)] * 7) == Fraction(7, 7 ** 5)
+    assert model.value([Fraction(1, 7)] * 7) == Fraction(7, 7 ** 5)
 
 
 def test_weights_off_simplex_rejected():
     model = density_model(uniform_pattern(directed_cycle(3)), 3)
     with pytest.raises(WeightsOffSimplexError):
-        evaluate_density(model, [0.5, 0.5, 0.5])
+        model.value([0.5, 0.5, 0.5])
     with pytest.raises(WeightsOffSimplexError):
-        evaluate_density(model, [1.5, -0.25, -0.25])
+        model.value([1.5, -0.25, -0.25])
 
 
 def test_density_invariant_under_base_automorphism():
@@ -336,7 +337,7 @@ def test_density_invariant_under_base_automorphism():
         w = [Fraction(x / total).limit_denominator(10 ** 6) for x in draws]
         w[0] += 1 - sum(w)
         rotated = w[1:] + w[:1]  # rotation is an automorphism of both bases
-        assert evaluate_density(model, w) == evaluate_density(model, rotated)
+        assert model.value(w) == model.value(rotated)
 
 
 def test_finite_counts_approach_density():
@@ -350,7 +351,7 @@ def test_finite_counts_approach_density():
     ]
     for cid, pattern, weights, k in cases:
         model = density_model(pattern, k)
-        dens = float(evaluate_density(model, weights))
+        dens = float(model.value(weights))
         errors = {}
         for n in (40, 80, 160):
             count = closed_form_count(cid, n, k)
@@ -393,7 +394,7 @@ def test_gradient_matches_finite_differences():
         for _ in range(34):
             draws = np.array([rng.random() + 0.05 for _ in range(p)])
             w = draws / draws.sum()
-            grad = np.array([float(x) for x in monomial_gradient(model.monomials, w)])
+            grad = np.array([float(x) for x in exact_gradient(model.monomials, w)])
             h = 1e-6
             for i in range(p - 1):
                 # tangent direction keeping the simplex constraint
@@ -583,7 +584,7 @@ def test_quadrature_matches_walk_expansion_on_full_arc_patterns(name, k):
     skewed = [Fraction(b + 1) for b in range(pattern.p)]
     skewed = [w / sum(skewed) for w in skewed]
     for weights in (pattern.blob_weights, tuple(skewed)):
-        exact = float(evaluate_density(density_model(pattern, k), weights))
+        exact = float(density_model(pattern, k).value(weights))
         assert exact > 0
         for c in (0.0, 0.3, 1.0):
             dens = threshold_density(c, k=k, resolution=8, pattern=pattern, weights=weights)

@@ -45,6 +45,15 @@ def test_new_graph_triangle():
 def test_new_graph_rejects_digon_in_oriented_mode():
     with pytest.raises(DigonError):
         new_graph(2, [(0, 1), (1, 0)], ORIENTED)
+    with pytest.raises(DigonError, match="between 1 and 3"):
+        new_graph(5, [(0, 2), (3, 1), (4, 3), (1, 3), (3, 4)], ORIENTED)
+
+
+def test_neighbourhood_masks_are_built_with_the_graph():
+    g = new_graph(4, [(0, 1), (2, 1), (3, 0), (1, 3)], ORIENTED)
+    assert g.out_bits() == [0b0010, 0b1000, 0b0010, 0b0001]
+    assert g.in_bits() == [0b1000, 0b0101, 0b0000, 0b0010]
+    assert new_graph(0, []).out_bits() == []
 
 
 def test_new_graph_digon_ok_in_directed_mode():
@@ -57,6 +66,8 @@ def test_new_graph_rejects_self_loop_and_range():
         new_graph(3, [(1, 1)])
     with pytest.raises(VertexRangeError):
         new_graph(3, [(0, 3)])
+    with pytest.raises(VertexRangeError):
+        new_graph(3, [(-1, 2)])
 
 
 def test_new_graph_deduplicates():
