@@ -26,7 +26,6 @@ from .counting import (
     count_closed_walks,
     count_cycle_copies,
     count_paths,
-    cycle_type,
     has_closed_walk,
     has_cycle_subgraph,
     vertex_cycle_counts,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .counting import has_closed_walk, has_cycle_subgraph
 from .graphs import (
     DIRECTED,
     ONE_WAY_BIPARTITE,
@@ -299,38 +298,3 @@ def closed_form_count(cid: ConstructionId, n: int, k: int):
         return Estimate(value, "limit", "quadrature limit density times n^k")
     pattern, sizes = _pattern_and_sizes(cid, n)
     return pattern_cycle_count(pattern, sizes, k)
-
-
-@dataclass(frozen=True)
-class FreenessReport:
-    construction: str
-    n: int
-    rows: dict[int, dict]
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "construction": self.construction,
-            "n": self.n,
-            "rows": {str(ell): row for ell, row in sorted(self.rows.items())},
-            "passed": self.passed,
-        }
-
-
-def verify_freeness(cid: ConstructionId, n: int, forbidden: list[int],
-                    seed: Optional[int] = None) -> FreenessReport:
-    """Check the generated graph against a list of forbidden cycle lengths.
-
-    For each length both the subgraph test and the closed-walk test are
-    reported; the construction passes when no forbidden cycle occurs as a
-    subgraph (closed walks of that length may still exist).
-    """
-    g = generate(cid, n, seed=seed)
-    rows = {}
-    ok = True
-    for ell in forbidden:
-        sub = has_cycle_subgraph(g, ell)
-        walk = has_closed_walk(g, ell)
-        rows[ell] = {"subgraph": sub, "closed_walk": walk}
-        ok = ok and not sub
-    return FreenessReport(cid.label(), n, rows, ok)

@@ -2,8 +2,8 @@
 
 Copy counts of directed k-cycles, closed-walk counts (adjacency-matrix
 traces), simple-path counts, per-arc and per-vertex cycle statistics,
-iterative clearing, the cycle neighbor condition, and cycle-type.
-Everything here is exact.
+iterative clearing and the cycle neighbor condition.  Everything here is
+exact.
 
 Closed walks are counted as tr(M^length) of the numpy adjacency matrix.
 The dtype comes from a bound the code proves: n * maxoutdeg**(length-1)
@@ -48,7 +48,6 @@ depth-first counter stop at the first cycle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import islice
 from operator import mul
@@ -444,16 +443,6 @@ def arc_cycle_multiplicities(g: OrientedGraph, k: int) -> dict[tuple[int, int], 
     return mult
 
 
-def thick_arcs(g: OrientedGraph, k: int, threshold: int) -> set[tuple[int, int]]:
-    """Arcs on at least ``threshold`` copies of the k-cycle.
-
-    The complementary arcs (on >= 1 but < threshold copies) are the thin
-    ones; the threshold is a caller-chosen scaling parameter.
-    """
-    mult = arc_cycle_multiplicities(g, k)
-    return {arc for arc, m in mult.items() if m >= threshold}
-
-
 # ---------------------------------------------------------------------------
 # Closed walks (homomorphic images of cycles): exact adjacency traces
 # ---------------------------------------------------------------------------
@@ -620,10 +609,6 @@ class ClearingResult:
     is_fixed_point: bool
     ell_walk_free: bool
 
-    @property
-    def is_cleared(self) -> bool:
-        return self.ell_walk_free
-
 
 def clear(g: OrientedGraph, k: int, ell: int) -> ClearingResult:
     """Delete arcs and vertices on no k-cycle.
@@ -728,31 +713,6 @@ def _neighbor_violation(g: OrientedGraph, k: int, limit: int) -> Optional[tuple[
 
 
 # ---------------------------------------------------------------------------
-# Cycle-type
-# ---------------------------------------------------------------------------
-
-_FORWARD = {"f", "forward"}
-_BACKWARD = {"b", "backward"}
-
-
-def cycle_type(orientation) -> int:
-    """|#forward - #backward| over an arc-orientation sequence of a cycle."""
-    seq = list(orientation)
-    if len(seq) < 3:
-        raise ValueError("a cycle has at least 3 arcs")
-    fwd = bwd = 0
-    for item in seq:
-        token = str(item).lower()
-        if token in _FORWARD:
-            fwd += 1
-        elif token in _BACKWARD:
-            bwd += 1
-        else:
-            raise ValueError(f"orientation entries must be forward/backward, got {item!r}")
-    return abs(fwd - bwd)
-
-
-# ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
 
@@ -767,9 +727,6 @@ class CountReport:
     paths: Optional[dict[int, int]] = None
     per_arc: Optional[dict[tuple[int, int], int]] = None
     per_vertex: Optional[dict[int, int]] = None
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_dict(self) -> dict:
         # big integers as decimal strings so downstream JSON parsers never

@@ -127,11 +127,6 @@ def _project(v: list[float]) -> list[float]:
     raise DensityError(f"cannot project {v} onto the simplex")
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based)."""
-    return np.array(_project(np.asarray(v, dtype=float).tolist()))
-
-
 @dataclass(frozen=True)
 class WeightsResult:
     weights: tuple[float, ...]

@@ -115,10 +115,6 @@ class OrientedGraph:
         out, inn = self.out_bits(), self.in_bits()
         return [out[v] | inn[v] for v in range(self.n)]
 
-    def relabel(self, perm: Sequence[int]) -> "OrientedGraph":
-        """Image under the vertex permutation v -> perm[v]."""
-        return OrientedGraph(self.n, [(perm[u], perm[v]) for u, v in self.arcs], self.mode)
-
     def subgraph(self, keep: Sequence[int]) -> "OrientedGraph":
         """Induced subgraph on ``keep``, relabeled to 0..len(keep)-1 in order."""
         keep = list(keep)
@@ -160,10 +156,6 @@ def canonical_arcs(g: OrientedGraph) -> tuple[tuple[int, int], ...]:
         if best is None or cand < best:
             best = cand
     return best if best is not None else ()
-
-
-def are_isomorphic(a: OrientedGraph, b: OrientedGraph) -> bool:
-    return a.n == b.n and a.mode == b.mode and canonical_arcs(a) == canonical_arcs(b)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice, permutations
 
 from . import counting, density, numtheory, search, spectral
 from .constructions import (
@@ -31,7 +31,6 @@ from .graphs import (
     random_bipartite_orientation,
     uniform_pattern,
 )
-from .numtheory import ceil_cubic_value
 from .pattern_walks import density_monomials, evaluate_monomials
 
 
@@ -80,9 +79,10 @@ def run_small_values():
     details = {}
     passed = True
     for forb in ([4], [5], ["TT3"]):
+        predict = search.finite_prediction(3, forb)
         for n in range(3, 7):
             record = search.exhaustive_extremal(n, 3, forb)
-            want = ceil_cubic_value(n)
+            want = predict(n)
             ok = record.max_copies == want == expected[n]
             passed = passed and ok
             details[f"forbid={forb} n={n}"] = {
@@ -105,13 +105,16 @@ def _random_oriented(rng: random.Random, n: int, arc_prob: float) -> OrientedGra
     return OrientedGraph(n, arcs)
 
 
-def _naive_cycle_count(g: OrientedGraph, k: int) -> int:
+def _cyclic_sequences(n: int, k: int) -> list[tuple[tuple[int, int], ...]]:
+    """Each directed k-cycle on [0, n) once, as the arcs of its vertex
+    sequence that starts at the least vertex."""
+    return [tuple(zip(seq, seq[1:] + seq[:1]))
+            for seq in permutations(range(n), k) if seq[0] == min(seq)]
+
+
+def _naive_cycle_count(g: OrientedGraph, cycles: list[tuple[tuple[int, int], ...]]) -> int:
     """Independent oracle: test every cyclic vertex sequence explicitly."""
-    total = 0
-    for pattern in search._cycle_arc_patterns(g.n, k):
-        if all(a in g.arcs for a in pattern):
-            total += 1
-    return total
+    return sum(all(a in g.arcs for a in cycle) for cycle in cycles)
 
 
 @_timed
@@ -123,12 +126,15 @@ def run_counting_oracle():
     checks = 0
     passed = True
     details = {}
+    cycles = {}  # (n, k) -> _cyclic_sequences(n, k), built once
     while graphs < 200:
         n = rng.randint(3, 8)
         g = _random_oriented(rng, n, rng.choice([0.3, 0.6, 0.9]))
         graphs += 1
         for k in range(3, n + 1):
-            if counting.count_cycle_copies(g, k) != _naive_cycle_count(g, k):
+            if (n, k) not in cycles:
+                cycles[n, k] = _cyclic_sequences(n, k)
+            if counting.count_cycle_copies(g, k) != _naive_cycle_count(g, cycles[n, k]):
                 passed = False
                 details["copy_mismatch"] = f"n={n} k={k}"
             checks += 1

@@ -27,7 +27,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -500,24 +500,8 @@ def local_search_extremal(n: int, k: int, forbidden, budget: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Formula verification
+# Known finite-n values
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VerifyRow:
-    n: int
-    search_value: int
-    predicted: Optional[int]
-    match: Optional[bool]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "search_value": str(self.search_value),
-            "predicted": str(self.predicted) if self.predicted is not None else None,
-            "match": self.match,
-        }
 
 
 def finite_prediction(k: int, forbidden) -> Optional[callable]:
@@ -528,16 +512,3 @@ def finite_prediction(k: int, forbidden) -> Optional[callable]:
     if k == 4 and forb == (3,):
         return lambda n: iterated_blowup_cycle_count(4, n)
     return None
-
-
-def verify_formula(k: int, forbidden, n_range: Sequence[int],
-                   mode: str = ORIENTED, threads: int = 1) -> list[VerifyRow]:
-    """Exhaustive values against the known finite-n prediction per n."""
-    predictor = finite_prediction(k, forbidden)
-    rows = []
-    for n in n_range:
-        record = exhaustive_extremal(n, k, forbidden, mode, threads=threads)
-        predicted = predictor(n) if predictor is not None else None
-        match = (record.max_copies == predicted) if predicted is not None else None
-        rows.append(VerifyRow(n, record.max_copies, predicted, match))
-    return rows

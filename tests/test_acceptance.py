@@ -5,6 +5,7 @@ code path as ``dicycles reproduce <target>``) and prints a PASS/FAIL line
 with the headline numbers.
 """
 
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -29,6 +30,25 @@ CRITERIA = [
 ]
 
 
+# sha256 of json.dumps(details, sort_keys=True) per criterion: the output
+# contract.  A change that moves a digest states the new one and the fields
+# that changed.
+DETAILS_SHA256 = {
+    "small_values": "dae065343e0f69663709668fecb6bfcd06865067293cb30a07f19b08e8f60c04",
+    "counting_oracle": "4e05510405acf2d0defd1d98fd3b5a966bb7c05667457cd6f8bf9fadb5ef9d6d",
+    "closed_forms": "bc09b83bfb73bf4235bd92ebe1eeeb4610cae0f4069101a0ab9176bf8db379c5",
+    "freeness": "c9b90e686982e28a39f394cb69c222a0b47cef5de563480cce5e355bf99ff8dd",
+    "spectral_bound": "460ba1c89d822df8f7691294108da46413cfbb66db728aadf8c623f1a70fce1c",
+    "frobenius": "ec38cd00fb1f4bbd35264045d4cbac042d5e2835200e1ae8ee6f157aee1835af",
+    "c5c7": "ec6e6be44fc9434f639be74d426bb64ffa709b36c0bbecf12e53cc9c2422f694",
+    "threshold": "9c6fb4e7a94ab765743241b4c1a68cd46478cf9a5102490318750461d6535651",
+    "neighbor_condition": "be9a450f7b556ec96e739e71bbcfcc442f764340d194c6c868a8182fdc0e513f",
+    "path_bound": "4744c7482e2d1209774d89de28ee09e15aa6b3a557f3efbfea1a80f8f456903b",
+    "iterated_c4": "6c893566e45d3e8c714b05d5535878ec542d341307a95de702228518f86f8b10",
+    "directed_mode": "a1aca71a3560385d902f7a63eb21ceef3212cc2ee722bd08cb75baaf9007ad90",
+}
+
+
 def test_registry_matches_criteria_list():
     assert sorted(REGISTRY) == sorted(CRITERIA)
 
@@ -42,6 +62,8 @@ def test_criterion(name):
         summary = summary[:300] + "..."
     print(f"{status} {name} ({result.elapsed:.1f}s): {summary}")
     assert result.passed, f"criterion {name} failed: {result.details}"
+    digest = hashlib.sha256(json.dumps(result.details, sort_keys=True).encode()).hexdigest()
+    assert digest == DETAILS_SHA256[name], f"criterion {name} details moved: {result.details}"
 
 
 def test_budgets_are_the_stated_ones():

@@ -90,6 +90,33 @@ def test_check_forbid_tt3(tmp_path, capsys):
     assert code == 0 and payload["forbidden"] == {"TT3": {"subgraph": False}}
 
 
+def test_freeness_reports(tmp_path, capsys):
+    # each construction goes through gen, then check --forbid reports both
+    # the subgraph and the closed-walk test per forbidden length
+    def check(gen_args, forbid):
+        path = tmp_path / "g.graph"
+        code, _, _ = run_cli(capsys, "gen", *gen_args, "-o", str(path))
+        assert code == 0
+        return run_cli(capsys, "check", "--in", str(path), "--forbid", forbid)[:2]
+
+    code, payload = check(["--construction", "balanced_cycle_blowup", "--d", "5",
+                           "--n", "25"], "C3,C4,C6,C7,C8,C9")
+    assert code == 0 and payload["passed"]
+    assert payload["forbidden"] == {f"C{ell}": {"subgraph": False, "closed_walk": False}
+                                    for ell in (3, 4, 6, 7, 8, 9)}
+
+    code, payload = check(["--construction", "c5c7_bipartite_blobs", "--n", "20"], "C7")
+    assert code == 0 and payload["passed"] and not payload["forbidden"]["C7"]["subgraph"]
+
+    code, payload = check(["--construction", "threshold_c7", "--c", "0.67757",
+                           "--n", "70"], "C4")
+    assert code == 0 and payload["passed"] and not payload["forbidden"]["C4"]["subgraph"]
+
+    # the construction is full of 5-cycles
+    code, payload = check(["--construction", "c5c7_bipartite_blobs", "--n", "20"], "C5")
+    assert code == 1 and not payload["passed"] and payload["forbidden"]["C5"]["subgraph"]
+
+
 def test_gen_seeded_and_estimated_constructions(capsys):
     # a random orientation has no closed form, and the threshold family's
     # closed form is a limit estimate, reported as a float with its kind

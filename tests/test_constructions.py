@@ -12,7 +12,6 @@ from dicycles.constructions import (
     closed_form_count,
     generate,
     seven_cycle_with_chords,
-    verify_freeness,
 )
 from dicycles.counting import (
     arc_cycle_multiplicities,
@@ -110,23 +109,6 @@ def test_iterated_closed_form_only_k4():
     assert closed_form_count(cid, 16, 4) == 260
     with pytest.raises(NoClosedFormError):
         closed_form_count(cid, 16, 8)
-
-
-def test_freeness_reports():
-    report = verify_freeness(ConstructionId("balanced_cycle_blowup", d=5), 25,
-                             [3, 4, 6, 7, 8, 9])
-    assert report.passed
-    assert all(not row["subgraph"] and not row["closed_walk"]
-               for row in report.rows.values())
-
-    report = verify_freeness(ConstructionId("c5c7_bipartite_blobs"), 20, [7])
-    assert report.passed and not report.rows[7]["subgraph"]
-
-    report = verify_freeness(ConstructionId("threshold_c7", c=0.67757), 70, [4])
-    assert report.passed and not report.rows[4]["subgraph"]
-
-    report = verify_freeness(ConstructionId("c5c7_bipartite_blobs"), 20, [5])
-    assert not report.passed  # the construction is full of 5-cycles
 
 
 def test_complete_bipartite_digraph():

@@ -21,11 +21,9 @@ from dicycles.counting import (
     count_cycle_copies,
     count_paths,
     count_report,
-    cycle_type,
     enumerate_cycles,
     has_closed_walk,
     has_cycle_subgraph,
-    thick_arcs,
     vertex_cycle_counts,
 )
 from dicycles.constructions import ConstructionId, TooSmallError, closed_form_count, generate
@@ -207,7 +205,7 @@ def test_arc_multiplicities_sparse_construction():
             assert m == 1
         else:
             assert m == 4
-    assert thick_arcs(g, 3, threshold=2) == {a for a in g.arcs if 0 in a}
+    assert {arc for arc, m in mult.items() if m >= 2} == {a for a in g.arcs if 0 in a}
 
 
 def test_vertex_cycle_counts():
@@ -230,7 +228,7 @@ def test_clear_pendant_and_fixed_point():
 
     g = balanced_blow_up(directed_cycle(4), 8)
     result = clear(g, 4, 6)
-    assert result.is_fixed_point and result.ell_walk_free and result.is_cleared
+    assert result.is_fixed_point and result.ell_walk_free
 
     tt3 = new_graph(3, [(0, 1), (1, 2), (0, 2)])
     result = clear(tt3, 3, 4)
@@ -243,8 +241,7 @@ def test_per_arc_counts_reject_k_below_two(k):
     # so clear deleted the whole graph
     g = balanced_blow_up(directed_cycle(3), 6)
     for call in (lambda: count_cycle_copies(g, k), lambda: arc_cycle_multiplicities(g, k),
-                 lambda: vertex_cycle_counts(g, k), lambda: thick_arcs(g, k, 1),
-                 lambda: clear(g, k, 6)):
+                 lambda: vertex_cycle_counts(g, k), lambda: clear(g, k, 6)):
         with pytest.raises(ValueError, match="cycle length must be at least 2"):
             call()
 
@@ -278,14 +275,6 @@ def test_neighbor_condition_violation_detected():
     cycle = set(report.witness_cycle)
     und = spiked.und_bits()
     assert bin(und[report.witness_vertex] & sum(1 << v for v in cycle)).count("1") > report.limit
-
-
-def test_cycle_type():
-    assert cycle_type("FFF") == 3
-    assert cycle_type(["F", "F", "B"]) == 1
-    assert cycle_type(["forward", "backward", "forward", "backward"]) == 0
-    with pytest.raises(ValueError):
-        cycle_type("FF")
 
 
 def test_cleared_walkfree_graphs_have_no_transitive_triangle():
@@ -343,7 +332,7 @@ def test_path_bound_on_triangle_free_samples():
 def test_count_report_serialization():
     g = balanced_blow_up(directed_cycle(3), 6)
     report = count_report(g, 3, paths_up_to=3, per_arc=True, per_vertex=True)
-    data = json.loads(report.to_json())
+    data = json.loads(json.dumps(report.to_dict()))
     assert data["copies"] == "8"
     assert data["closed_walks"] == "24"
     assert data["paths"]["2"] == "12"

@@ -19,7 +19,6 @@ from dicycles.graphs import (
     PatternSpec,
     SelfLoopError,
     VertexRangeError,
-    are_isomorphic,
     balanced_blow_up,
     balanced_sizes,
     blow_up,
@@ -35,6 +34,11 @@ from dicycles.graphs import (
     uniform_pattern,
     write_graph,
 )
+
+
+def iso_key(g):
+    """Equal exactly for isomorphic graphs of the same mode (n <= 8)."""
+    return g.n, g.mode, canonical_arcs(g)
 
 
 def test_new_graph_triangle():
@@ -95,7 +99,7 @@ def test_blow_up_c3_counts():
 def test_blow_up_unit_sizes_is_base():
     for base in (directed_cycle(3), directed_cycle(4), directed_cycle(5)):
         g = blow_up(uniform_pattern(base), BlobAssignment((1,) * base.n))
-        assert are_isomorphic(g, base)
+        assert iso_key(g) == iso_key(base)
 
 
 def test_blow_up_internal_structures():
@@ -141,7 +145,7 @@ def test_pattern_weight_validation():
 
 def test_iterated_blow_up_values():
     c4 = directed_cycle(4)
-    assert are_isomorphic(iterated_blow_up(c4, 4), c4)
+    assert iso_key(iterated_blow_up(c4, 4)) == iso_key(c4)
     assert count_cycle_copies(iterated_blow_up(c4, 16), 4) == 260
     assert iterated_blowup_cycle_count(4, 16) == 260
     assert count_cycle_copies(iterated_blow_up(c4, 5), 4) == 2
@@ -169,7 +173,7 @@ def test_random_bipartite_mean_c6_count():
 def test_quotient_of_blow_up():
     q, sizes = quotient_by_equivalence(balanced_blow_up(directed_cycle(4), 8))
     assert sizes == (2, 2, 2, 2)
-    assert are_isomorphic(q, directed_cycle(4))
+    assert iso_key(q) == iso_key(directed_cycle(4))
     q, sizes = quotient_by_equivalence(directed_cycle(3))
     assert sizes == (1, 1, 1)
 
@@ -194,7 +198,7 @@ def test_quotient_idempotent():
             continue
         q1, _ = quotient_by_equivalence(g)
         q2, _ = quotient_by_equivalence(q1)
-        assert q1.n == q2.n and are_isomorphic(q1, q2)
+        assert q1.n == q2.n and iso_key(q1) == iso_key(q2)
 
 
 def test_read_graph_triangle():
@@ -245,7 +249,8 @@ def test_blob_assignment_validation():
 
 def test_canonical_arcs_detects_isomorphism():
     g1 = directed_cycle(4)
-    g2 = g1.relabel([2, 3, 0, 1])
+    perm = [2, 3, 0, 1]
+    g2 = new_graph(4, [(perm[u], perm[v]) for u, v in g1.arcs])
     assert canonical_arcs(g1) == canonical_arcs(g2)
     near_cycle = new_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert not are_isomorphic(g1, near_cycle)
+    assert iso_key(g1) != iso_key(near_cycle)

@@ -33,10 +33,10 @@ from dicycles.search import (
     _through_paths,
     contains_forbidden,
     exhaustive_extremal,
+    finite_prediction,
     has_transitive_triangle,
     local_search_extremal,
     parse_forbidden,
-    verify_formula,
 )
 
 
@@ -536,18 +536,21 @@ def test_local_search_directed_mode():
 
 
 def test_verify_formula_tables():
-    rows = verify_formula(3, [4], range(3, 6))
-    assert all(r.match for r in rows)
-    assert [r.predicted for r in rows] == [ceil_cubic_value(n) for n in range(3, 6)]
+    def search_values(k, forbidden, n_range):
+        return [exhaustive_extremal(n, k, forbidden).max_copies for n in n_range]
 
-    rows = verify_formula(3, [5], range(3, 6))
-    assert all(r.match for r in rows)
+    predict = finite_prediction(3, [4])
+    values = search_values(3, [4], range(3, 6))
+    assert values == [predict(n) for n in range(3, 6)]
+    assert values == [ceil_cubic_value(n) for n in range(3, 6)]
 
-    rows = verify_formula(4, [3], range(4, 7))
-    assert all(r.match for r in rows)
-    assert [r.predicted for r in rows] == [iterated_blowup_cycle_count(4, n)
-                                           for n in range(4, 7)]
+    predict = finite_prediction(3, [5])
+    assert search_values(3, [5], range(3, 6)) == [predict(n) for n in range(3, 6)]
 
-    rows = verify_formula(5, [4], range(5, 7))
-    assert all(r.match is None for r in rows)  # open problem: recorded, not asserted
-    assert all(r.search_value >= 1 for r in rows)
+    predict = finite_prediction(4, [3])
+    values = search_values(4, [3], range(4, 7))
+    assert values == [predict(n) for n in range(4, 7)]
+    assert values == [iterated_blowup_cycle_count(4, n) for n in range(4, 7)]
+
+    assert finite_prediction(5, [4]) is None  # open problem: recorded, not asserted
+    assert all(value >= 1 for value in search_values(5, [4], range(5, 7)))
