@@ -30,6 +30,7 @@ from .graphs import (
     directed_cycle,
     iterated_blow_up,
     iterated_blowup_cycle_count,
+    new_graph,
     random_bipartite_orientation,
     uniform_pattern,
 )
@@ -153,7 +154,7 @@ def seven_cycle_with_chords() -> OrientedGraph:
     fast.
     """
     arcs = [(i, (i + 1) % 7) for i in range(7)] + [(i, (i + 3) % 7) for i in range(7)]
-    g = OrientedGraph(7, arcs)
+    g = new_graph(7, arcs)
     for i in range(7):
         # chord (i, i+3) must be closed by the cycle path i+3 -> ... -> i
         path = [(i + 3 + j) % 7 for j in range(5)]

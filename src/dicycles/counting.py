@@ -55,7 +55,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .graphs import OrientedGraph, quotient_by_equivalence, twin_classes
+from .graphs import OrientedGraph, bit_matrix, new_graph, quotient_by_equivalence, twin_classes
 
 
 def _simple_paths(out: list[int], start: int, arcs: int, inner: int, last: int,
@@ -261,11 +261,8 @@ def _twins(g: OrientedGraph) -> Optional[_Twins]:
     if 2 * (max(label, default=-1) + 1) > g.n:
         return None
     quotient, sizes = quotient_by_equivalence(g)
-    return _Twins(label, sizes, [_members(b) for b in quotient.out_bits()])
-
-
-def _members(mask: int) -> list[int]:
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+    succ = bit_matrix(quotient.out_bits(), quotient.n)
+    return _Twins(label, sizes, [row.nonzero()[0].tolist() for row in succ])
 
 
 def _twin_walks(tw: _Twins, starts: list[int], arcs: int) -> dict[tuple[int, int], int]:
@@ -338,7 +335,7 @@ def _twin_arc_counts(g: OrientedGraph, tw: _Twins, k: int) -> dict[tuple[int, in
 
 
 def count_digons(g: OrientedGraph) -> int:
-    return sum(1 for (u, v) in g.arcs if u < v and (v, u) in g.arcs)
+    return sum((out & inn).bit_count() for out, inn in zip(g.out_bits(), g.in_bits())) // 2
 
 
 def count_cycle_copies(g: OrientedGraph, k: int) -> int:
@@ -427,7 +424,8 @@ def arc_cycle_multiplicities(g: OrientedGraph, k: int) -> dict[tuple[int, int], 
     if k < 2:
         raise ValueError("cycle length must be at least 2")
     if k == 2:
-        return {(u, v): 1 if (v, u) in g.arcs else 0 for (u, v) in g.arcs}
+        inn = g.in_bits()  # an arc u -> v is on a digon iff v -> u
+        return {(u, v): inn[u] >> v & 1 for (u, v) in g.arcs}
     if not 3 <= k <= g.n:
         return {arc: 0 for arc in g.arcs}
     tw = _twins(g)
@@ -452,10 +450,7 @@ def adjacency_matrix(g: OrientedGraph, dtype=np.float64) -> np.ndarray:
     """The adjacency matrix M (M[u, v] = 1 iff u -> v), unpacked from the
     out-neighbour bitmasks.  With ``dtype=object`` the entries are Python
     integers."""
-    width = (g.n + 7) // 8
-    raw = b"".join(b.to_bytes(width, "little") for b in g.out_bits())
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits.reshape(g.n, 8 * width)[:, :g.n].astype(dtype)
+    return bit_matrix(g.out_bits(), g.n).astype(dtype)
 
 
 def _walk_dtype(g: OrientedGraph, length: int):
@@ -619,7 +614,7 @@ def clear(g: OrientedGraph, k: int, ell: int) -> ClearingResult:
     """
     dead = {arc for arc, m in arc_cycle_multiplicities(g, k).items() if m == 0}
     removed_arcs = len(dead)
-    current = OrientedGraph(g.n, g.arcs - dead, g.mode) if dead else g
+    current = new_graph(g.n, g.arcs - dead, g.mode) if dead else g
     # every remaining arc lies on a k-cycle, so exactly the vertices that
     # keep an arc do; deleting the others changes no arc's multiplicity
     und = current.und_bits()

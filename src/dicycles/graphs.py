@@ -2,18 +2,24 @@
 
 An oriented graph has no self-loops and at most one arc per vertex pair.
 Directed mode relaxes the second restriction so that digons (pairs of
-opposite arcs) are allowed.  All graph values are immutable after
-construction and safe to share across workers; every generator taking a
-seed is a pure function of its parameters and the seed.
+opposite arcs) are allowed.  A graph is its out-neighbourhood bitmasks,
+``OrientedGraph(n, out_masks)``; ``new_graph(n, arcs)`` builds one from arc
+pairs.  All graph values are immutable after construction and safe to
+share across workers; every generator taking a seed is a pure function of
+its parameters and the seed.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 ORIENTED = "oriented"
 DIRECTED = "directed"
@@ -52,41 +58,42 @@ class SizeMismatchError(GraphError):
 
 
 class OrientedGraph:
-    """Immutable digraph on vertices 0..n-1 with arcs as ordered pairs.
+    """Immutable digraph on vertices 0..n-1, stored as its neighbourhood masks.
 
-    In ``oriented`` mode at most one of (u, v), (v, u) may be present; in
-    ``directed`` mode both may (a digon).  Duplicate arcs in the input are
-    silently deduplicated.
+    ``out[u]`` has bit v set iff u -> v; the in-masks and the arc set are
+    derived from it (:func:`new_graph` builds a graph from arc pairs).  In
+    ``oriented`` mode at most one of u -> v, v -> u may be present; in
+    ``directed`` mode both may (a digon).
     """
 
-    __slots__ = ("n", "arcs", "mode", "_out", "_in")
+    __slots__ = ("n", "mode", "_out", "_in", "_arcs")
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]], mode: str = ORIENTED):
+    def __init__(self, n: int, out: Sequence[int], mode: str = ORIENTED):
         if mode not in (ORIENTED, DIRECTED):
             raise GraphError(f"unknown mode {mode!r}")
-        if n < 0:
-            raise GraphError("vertex count must be non-negative")
-        arc_set = frozenset((int(u), int(v)) for u, v in arcs)
-        out, inn = [0] * n, [0] * n
-        for u, v in arc_set:
-            if u == v:
+        try:
+            out = [operator.index(b) for b in out]
+        except TypeError:
+            raise GraphError("out-masks must be integers") from None
+        if len(out) != n:
+            raise GraphError(f"{len(out)} out-masks for {n} vertices")
+        for u, b in enumerate(out):
+            if b < 0 or b >> n:
+                raise VertexRangeError(f"out-mask of vertex {u} has bits outside [0, {n})")
+            if b >> u & 1:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexRangeError(f"arc ({u}, {v}) outside [0, {n})")
-            out[u] |= 1 << v
-            inn[v] |= 1 << u
+        inn = _pack(bit_matrix(out, n).T)
         if mode == ORIENTED:
             # bit v of out[u] & in[u] is set iff u -> v and v -> u
-            for u in range(n):
-                both = out[u] & inn[u]
+            for u, both in enumerate(map(operator.and_, out, inn)):
                 if both:
                     v = (both & -both).bit_length() - 1
                     raise DigonError(f"digon between {u} and {v} in oriented mode")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", arc_set)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_in", inn)
+        object.__setattr__(self, "_arcs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrientedGraph is immutable")
@@ -94,14 +101,19 @@ class OrientedGraph:
     # -- basic queries -------------------------------------------------
 
     @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The arcs (u, v), derived from the out-masks on first use."""
+        if self._arcs is None:
+            rows, cols = bit_matrix(self._out, self.n).nonzero()
+            object.__setattr__(self, "_arcs", frozenset(zip(rows.tolist(), cols.tolist())))
+        return self._arcs
+
+    @property
     def num_arcs(self) -> int:
-        return len(self.arcs)
+        return sum(b.bit_count() for b in self._out)
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
-    def arcs_sorted(self) -> list[tuple[int, int]]:
-        return sorted(self.arcs)
+        return 0 <= u < self.n and v >= 0 and self._out[u] >> v & 1 == 1
 
     def out_bits(self) -> list[int]:
         """Out-neighborhoods as bitmasks (index v set in out_bits()[u] iff u->v)."""
@@ -112,34 +124,51 @@ class OrientedGraph:
 
     def und_bits(self) -> list[int]:
         """Underlying-undirected neighborhoods as bitmasks."""
-        out, inn = self.out_bits(), self.in_bits()
-        return [out[v] | inn[v] for v in range(self.n)]
+        return [out | inn for out, inn in zip(self._out, self._in)]
 
     def subgraph(self, keep: Sequence[int]) -> "OrientedGraph":
         """Induced subgraph on ``keep``, relabeled to 0..len(keep)-1 in order."""
         keep = list(keep)
-        index = {v: i for i, v in enumerate(keep)}
-        arcs = [(index[u], index[v]) for u, v in self.arcs if u in index and v in index]
-        return OrientedGraph(len(keep), arcs, self.mode)
+        return OrientedGraph(len(keep), _pack(bit_matrix(self._out, self.n)[keep][:, keep]), self.mode)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OrientedGraph)
-            and self.n == other.n
-            and self.mode == other.mode
-            and self.arcs == other.arcs
-        )
+        return isinstance(other, OrientedGraph) and (self.mode, self._out) == (other.mode, other._out)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.mode, self.arcs))
+        return hash((self.n, self.mode, tuple(self._out)))
 
     def __repr__(self) -> str:
         return f"OrientedGraph(n={self.n}, m={self.num_arcs}, mode={self.mode})"
 
 
+def bit_matrix(masks: Sequence[int], n: int) -> np.ndarray:
+    """The 0/1 uint8 matrix whose row i holds bits 0..n-1 of ``masks[i]``."""
+    width = (n + 7) // 8
+    raw = b"".join(b.to_bytes(width, "little") for b in masks)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(len(masks), 8 * width)[:, :n]
+
+
+def _pack(matrix: np.ndarray) -> list[int]:
+    """Each row of a 0/1 matrix as a mask (the inverse of :func:`bit_matrix`)."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(len(packed))]
+
+
 def new_graph(n: int, arcs: Iterable[tuple[int, int]], mode: str = ORIENTED) -> OrientedGraph:
-    """Build a validated graph (invariants enforced, arcs deduplicated)."""
-    return OrientedGraph(n, arcs, mode)
+    """Build a validated graph from arc pairs (duplicates collapse)."""
+    out = [0] * n
+    for arc in arcs:
+        try:
+            u, v = arc
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            raise VertexRangeError(f"arc {arc!r} has a non-integer endpoint") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexRangeError(f"arc ({u}, {v}) outside [0, {n})")
+        out[u] |= 1 << v
+    return OrientedGraph(n, out, mode)
 
 
 def canonical_arcs(g: OrientedGraph) -> tuple[tuple[int, int], ...]:
@@ -276,8 +305,8 @@ def directed_cycle(d: int, mode: str = ORIENTED) -> OrientedGraph:
     if d == 2:
         if mode != DIRECTED:
             raise DigonError("a 2-cycle is a digon; use directed mode")
-        return OrientedGraph(2, [(0, 1), (1, 0)], DIRECTED)
-    return OrientedGraph(d, [(i, (i + 1) % d) for i in range(d)], mode)
+        return new_graph(2, [(0, 1), (1, 0)], DIRECTED)
+    return new_graph(d, [(i, (i + 1) % d) for i in range(d)], mode)
 
 
 def balanced_sizes(n: int, p: int) -> tuple[int, ...]:
@@ -317,6 +346,11 @@ def _bipartite_first_part(size: int, split: Fraction) -> int:
     return (size * split.numerator + split.denominator // 2) // split.denominator
 
 
+def _span(lo: int, hi: int) -> int:
+    """The mask of the vertices lo..hi-1."""
+    return (1 << hi) - (1 << lo)
+
+
 def blow_up(pattern: PatternSpec, assignment: BlobAssignment) -> OrientedGraph:
     """Realize a pattern at finite n.
 
@@ -326,40 +360,36 @@ def blow_up(pattern: PatternSpec, assignment: BlobAssignment) -> OrientedGraph:
     second.  Threshold arcs compare f(coord(x)) = min(coord(x) + c, 1)
     against coord(y), with each blob at its equispaced coordinates.
     """
-    p = pattern.p
-    if len(assignment.sizes) != p:
-        raise SizeMismatchError(f"assignment has {len(assignment.sizes)} parts, pattern has {p}")
     sizes = assignment.sizes
-    offsets = [0] * p
-    for i in range(1, p):
-        offsets[i] = offsets[i - 1] + sizes[i - 1]
-    n = sum(sizes)
-
-    arcs: list[tuple[int, int]] = []
-    for b in range(p):
-        lo, s = offsets[b], sizes[b]
-        internal = pattern.blob_internal[b]
+    if len(sizes) != pattern.p:
+        raise SizeMismatchError(f"assignment has {len(sizes)} parts, pattern has {pattern.p}")
+    offsets = list(accumulate(sizes, initial=0))
+    out = [0] * offsets[-1]
+    for lo, s, internal in zip(offsets, sizes, pattern.blob_internal):
         if internal.kind == TRANSITIVE_TOURNAMENT:
-            arcs.extend((lo + i, lo + j) for i in range(s) for j in range(i + 1, s))
+            for i in range(lo, lo + s):
+                out[i] |= _span(i + 1, lo + s)
         elif internal.kind == ONE_WAY_BIPARTITE:
-            h1 = _bipartite_first_part(s, internal.split)
-            arcs.extend((lo + i, lo + j) for i in range(h1) for j in range(h1, s))
+            h1 = lo + _bipartite_first_part(s, internal.split)
+            for i in range(lo, h1):
+                out[i] |= _span(h1, lo + s)
 
-    for (u, v), rule in sorted(pattern.arc_rule.items()):
+    for (u, v), rule in pattern.arc_rule.items():
         lu, lv = offsets[u], offsets[v]
         if rule.kind == FULL:
-            arcs.extend((lu + i, lv + j) for i in range(sizes[u]) for j in range(sizes[v]))
+            for i in range(lu, offsets[u + 1]):
+                out[i] |= _span(lv, offsets[v + 1])
         else:
-            cu, cv = equispaced_coordinates(sizes[u]), equispaced_coordinates(sizes[v])
+            # coordinates increase within a blob, so x -> y (f(x) >= y) holds for a
+            # prefix of v's blob, and y -> x (f(x) < y) for a prefix of u's blob
+            fx = [min(x + rule.c, 1.0) for x in equispaced_coordinates(sizes[u])]
+            cv = equispaced_coordinates(sizes[v])
             for i in range(sizes[u]):
-                fx = min(cu[i] + rule.c, 1.0)
-                for j in range(sizes[v]):
-                    if fx >= cv[j]:
-                        arcs.append((lu + i, lv + j))
-                    else:
-                        arcs.append((lv + j, lu + i))
+                out[lu + i] |= _span(lv, lv + bisect_right(cv, fx[i]))
+            for j in range(sizes[v]):
+                out[lv + j] |= _span(lu, lu + bisect_left(fx, cv[j]))
 
-    return OrientedGraph(n, arcs, pattern.base.mode)
+    return OrientedGraph(len(out), out, pattern.base.mode)
 
 
 def balanced_blow_up(base: OrientedGraph, n: int) -> OrientedGraph:
@@ -377,23 +407,22 @@ def iterated_blow_up(base: OrientedGraph, n: int) -> OrientedGraph:
     if base.n < 3:
         raise GraphError("iterated blow-up requires a base on at least 3 vertices")
 
-    def build(m: int, offset: int, out: list[tuple[int, int]]):
+    out = [0] * n
+
+    def build(m: int, offset: int):
         p = base.n
         if m < p:
             return  # blob too small; stays an independent set
         sizes = balanced_sizes(m, p)
-        offs = [offset] * p
-        for i in range(1, p):
-            offs[i] = offs[i - 1] + sizes[i - 1]
+        offs = list(accumulate(sizes, initial=offset))
         for (u, v) in base.arcs:
-            out.extend((offs[u] + i, offs[v] + j)
-                       for i in range(sizes[u]) for j in range(sizes[v]))
+            for i in range(offs[u], offs[u + 1]):
+                out[i] |= _span(offs[v], offs[v + 1])
         for i in range(p):
-            build(sizes[i], offs[i], out)
+            build(sizes[i], offs[i])
 
-    arcs: list[tuple[int, int]] = []
-    build(n, 0, arcs)
-    return OrientedGraph(n, arcs, base.mode)
+    build(n, 0)
+    return OrientedGraph(n, out, base.mode)
 
 
 def iterated_blowup_cycle_count(base_size: int, n: int) -> int:
@@ -421,14 +450,14 @@ def random_bipartite_orientation(n: int, seed: int) -> OrientedGraph:
     """
     a = (n + 1) // 2
     rng = random.Random(seed)
-    arcs = []
+    out = [0] * n
     for u in range(a):
         for v in range(a, n):
             if rng.getrandbits(1):
-                arcs.append((u, v))
+                out[u] |= 1 << v
             else:
-                arcs.append((v, u))
-    return OrientedGraph(n, arcs, ORIENTED)
+                out[v] |= 1 << u
+    return OrientedGraph(n, out, ORIENTED)
 
 
 def twin_classes(g: OrientedGraph) -> list[int]:
@@ -451,15 +480,8 @@ def quotient_by_equivalence(g: OrientedGraph) -> tuple[OrientedGraph, tuple[int,
     is an arc between all representatives (equivalently, any).
     """
     label = twin_classes(g)
-    sizes = [0] * (max(label, default=-1) + 1)
-    first = []  # the first member of each class stands for it
-    for v, c in enumerate(label):
-        if not sizes[c]:
-            first.append(v)
-        sizes[c] += 1
-    out = g.out_bits()
-    arcs = [(a, b) for a, u in enumerate(first) for b, v in enumerate(first) if out[u] >> v & 1]
-    return OrientedGraph(len(sizes), arcs, g.mode), tuple(sizes)
+    first = [label.index(c) for c in range(max(label, default=-1) + 1)]  # stands for its class
+    return g.subgraph(first), tuple(map(label.count, range(len(first))))
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +530,12 @@ def read_graph(text: str) -> OrientedGraph:
     if len(arcs) != m:
         raise ParseError(f"expected {m} arcs, found {len(arcs)}", header)
     try:
-        return OrientedGraph(n, arcs, mode)
+        return new_graph(n, arcs, mode)
     except GraphError as exc:
         raise ParseError(str(exc), header) from exc
 
 
 def write_graph(g: OrientedGraph) -> str:
     lines = [f"{g.n} {g.num_arcs}" + (" directed" if g.mode == DIRECTED else "")]
-    lines.extend(f"{u} {v}" for u, v in g.arcs_sorted())
+    lines.extend(f"{u} {v}" for u, v in sorted(g.arcs))
     return "\n".join(lines) + "\n"

@@ -28,6 +28,7 @@ from .graphs import (
     DIRECTED,
     OrientedGraph,
     directed_cycle,
+    new_graph,
     random_bipartite_orientation,
     uniform_pattern,
 )
@@ -102,7 +103,7 @@ def _random_oriented(rng: random.Random, n: int, arc_prob: float) -> OrientedGra
                 arcs.append((u, v))
             elif r < arc_prob:
                 arcs.append((v, u))
-    return OrientedGraph(n, arcs)
+    return new_graph(n, arcs)
 
 
 def _cyclic_sequences(n: int, k: int) -> list[tuple[tuple[int, int], ...]]:
@@ -405,8 +406,8 @@ def _triangle_free_sample(rng: random.Random, index: int) -> OrientedGraph:
         return random_bipartite_orientation(n, rng.randrange(1 << 30))
     if kind == 1:
         g = random_bipartite_orientation(n, rng.randrange(1 << 30))
-        keep = [a for a in g.arcs_sorted() if rng.random() < 0.7]
-        return OrientedGraph(g.n, keep)
+        keep = [a for a in sorted(g.arcs) if rng.random() < 0.7]
+        return new_graph(g.n, keep)
     from .graphs import balanced_blow_up
 
     return balanced_blow_up(directed_cycle(rng.choice([4, 5])), n)

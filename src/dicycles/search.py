@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .counting import _simple_paths, count_cycle_copies, has_cycle_subgraph
-from .graphs import ORIENTED, OrientedGraph, canonical_arcs, iterated_blowup_cycle_count
+from .graphs import ORIENTED, OrientedGraph, canonical_arcs, iterated_blowup_cycle_count, new_graph
 from .numtheory import ceil_cubic_value
 
 
@@ -159,7 +159,7 @@ def _decode(mask: int, pairs, mode: str, n: int) -> OrientedGraph:
             arcs.append((u, v))
         if state & 2:
             arcs.append((v, u))
-    return OrientedGraph(n, arcs, mode)
+    return new_graph(n, arcs, mode)
 
 
 def _by_top_vertex(pats, n: int, index: dict) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -420,7 +420,7 @@ class _AnnealState:
         """The graph of ``states`` (by default the current ones)."""
         states = self.states if states is None else states
         arcs = [arc for idx, state in enumerate(states) for arc in self._arcs[idx][state]]
-        return OrientedGraph(self.n, arcs, self.mode)
+        return new_graph(self.n, arcs, self.mode)
 
 
 def local_search_extremal(n: int, k: int, forbidden, budget: int, seed: int,

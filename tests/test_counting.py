@@ -30,15 +30,16 @@ from dicycles.constructions import ConstructionId, TooSmallError, closed_form_co
 from dicycles.graphs import (
     DIRECTED,
     ORIENTED,
-    OrientedGraph,
     balanced_blow_up,
+    bit_matrix,
     directed_cycle,
     new_graph,
     quotient_by_equivalence,
     random_bipartite_orientation,
     twin_classes,
 )
-from dicycles.search import _cycle_arc_patterns, has_transitive_triangle
+from dicycles.reproduce import _cyclic_sequences
+from dicycles.search import has_transitive_triangle
 
 
 def random_oriented(rng, n, p=0.5):
@@ -50,11 +51,11 @@ def random_oriented(rng, n, p=0.5):
                 arcs.append((u, v))
             elif r < p:
                 arcs.append((v, u))
-    return OrientedGraph(n, arcs)
+    return new_graph(n, arcs)
 
 
 def naive_count(g, k):
-    return sum(1 for pat in _cycle_arc_patterns(g.n, k)
+    return sum(1 for pat in _cyclic_sequences(g.n, k)
                if all(a in g.arcs for a in pat))
 
 
@@ -81,7 +82,7 @@ def test_closed_walks_examples():
     assert count_closed_walks(balanced_blow_up(directed_cycle(3), 6), 3) == 24
     g = random_bipartite_orientation(8, 1)
     assert count_closed_walks(g, 1) == 0
-    empty = OrientedGraph(0, [])
+    empty = new_graph(0, [])
     assert count_closed_walks(empty, 3) == 0 and not has_closed_walk(empty, 3)
 
 
@@ -107,7 +108,7 @@ def test_has_cycle_subgraph():
     g = generate(ConstructionId("c5c7_bipartite_blobs"), 20)
     assert not has_cycle_subgraph(g, 7)
     assert has_cycle_subgraph(g, 5)
-    assert not has_cycle_subgraph(OrientedGraph(5, []), 3)
+    assert not has_cycle_subgraph(new_graph(5, []), 3)
 
 
 # one or two parameter choices of every construction kind
@@ -392,7 +393,7 @@ def small_digraphs(draw):
                            min_size=len(pairs), max_size=len(pairs)))
     arcs = [a for (u, v), c in zip(pairs, states)
             for a, bit in (((u, v), 1), ((v, u), 2)) if c & bit]
-    return OrientedGraph(n, arcs, DIRECTED if directed else ORIENTED)
+    return new_graph(n, arcs, DIRECTED if directed else ORIENTED)
 
 
 def dfs_cycles(g, k):
@@ -474,7 +475,7 @@ def test_frontier_uses_the_top_bit_at_n_64():
     arcs = set(random_oriented(rng, 64, 0.08).arcs)
     cycle = [(57 + i, 57 + (i + 1) % 7) for i in range(7)]  # 57 -> ... -> 63 -> 57
     arcs = {a for a in arcs if (a[1], a[0]) not in cycle} | set(cycle)
-    g = OrientedGraph(64, arcs)
+    g = new_graph(64, arcs)
     assert counting._frontier_ok(g, 6)
     assert vertex_cycle_counts(g, 7)[63] >= 1
     assert_matches_oracles(g, (3, 4, 5, 7), (2, 4, 6))
@@ -514,7 +515,7 @@ def twin_free_65():
     # the twin route and too many vertices for the frontier, so the DFS
     # counts, and the isolated vertices change no count of the 60-vertex part
     core = random_oriented(random.Random(65), 60, 0.1)
-    return core, OrientedGraph(65, core.arcs)
+    return core, new_graph(65, core.arcs)
 
 
 def test_more_than_64_vertices_without_twins_use_the_dfs(monkeypatch):
@@ -535,7 +536,7 @@ def test_int64_bound_falls_back_and_stays_exact():
     # a hub with out-degree 62 and a long directed path: 64 * 62**10 >= 2**63,
     # so paths and cycles with 10 arcs take the DFS
     arcs = [(0, v) for v in range(1, 63)] + [(v, v + 1) for v in range(1, 63)] + [(63, 0)]
-    g = OrientedGraph(64, arcs)
+    g = new_graph(64, arcs)
     assert not counting._frontier_ok(g, 10)
     # 53 path segments without the hub; with it, 10 chain vertices split
     # around the hub in 10 ways with 54 choices each, plus 54..63 -> 0
@@ -682,14 +683,15 @@ def random_blow_ups(draw):
             arcs += [(v, u) if f else (u, v) for (u, v), f in zip(inner, flips)]
         elif kind == "digon":
             arcs += inner + [(v, u) for u, v in inner]
-    return OrientedGraph(sum(sizes), arcs, DIRECTED if directed else ORIENTED)
+    return new_graph(sum(sizes), arcs, DIRECTED if directed else ORIENTED)
 
 
 def all_twins(g):
     # the twin classes without the routing test, so every example reaches
     # the twin counters
     quotient, sizes = quotient_by_equivalence(g)
-    return counting._Twins(twin_classes(g), sizes, [counting._members(b) for b in quotient.out_bits()])
+    succ = bit_matrix(quotient.out_bits(), quotient.n)
+    return counting._Twins(twin_classes(g), sizes, [row.nonzero()[0].tolist() for row in succ])
 
 
 # the depth-first and enumeration oracles run where they have at most this
@@ -770,7 +772,7 @@ def clear_input(rng, n, d, pendants=3):
         extra.add(tuple(sorted(rng.sample(range(starts[i], starts[i] + sizes[i]), 2))))
     for x in range(n, n + pendants):  # sources lie on no cycle at all
         extra.update((x, v) for v in rng.sample(range(n), rng.randint(2, 4)))
-    return OrientedGraph(n + pendants, g.arcs | extra), g
+    return new_graph(n + pendants, g.arcs | extra), g
 
 
 @pytest.mark.parametrize("d, n", [(4, 32), (5, 35), (6, 36)])
@@ -881,7 +883,7 @@ def grid_graphs():
                     arcs.append((v, u))
                 if directed and rng.random() < p / 4:
                     arcs += [(u, v), (v, u)]
-        yield "random", OrientedGraph(n, arcs, DIRECTED if directed else ORIENTED)
+        yield "random", new_graph(n, arcs, DIRECTED if directed else ORIENTED)
 
 
 def test_has_cycle_subgraph_is_pinned_on_the_grid():

@@ -1,8 +1,12 @@
 """Graph core: construction invariants, blow-ups, quotients, file format."""
 
+import hashlib
+import json
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dicycles.counting import count_cycle_copies, has_cycle_subgraph
@@ -13,6 +17,7 @@ from dicycles.graphs import (
     BlobAssignment,
     BlobInternal,
     DigonError,
+    GraphError,
     OrientedGraph,
     ParseError,
     PatternError,
@@ -72,6 +77,34 @@ def test_new_graph_rejects_self_loop_and_range():
         new_graph(3, [(0, 3)])
     with pytest.raises(VertexRangeError):
         new_graph(3, [(-1, 2)])
+    # endpoints are taken exactly, never truncated
+    for bad in (1.7, "1", None):
+        with pytest.raises(VertexRangeError, match=re.escape(repr((0, bad)))):
+            new_graph(3, [(0, bad), (1, 2)])
+    g = new_graph(3, [(np.int64(0), np.uint8(1)), (True, 2)])
+    assert g.arcs == {(0, 1), (1, 2)} and all(type(u) is int for arc in g.arcs for u in arc)
+
+
+def test_graph_from_masks():
+    g = OrientedGraph(3, [0b010, 0b100, 0b000])
+    assert g == new_graph(3, [(0, 1), (1, 2)])
+    assert g.in_bits() == [0b000, 0b001, 0b010] and g.num_arcs == 2
+    assert g.has_arc(0, 1) and not g.has_arc(1, 0) and not g.has_arc(3, 0)
+    assert OrientedGraph(2, [np.int64(2), 0]).out_bits() == [2, 0]
+    masks = [0b010, 0b100, 0b001]
+    g = OrientedGraph(3, masks)
+    masks[0] = 0
+    assert g.out_bits() == [0b010, 0b100, 0b001] and g.arcs == {(0, 1), (1, 2), (2, 0)}
+    for bad, error in [([1.0, 0], GraphError), (["1", 0], GraphError), ([None, 0], GraphError),
+                       ([0b10], GraphError), ([0b10, 0, 0], GraphError),
+                       ([0b100, 0], VertexRangeError), ([-1, 0], VertexRangeError),
+                       ([0b01, 0], SelfLoopError), ([0b10, 0b01], DigonError)]:
+        with pytest.raises(error):
+            OrientedGraph(2, bad)
+    # the arc-pair call of the arc-set constructor is refused, not misread
+    with pytest.raises(GraphError):
+        OrientedGraph(2, [(0, 1)])
+    assert OrientedGraph(2, [0b10, 0b01], DIRECTED).num_arcs == 2
 
 
 def test_new_graph_deduplicates():
@@ -193,7 +226,7 @@ def test_quotient_idempotent():
         arcs = [(u, v) for u in range(n) for v in range(n)
                 if u != v and rng.random() < 0.4]
         try:
-            g = OrientedGraph(n, arcs, DIRECTED)
+            g = new_graph(n, arcs, DIRECTED)
         except ValueError:
             continue
         q1, _ = quotient_by_equivalence(g)
@@ -211,7 +244,7 @@ def test_read_write_round_trip():
     for _ in range(20):
         n = rng.randint(1, 8)
         arcs = [(u, v) for u in range(n) for v in range(n) if u < v and rng.random() < 0.5]
-        g = OrientedGraph(n, arcs)
+        g = new_graph(n, arcs)
         assert read_graph(write_graph(g)) == g
     text = "# comment\n3 2\n0 1\n# another\n1 2\n"
     assert write_graph(read_graph(text)) == "3 2\n0 1\n1 2\n"
@@ -254,3 +287,33 @@ def test_canonical_arcs_detects_isomorphism():
     assert canonical_arcs(g1) == canonical_arcs(g2)
     near_cycle = new_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert iso_key(g1) != iso_key(near_cycle)
+
+
+# sha256 over every construction that `reproduce` builds, recorded before the
+# graph core stored only neighbourhood masks
+CONSTRUCTIONS_SHA256 = "154f71540d836377fe10e54f58751befb052d28b27f6a4bfdaa37382a0287798"
+
+
+def test_constructions_are_pinned():
+    from dicycles.constructions import ConstructionId, generate
+    from dicycles.reproduce import _FREENESS_SWEEPS, _closed_form_grid
+
+    pairs = [(cid, n) for cid, _, sizes in _closed_form_grid() for n in sizes]
+    pairs += [(cid, n) for _, cid, _, sizes in _FREENESS_SWEEPS for n in sizes]
+    pairs += [(ConstructionId("balanced_cycle_blowup", d=d), n)
+              for d in range(3, 7) for n in range(d, 61)]
+    digest = hashlib.sha256()
+    graphs = 0
+    for cid, n in dict.fromkeys(pairs):
+        g = generate(cid, n)
+        digest.update(json.dumps([cid.label(), n, g.mode, g.out_bits(), g.in_bits(),
+                                  sorted(g.arcs)]).encode())
+        graphs += 1
+    for n in range(2, 41):
+        for seed in range(3):
+            g = random_bipartite_orientation(n, seed)
+            digest.update(json.dumps(["random_bipartite", n, seed, g.mode, g.out_bits(),
+                                      g.in_bits(), sorted(g.arcs)]).encode())
+            graphs += 1
+    assert graphs == 1314
+    assert digest.hexdigest() == CONSTRUCTIONS_SHA256

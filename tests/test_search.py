@@ -16,9 +16,9 @@ from dicycles.counting import _simple_paths, count_cycle_copies, has_cycle_subgr
 from dicycles.graphs import (
     DIRECTED,
     ORIENTED,
-    OrientedGraph,
     canonical_arcs,
     iterated_blowup_cycle_count,
+    new_graph,
 )
 from dicycles.numtheory import ceil_cubic_value
 from dicycles.search import (
@@ -194,8 +194,6 @@ def test_exhaustive_monotone_in_n():
 
 
 def test_transitive_triangle_detection():
-    from dicycles.graphs import new_graph
-
     assert has_transitive_triangle(new_graph(3, [(0, 1), (1, 2), (0, 2)]))
     assert not has_transitive_triangle(new_graph(3, [(0, 1), (1, 2), (2, 0)]))
 
@@ -524,7 +522,7 @@ print(json.dumps(rows))
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     for n, k, forbidden, copies, arcs in json.loads(done.stdout):
-        witness = OrientedGraph(n, [tuple(a) for a in arcs])
+        witness = new_graph(n, [tuple(a) for a in arcs])
         assert count_cycle_copies(witness, k) == copies
         assert not contains_forbidden(witness, forbidden)
 

@@ -9,7 +9,6 @@ import pytest
 from dicycles.counting import count_closed_walks, count_cycle_copies
 from dicycles.graphs import (
     DIRECTED,
-    OrientedGraph,
     balanced_blow_up,
     directed_cycle,
     new_graph,
@@ -35,7 +34,7 @@ def random_oriented(rng, n, p=0.6):
                 arcs.append((u, v))
             elif r < p:
                 arcs.append((v, u))
-    return OrientedGraph(n, arcs)
+    return new_graph(n, arcs)
 
 
 def one_directional_bipartite(m):
