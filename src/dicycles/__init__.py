@@ -13,7 +13,6 @@ from .graphs import (
     directed_cycle,
     iterated_blow_up,
     new_graph,
-    quotient_by_equivalence,
     random_bipartite_orientation,
     read_graph,
     write_graph,

@@ -98,6 +98,11 @@ class OrientedGraph:
     def __setattr__(self, name, value):
         raise AttributeError("OrientedGraph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which the
+        # immutable __setattr__ would refuse to restore slot by slot
+        return OrientedGraph, (self.n, self._out, self.mode)
+
     # -- basic queries -------------------------------------------------
 
     @property
@@ -470,18 +475,6 @@ def twin_classes(g: OrientedGraph) -> list[int]:
     """
     index: dict[tuple[int, int], int] = {}
     return [index.setdefault(key, len(index)) for key in zip(g.out_bits(), g.in_bits())]
-
-
-def quotient_by_equivalence(g: OrientedGraph) -> tuple[OrientedGraph, tuple[int, ...]]:
-    """Merge twins (see :func:`twin_classes`).
-
-    Returns the quotient graph and the class sizes; classes are ordered by
-    their minimum member, and there is an arc between two classes iff there
-    is an arc between all representatives (equivalently, any).
-    """
-    label = twin_classes(g)
-    first = [label.index(c) for c in range(max(label, default=-1) + 1)]  # stands for its class
-    return g.subgraph(first), tuple(map(label.count, range(len(first))))
 
 
 # ---------------------------------------------------------------------------

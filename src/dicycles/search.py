@@ -69,8 +69,16 @@ def parse_forbidden(items) -> tuple:
 
 
 def has_transitive_triangle(g: OrientedGraph) -> bool:
-    out, inn = g.out_bits(), g.in_bits()
-    return any(out[u] & inn[v] for (u, v) in g.arcs)
+    """True iff some arc u -> v has a w with u -> w -> v."""
+    inn = g.in_bits()
+    for row in g.out_bits():
+        rest = row
+        while rest:
+            low = rest & -rest
+            if row & inn[low.bit_length() - 1]:
+                return True
+            rest ^= low
+    return False
 
 
 def contains_forbidden(g: OrientedGraph, forbidden) -> bool:

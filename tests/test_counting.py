@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import islice, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from dicycles.graphs import (
     bit_matrix,
     directed_cycle,
     new_graph,
-    quotient_by_equivalence,
     random_bipartite_orientation,
     twin_classes,
 )
@@ -688,10 +688,15 @@ def random_blow_ups(draw):
 
 def all_twins(g):
     # the twin classes without the routing test, so every example reaches
-    # the twin counters
-    quotient, sizes = quotient_by_equivalence(g)
-    succ = bit_matrix(quotient.out_bits(), quotient.n)
-    return counting._Twins(twin_classes(g), sizes, [row.nonzero()[0].tolist() for row in succ])
+    # the twin counters; built from the adjacency matrix, and checked
+    # against the quotient the counters build from the masks
+    label = twin_classes(g)
+    first = [label.index(c) for c in range(max(label, default=-1) + 1)]
+    succ = bit_matrix(g.out_bits(), g.n)[first][:, first]
+    tw = counting._Twins(label, tuple(map(label.count, range(len(first)))),
+                         [row.nonzero()[0].tolist() for row in succ])
+    assert counting._twin_quotient(g, label) == tw
+    return tw
 
 
 # the depth-first and enumeration oracles run where they have at most this
@@ -852,7 +857,9 @@ def test_existence_stops_the_frontier_at_the_first_cycle(monkeypatch):
     g = random_oriented(random.Random(24), 24, 0.5)
     assert counting._twins(g) is None and not counting._walks_are_cycles(g, 8)
     calls = count_closings(monkeypatch)
-    assert counting._path_cycles(g, 8) == 29_937
+    # the full count on the frontier itself: the counting ladder may take
+    # the Möbius sum instead
+    assert counting._frontier_count(g, 7, counting._above(g.in_bits())) == 29_937
     full, calls["close"] = calls["close"], 0
     assert has_cycle_subgraph(g, 8)
     assert calls["close"] < full
@@ -895,3 +902,92 @@ def test_has_cycle_subgraph_is_pinned_on_the_grid():
     assert len(rows) == 276 and sum(sum(flags) for *_, flags in rows) == 976
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "c7dbdd699842e0c73a45a7f85a3ecfaf0c1fa7f622ceea86fa86abf64215dac5"
+
+
+# ---------------------------------------------------------------------------
+# Möbius inversion over walk coincidences
+# ---------------------------------------------------------------------------
+
+# the largest order checked in each family: dense term tables grow like the
+# Bell numbers, and digons let positions two apart coincide
+_MOBIUS_ORDERS = {"bipartite": 10, "oriented": 9, "directed": 8}
+
+
+@st.composite
+def mobius_inputs(draw):
+    # orientations of bipartite graphs (thinned where a pair draws 0),
+    # random orientations and directed graphs with digons, and an order
+    family = draw(st.sampled_from(sorted(_MOBIUS_ORDERS)))
+    m = draw(st.integers(2, _MOBIUS_ORDERS[family]))
+    n = draw(st.integers(m, 10))
+    half = (n + 1) // 2
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if family != "bipartite" or u < half <= v]
+    states = draw(st.lists(st.integers(0, 3 if family == "directed" else 2),
+                           min_size=len(pairs), max_size=len(pairs)))
+    arcs = [a for (u, v), c in zip(pairs, states)
+            for a, bit in (((u, v), 1), ((v, u), 2)) if c & bit]
+    g = new_graph(n, arcs, DIRECTED if family == "directed" else ORIENTED)
+    return g, m
+
+
+@settings(max_examples=120)
+@given(mobius_inputs())
+def test_mobius_route_matches_enumeration_frontier_and_dfs(case):
+    g, m = case
+    with mock.patch.object(counting, "_MOBIUS_RATIO", 1e30):  # route whenever exact
+        paths = counting._mobius(g, m, cyclic=False)
+        cycles = counting._mobius(g, m, cyclic=True)
+    # the route declines only when there is no walk to count
+    expected = dfs_paths(g, m)
+    assert paths == expected or paths is None and expected == 0
+    assert counting._frontier_count(g, m - 1, None) == expected
+    if g.n <= 7:
+        assert naive_paths(g, m) == expected
+    if m == 2:
+        assert cycles == counting.count_digons(g)
+        return
+    expected = dfs_cycles(g, m)
+    assert cycles == expected or cycles is None and expected == 0
+    assert counting._frontier_count(g, m - 1, counting._above(g.in_bits())) == expected
+    if g.n <= 7:
+        assert naive_count(g, m) == expected
+
+
+def test_mobius_route_taken_by_work(monkeypatch):
+    calls = spy(monkeypatch, "_contract", "_frontier_count")
+    rng = random.Random(18)
+    k2020 = random_bipartite_orientation(40, 1)
+    bipartite = random_bipartite_orientation(20, 0)
+    thinned = new_graph(16, [a for a in sorted(random_bipartite_orientation(16, 3).arcs)
+                             if rng.random() < 0.7])
+    dense = random_oriented(rng, 12, 0.8)
+    for g in (k2020, bipartite, thinned, dense):
+        assert counting._twins(g) is None
+    assert not counting._walks_are_cycles(bipartite, 10) and not counting._walks_are_cycles(dense, 10)
+    # many walks per term: the K20,20 orientation at order 7 and 10-cycles
+    # of a bipartite orientation take the route
+    counts = [count_paths(k2020, 7), count_cycle_copies(bipartite, 10)]
+    assert calls["_contract"] > 0 and calls["_frontier_count"] == 0
+    # few walks per term: a thinned orientation and dense non-bipartite
+    # 10-cycles stay on the frontier
+    calls["_contract"] = 0
+    counts += [count_paths(thinned, 8), count_cycle_copies(dense, 10)]
+    assert calls == {"_contract": 0, "_frontier_count": 2}
+    assert counts == [counting._frontier_count(k2020, 6, None), dfs_cycles(bipartite, 10),
+                      dfs_paths(thinned, 8), dfs_cycles(dense, 10)]
+
+
+def test_mobius_route_stops_at_the_float64_bound(monkeypatch):
+    # 39**10 < 2**53 < 40**10: with the work rule out of the way, paths on
+    # 10 vertices take the route at n = 39 and not at n = 40, and stay exact
+    monkeypatch.setattr(counting, "_MOBIUS_RATIO", 1e30)
+    calls = spy(monkeypatch, "_contract")
+    rng = random.Random(53)
+    for n in (39, 40):
+        g = new_graph(n, [a for a in sorted(random_bipartite_orientation(n, n).arcs)
+                          if rng.random() < 0.25])
+        assert counting._twins(g) is None
+        calls["_contract"] = 0
+        assert count_paths(g, 10) == dfs_paths(g, 10) > 0
+        assert (calls["_contract"] > 0) == (n ** 10 < 1 << 53) == (n == 39)

@@ -1,7 +1,9 @@
 """Graph core: construction invariants, blow-ups, quotients, file format."""
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -9,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dicycles import counting
 from dicycles.counting import count_cycle_copies, has_cycle_subgraph
 from dicycles.graphs import (
     DIRECTED,
@@ -33,9 +36,9 @@ from dicycles.graphs import (
     iterated_blow_up,
     iterated_blowup_cycle_count,
     new_graph,
-    quotient_by_equivalence,
     random_bipartite_orientation,
     read_graph,
+    twin_classes,
     uniform_pattern,
     write_graph,
 )
@@ -44,6 +47,12 @@ from dicycles.graphs import (
 def iso_key(g):
     """Equal exactly for isomorphic graphs of the same mode (n <= 8)."""
     return g.n, g.mode, canonical_arcs(g)
+
+
+def quotient_by_twins(g):
+    # the twin quotient that the twin counters read, as a graph and the class sizes
+    tw = counting._twin_quotient(g, twin_classes(g))
+    return OrientedGraph(len(tw.sizes), [sum(1 << b for b in s) for s in tw.succ], g.mode), tw.sizes
 
 
 def test_new_graph_triangle():
@@ -204,10 +213,10 @@ def test_random_bipartite_mean_c6_count():
 
 
 def test_quotient_of_blow_up():
-    q, sizes = quotient_by_equivalence(balanced_blow_up(directed_cycle(4), 8))
+    q, sizes = quotient_by_twins(balanced_blow_up(directed_cycle(4), 8))
     assert sizes == (2, 2, 2, 2)
     assert iso_key(q) == iso_key(directed_cycle(4))
-    q, sizes = quotient_by_equivalence(directed_cycle(3))
+    q, sizes = quotient_by_twins(directed_cycle(3))
     assert sizes == (1, 1, 1)
 
 
@@ -215,7 +224,7 @@ def test_quotient_tournament_blobs_all_singletons():
     from dicycles.constructions import ConstructionId, generate
 
     g = generate(ConstructionId("c5c3_tournament_blobs"), 8)
-    _, sizes = quotient_by_equivalence(g)
+    _, sizes = quotient_by_twins(g)
     assert sizes == (1,) * 8
 
 
@@ -229,9 +238,19 @@ def test_quotient_idempotent():
             g = new_graph(n, arcs, DIRECTED)
         except ValueError:
             continue
-        q1, _ = quotient_by_equivalence(g)
-        q2, _ = quotient_by_equivalence(q1)
+        q1, _ = quotient_by_twins(g)
+        q2, _ = quotient_by_twins(q1)
         assert q1.n == q2.n and iso_key(q1) == iso_key(q2)
+
+
+@pytest.mark.parametrize("mode, arcs", [(ORIENTED, [(0, 1), (1, 2), (3, 0)]),
+                                        (DIRECTED, [(0, 1), (1, 0), (2, 3)])])
+def test_graphs_pickle_and_copy(mode, arcs):
+    g = new_graph(4, arcs, mode)
+    g.arcs  # fill the cached arc set first; copies are rebuilt from the masks
+    for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert h == g and hash(h) == hash(g)
+        assert (h.n, h.mode, h.arcs, h.in_bits()) == (g.n, mode, frozenset(arcs), g.in_bits())
 
 
 def test_read_graph_triangle():

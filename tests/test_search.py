@@ -196,6 +196,17 @@ def test_exhaustive_monotone_in_n():
 def test_transitive_triangle_detection():
     assert has_transitive_triangle(new_graph(3, [(0, 1), (1, 2), (0, 2)]))
     assert not has_transitive_triangle(new_graph(3, [(0, 1), (1, 2), (2, 0)]))
+    # against every vertex triple, in both modes
+    rng = random.Random(73)
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        mode = rng.choice([ORIENTED, DIRECTED])
+        arcs = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.35}
+        if mode == ORIENTED:
+            arcs = {(u, v) for u, v in arcs if u < v or (v, u) not in arcs}
+        g = new_graph(n, arcs, mode)
+        assert has_transitive_triangle(g) == any(
+            {(u, v), (v, w), (u, w)} <= arcs for u, v, w in permutations(range(n), 3))
 
 
 def test_local_search_lower_bounds():
