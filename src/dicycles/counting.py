@@ -63,7 +63,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from math import factorial, prod
 from operator import mul
 from typing import Callable, Iterator, Optional
@@ -378,7 +377,8 @@ _TERMS: dict[tuple, list[tuple[int, tuple[tuple[int, int], ...]]] | int] = {}
 _PLANS: dict[tuple, tuple[list[tuple[int, int, list[tuple]]], Counter, int]] = {}
 
 
-def _mobius(g: OrientedGraph, m: int, cyclic: bool) -> Optional[int]:
+def _mobius(g: OrientedGraph, m: int, cyclic: bool,
+            flags: Optional[_WalkFlags] = None) -> Optional[int]:
     """Simple paths on m vertices, or with ``cyclic`` m-cycle copies, by
     Möbius inversion over walk coincidences; None when the route is not
     taken.
@@ -404,7 +404,8 @@ def _mobius(g: OrientedGraph, m: int, cyclic: bool) -> Optional[int]:
     prunes from (divided by m for cycles), and when no intermediate holds
     more than n**3 entries.  The term table is enumerated and planned once
     per (m, cyclic, closed-walk lengths), and not at all when a lower bound
-    on its cost already rejects it.
+    on its cost already rejects it.  ``flags`` shares the closed-walk
+    flags with the caller's own checks.
     """
     n = g.n
     if n ** m >= 1 << 53:
@@ -417,7 +418,8 @@ def _mobius(g: OrientedGraph, m: int, cyclic: bool) -> Optional[int]:
     step = n * n + _STEP_FLOPS  # every step costs at least this much
     if budget < step:
         return None
-    key = (m, cyclic, tuple(islice(_closed_walk_flags(g), m - 1)))
+    flags = flags or _WalkFlags(g)
+    key = (m, cyclic, tuple(flags.closed(j) for j in range(1, m)))
     terms = _TERMS.get(key, 0)
     if isinstance(terms, int):
         # enumerating a partition costs about as much as a step; an int
@@ -574,21 +576,24 @@ def count_cycle_copies(g: OrientedGraph, k: int) -> int:
         return count_digons(g)
     if k > g.n:
         return 0
-    if _walks_are_cycles(g, k):
+    flags = _WalkFlags(g)
+    if _walks_are_cycles(g, k, flags):
         # each copy is then k closed walks, one per rotation
         return count_closed_walks(g, k) // k
-    return _path_cycles(g, k)
+    return _path_cycles(g, k, flags=flags)
 
 
-def _path_cycles(g: OrientedGraph, k: int, limit: Optional[int] = None) -> int:
-    """k-cycle copies (3 <= k <= n) over the twin classes, else on the
-    frontier, else by the depth-first counter.  With ``limit`` the frontier
-    and the depth-first counter may stop once the count reaches it."""
+def _path_cycles(g: OrientedGraph, k: int, limit: Optional[int] = None,
+                 flags: Optional[_WalkFlags] = None) -> int:
+    """k-cycle copies (3 <= k <= n) over the twin classes, else by the
+    Möbius sum (without ``limit``), else on the frontier, else by the
+    depth-first counter.  With ``limit`` the frontier and the depth-first
+    counter may stop once the count reaches it."""
     tw = _twins(g)
     if tw is not None:
         return sum(_twin_closings(tw, k).values()) // k
     if limit is None:
-        count = _mobius(g, k, cyclic=True)
+        count = _mobius(g, k, cyclic=True, flags=flags)
         if count is not None:
             return count
     inn = g.in_bits()
@@ -746,7 +751,7 @@ def has_closed_walk(g: OrientedGraph, length: int) -> bool:
     return bool(_power(adjacency_matrix(g), length, boolean=True).diagonal().any())
 
 
-def _walks_are_cycles(g: OrientedGraph, length: int) -> bool:
+def _walks_are_cycles(g: OrientedGraph, length: int, flags: Optional[_WalkFlags] = None) -> bool:
     """True when every closed ``length``-walk of g is a directed cycle.
 
     A closed walk that repeats a vertex splits there into two closed
@@ -758,7 +763,8 @@ def _walks_are_cycles(g: OrientedGraph, length: int) -> bool:
     if length < 4:
         return True
     # the flags for j = 2 .. length // 2, one product each, up to the first closed walk
-    return not any(islice(_closed_walk_flags(g), 1, length // 2))
+    flags = flags or _WalkFlags(g)
+    return not any(flags.closed(j) for j in range(2, length // 2 + 1))
 
 
 def _closed_walk_flags(g: OrientedGraph) -> Iterator[bool]:
@@ -772,6 +778,25 @@ def _closed_walk_flags(g: OrientedGraph) -> Iterator[bool]:
     while True:
         yield bool(power.diagonal().any())
         power = _product(power, a, boolean=True)
+
+
+class _WalkFlags:
+    """The flags of :func:`_closed_walk_flags` for one graph, taken as far
+    as they are asked for and kept, so that the checks of one count share
+    their products."""
+
+    __slots__ = ("_source", "_known")
+
+    def __init__(self, g: OrientedGraph):
+        self._source = _closed_walk_flags(g)
+        self._known: list[bool] = []
+
+    def closed(self, j: int) -> bool:
+        """Whether a closed j-walk exists (j >= 1)."""
+        known = self._known
+        while len(known) < j:
+            known.append(next(self._source))
+        return known[j - 1]
 
 
 def has_cycle_subgraph(g: OrientedGraph, length: int) -> bool:

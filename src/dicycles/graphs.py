@@ -487,43 +487,69 @@ def twin_classes(g: OrientedGraph) -> list[int]:
 
 
 def read_graph(text: str) -> OrientedGraph:
-    header = None
-    arcs: list[tuple[int, int]] = []
-    n = m = 0
-    mode = ORIENTED
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) not in (2, 3):
-                raise ParseError("header must be 'n m [directed]'", lineno)
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("non-integer header field", lineno) from None
-            if len(parts) == 3:
-                if parts[2] != DIRECTED:
-                    raise ParseError(f"unknown mode {parts[2]!r}", lineno)
-                mode = DIRECTED
-            header = lineno
-            continue
-        if len(parts) != 2:
-            raise ParseError("arc line must be 'u v'", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("non-integer arc endpoint", lineno) from None
-        if len(arcs) >= m:
-            raise ParseError(f"more than {m} arc lines", lineno)
-        arcs.append((u, v))
-    if header is None:
+    """Parse a graph file: a header ``n m [directed]`` and then m arc lines
+    ``u v``; blank lines and lines starting with ``#`` are skipped.
+
+    A malformed line raises :class:`ParseError` with its line number; of
+    several, the first.  A graph error (an endpoint out of range, a
+    self-loop or a digon in oriented mode) raises it at the header line.
+    The arc lines are split as they are read; each distinct endpoint token
+    is converted once, and the arcs are set in one bit matrix.
+    """
+    lines = text.splitlines()
+    for header, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if parts and parts[0][0] != "#":
+            break
+    else:
         raise ParseError("missing header", 1)
-    if len(arcs) != m:
-        raise ParseError(f"expected {m} arcs, found {len(arcs)}", header)
+    if len(parts) not in (2, 3):
+        raise ParseError("header must be 'n m [directed]'", header)
     try:
-        return new_graph(n, arcs, mode)
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError("non-integer header field", header) from None
+    mode = ORIENTED
+    if len(parts) == 3:
+        if parts[2] != DIRECTED:
+            raise ParseError(f"unknown mode {parts[2]!r}", header)
+        mode = DIRECTED
+
+    tokens: list[str] = []  # u, v of each arc line in turn
+    shape = None  # the first arc line that is malformed or one too many
+    for lineno, raw in enumerate(lines[header:], start=header + 1):
+        parts = raw.split()
+        if len(parts) == 2 and parts[0][0] != "#":
+            tokens += parts
+            if len(tokens) > 2 * m:
+                shape = ParseError(f"more than {m} arc lines", lineno)
+                break
+        elif parts and parts[0][0] != "#":
+            shape = ParseError("arc line must be 'u v'", lineno)
+            break
+    try:
+        value = {t: int(t) for t in set(tokens)}
+    except ValueError:
+        # the first arc line with a bad endpoint comes before ``shape``
+        for lineno, raw in enumerate(lines[header:], start=header + 1):
+            parts = raw.split()
+            if len(parts) == 2 and parts[0][0] != "#":
+                try:
+                    int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise ParseError("non-integer arc endpoint", lineno) from None
+    if shape is not None:
+        raise shape
+    if len(tokens) != 2 * m:
+        raise ParseError(f"expected {m} arcs, found {len(tokens) // 2}", header)
+    try:
+        if n >= 0 and all(0 <= v < n for v in value.values()):
+            ends = np.fromiter(map(value.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+            mat = np.zeros((n, n), dtype=np.uint8)
+            mat[ends[0::2], ends[1::2]] = 1
+            return OrientedGraph(n, _pack(mat), mode)
+        ends = [value[t] for t in tokens]
+        return new_graph(n, zip(ends[0::2], ends[1::2]), mode)  # raises at the first bad arc
     except GraphError as exc:
         raise ParseError(str(exc), header) from exc
 

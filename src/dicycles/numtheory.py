@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .graphs import DIRECTED, ORIENTED
@@ -116,7 +117,7 @@ def representable(q: RepresentabilityQuery) -> RepresentabilityResult:
             shift <<= 1
         suffix[i] = row
     if not suffix[0] >> target & 1:
-        return RepresentabilityResult(False, None, brauer_bound(gens), gcd_chain(gens))
+        return RepresentabilityResult(False, None, *_bound_and_chain(gens))
     witness = []
     rest = target
     for i in range(k):
@@ -128,7 +129,14 @@ def representable(q: RepresentabilityQuery) -> RepresentabilityResult:
         rest -= x * a
     if rest:
         raise NumTheoryError(f"witness {witness} leaves {rest} of the target {target}")
-    return RepresentabilityResult(True, tuple(witness), brauer_bound(gens), gcd_chain(gens))
+    return RepresentabilityResult(True, tuple(witness), *_bound_and_chain(gens))
+
+
+@lru_cache(maxsize=1024)
+def _bound_and_chain(gens: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(brauer_bound, gcd_chain) of a validated generator tuple, computed
+    once per tuple: a sweep asks for every target with the same ones."""
+    return brauer_bound(gens), gcd_chain(gens)
 
 
 def smallest_valid_divisor(k: int, ell: int, mode: str = ORIENTED) -> int:

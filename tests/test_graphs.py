@@ -281,6 +281,68 @@ def test_read_graph_errors_carry_line_numbers():
         read_graph("2 2\n0 1\n1 0\n")  # digon in oriented file
 
 
+# each malformed file, the line its ParseError names, the message, and the
+# graph error class it wraps (None for a format error)
+_BAD_FILES = [
+    ("", 1, "missing header", None),
+    ("# only a comment\n\n", 1, "missing header", None),
+    ("3\n", 1, "header must be 'n m [directed]'", None),
+    ("3 2 1 0\n", 1, "header must be 'n m [directed]'", None),
+    ("3 x\n", 1, "non-integer header field", None),
+    ("x 3\n", 1, "non-integer header field", None),
+    ("3 0 undirected\n", 1, "unknown mode 'undirected'", None),
+    ("3 1\n0\n", 2, "arc line must be 'u v'", None),
+    ("3 1\n0 1 2\n", 2, "arc line must be 'u v'", None),
+    ("3 1\n0 x\n", 2, "non-integer arc endpoint", None),
+    ("3 1\n0 1.5\n", 2, "non-integer arc endpoint", None),
+    ("3 1\n-1 2\n", 1, "arc (-1, 2) outside [0, 3)", VertexRangeError),
+    ("3 1\n0 -2\n", 1, "arc (0, -2) outside [0, 3)", VertexRangeError),
+    ("3 1\n0 3\n", 1, "arc (0, 3) outside [0, 3)", VertexRangeError),
+    ("3 1\n0 99999999999999999999\n", 1, "arc (0, 99999999999999999999) outside [0, 3)",
+     VertexRangeError),
+    ("3 1\n0 1\n1 2\n", 3, "more than 1 arc lines", None),
+    ("2 1\n0 1\n0 1 \n", 3, "more than 1 arc lines", None),
+    ("3 2\n0 1\n", 1, "expected 2 arcs, found 1", None),
+    ("3 1\n1 1\n", 1, "self-loop at vertex 1", SelfLoopError),
+    ("2 2\n0 1\n1 0\n", 1, "digon between 0 and 1 in oriented mode", DigonError),
+    ("-1 0\n", 1, "0 out-masks for -1 vertices", GraphError),
+    ("3 -1\n", 1, "expected -1 arcs, found 0", None),
+    ("3 -1\n0 1\n", 2, "more than -1 arc lines", None),
+    # comments and blank lines count as lines
+    ("# c\n\n3 1\n# y\n\n0 z\n", 6, "non-integer arc endpoint", None),
+    # of several malformed lines, the first is named
+    ("3 1\n0 x\n0 1\n", 2, "non-integer arc endpoint", None),
+    ("3 1\n0 1\n1 y\n", 3, "non-integer arc endpoint", None),
+    ("3 2\n0 1 5\n0 x\n", 2, "arc line must be 'u v'", None),
+    ("3 2\n0 x\n1\n", 2, "non-integer arc endpoint", None),
+]
+
+
+@pytest.mark.parametrize("text, line, message, cause", _BAD_FILES)
+def test_read_graph_error_table(text, line, message, cause):
+    with pytest.raises(ParseError) as err:
+        read_graph(text)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+    assert type(err.value.__cause__) is cause if cause else err.value.__cause__ is None
+
+
+def test_read_graph_matches_new_graph():
+    rng = random.Random(19)
+    for n in (0, 1, 2, 7, 8, 9, 63, 64, 65, 70):
+        for mode in (ORIENTED, DIRECTED):
+            pairs = [(u, v) if rng.random() < 0.5 else (v, u)
+                     for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+            if mode == DIRECTED:  # with digons
+                pairs += [(v, u) for u, v in pairs if rng.random() < 0.3]
+            g = new_graph(n, pairs, mode)
+            lines = [f"{n} {len(pairs)}" + (" directed" if mode == DIRECTED else "")]
+            for u, v in pairs:
+                lines += rng.choice([[f"{u} {v}"], [f"  {u}\t{v} ", "# note", ""]])
+            assert read_graph("\n".join(lines)) == g
+    # a repeated arc line collapses, as in new_graph
+    assert read_graph("3 2\n0 1\n0 1\n") == new_graph(3, [(0, 1)])
+
+
 def test_directed_file_mode():
     text = "2 2 directed\n0 1\n1 0\n"
     g = read_graph(text)

@@ -3,10 +3,13 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dicycles.counting import count_closed_walks, count_cycle_copies
+from dicycles import spectral
+from dicycles.counting import adjacency_matrix, count_closed_walks, count_cycle_copies
 from dicycles.graphs import (
     DIRECTED,
     balanced_blow_up,
@@ -39,6 +42,105 @@ def random_oriented(rng, n, p=0.6):
 
 def one_directional_bipartite(m):
     return new_graph(2 * m, [(u, v) for u in range(m) for v in range(m, 2 * m)])
+
+
+def random_kab(rng, a, b):
+    # a random orientation of K_{a,b} with its vertices shuffled, so either
+    # side may hold vertex 0
+    label = list(range(a + b))
+    rng.shuffle(label)
+    return new_graph(a + b, [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
+                             for u in range(a) for v in range(a, a + b)])
+
+
+def half_route_spy(monkeypatch):
+    # the result of each half-size attempt (None when it declined) and the
+    # shape of each matrix given to np.linalg.eig
+    seen = {"half": [], "eig": []}
+    half, eig = spectral._half_size_eig, np.linalg.eig
+
+    def half_spy(m, sides):
+        seen["half"].append(half(m, sides))
+        return seen["half"][-1]
+
+    def eig_spy(m):
+        seen["eig"].append(m.shape)
+        return eig(m)
+
+    monkeypatch.setattr(spectral, "_half_size_eig", half_spy)
+    monkeypatch.setattr(np.linalg, "eig", eig_spy)
+    return seen
+
+
+def singular(rows):
+    # exact: Gaussian elimination over the rationals
+    rows = [[Fraction(int(x)) for x in row] for row in rows]
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return True
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return False
+
+
+def nearest_distance(xs, ys):
+    # the largest distance from a value of xs to the nearest value of ys
+    return max((min(abs(x - y) for y in ys) for x in xs), default=0.0)
+
+
+def test_half_size_spectrum_of_complete_bipartite_orientations():
+    # the half route on every size, and spectrum(), which takes it from
+    # HALF_SIZE_MIN_N vertices on, against the full solve and exact walks
+    rng = random.Random(19)
+    pairs = [(a, b) for a in range(1, 21) for b in range(1, a + 1)]
+    taken = 0
+    for a, b in pairs:
+        g = random_kab(rng, a, b)
+        m = adjacency_matrix(g)
+        full = list(np.linalg.eig(m)[0])
+        sides = complete_bipartite_sides(g)
+        half = spectral._half_size_eig(m, sides)
+        spec = spectrum(g)
+        assert sorted(spec.bipartition) == [b, a]
+        # the route declines exactly when BC is singular
+        one = [v for v in range(a + b) if sides[v]]
+        zero = [v for v in range(a + b) if not sides[v]]
+        small, large = (one, zero) if len(one) <= len(zero) else (zero, one)
+        assert (half is None) == singular(m[np.ix_(small, large)] @ m[np.ix_(large, small)]), (a, b)
+        taken += half is not None
+        for values in (spec.eigenvalues, half):
+            if values is None:
+                continue
+            values = list(values)
+            assert nearest_distance(values, full) < 1e-7 and nearest_distance(full, values) < 1e-7
+            for j in range(1, 9):
+                exact = count_closed_walks(g, j)
+                assert abs(sum(z ** j for z in values) - exact) <= 1e-6 * max(1, exact), (a, b, j)
+            assert nearest_distance([-z for z in values], values) < 1e-7
+            assert nearest_distance([z.conjugate() for z in values], values) < 1e-7
+    # the route holds whenever BC is nonsingular
+    assert taken > len(pairs) // 2
+
+
+def test_half_size_route_and_its_fallback(monkeypatch):
+    seen = half_route_spy(monkeypatch)
+    # a K16,16 orientation: one 16 x 16 solve of BC, no 32 x 32 one
+    spectrum(random_bipartite_orientation(32, 0))
+    assert seen["eig"] == [(16, 16)] and seen["half"][0] is not None
+    # all arcs one way: BC = 0, so the route declines and M goes to eig
+    seen["eig"].clear()
+    spec = spectrum(one_directional_bipartite(16))
+    assert seen["eig"] == [(16, 16), (32, 32)] and seen["half"][1] is None
+    assert all(abs(z) < 1e-12 for z in spec.eigenvalues)
+    # below HALF_SIZE_MIN_N vertices, and on a graph that is not complete
+    # bipartite, the half route is never tried
+    seen["eig"].clear()
+    spectrum(random_bipartite_orientation(spectral.HALF_SIZE_MIN_N - 1, 4))
+    spectrum(directed_cycle(5))
+    assert seen["eig"] == [(spectral.HALF_SIZE_MIN_N - 1,) * 2, (5, 5)] and len(seen["half"]) == 2
 
 
 def test_triangle_spectrum_is_cube_roots_of_unity():
