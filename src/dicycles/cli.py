@@ -292,7 +292,7 @@ def _cmd_spectral(args, manifest):
     if spec.bipartition is not None:
         payload["positive_sum"] = spectral.positive_real_part_sum(spec).to_dict()
     if args.k is not None:
-        payload["hom_count"] = spectral.hom_count_via_spectrum(g, args.k, spec)
+        payload["hom_count"] = spectral.hom_count_via_spectrum(spec, args.k)
         if spec.bipartition is not None and args.k % 4 == 2:
             payload["cycle_bound"] = spectral.bipartite_cycle_bound(g, args.k).to_dict()
     _emit(payload, manifest)

@@ -180,11 +180,11 @@ def threshold_c7_pattern(c: float) -> PatternSpec:
     return uniform_pattern(seven_cycle_with_chords(), arc_rule=rules)
 
 
-def hub_triangle_pattern(hub_weight: Fraction = Fraction(0)) -> PatternSpec:
-    """3-cycle pattern hub -> A -> B -> hub used by the sparse families."""
-    w = Fraction(hub_weight)
-    rest = (1 - w) / 2
-    return PatternSpec(directed_cycle(3), (w, rest, rest),
+def hub_triangle_pattern() -> PatternSpec:
+    """3-cycle pattern hub -> A -> B -> hub used by the sparse families: the
+    hub holds a bounded number of vertices, so its weight is 0."""
+    half = Fraction(1, 2)
+    return PatternSpec(directed_cycle(3), (Fraction(0), half, half),
                        tuple(BlobInternal() for _ in range(3)))
 
 

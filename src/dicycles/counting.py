@@ -5,16 +5,17 @@ traces), simple-path counts, per-arc and per-vertex cycle statistics,
 iterative clearing and the cycle neighbor condition.  Everything here is
 exact.
 
-Closed walks are counted as tr(M^length) of the numpy adjacency matrix.
-The dtype comes from a bound the code proves: n * maxoutdeg**(length-1)
-caps every entry and partial sum on the way, so float64 (BLAS) is used
-below 2**53.  Above it, when the bound still holds for the half powers,
-they are taken in float64 and only their final contraction in Python
-integers; otherwise the whole power is in Python integers.  Closed-walk
-existence uses boolean powers (each product clipped to {0, 1}).  When a
-graph has no closed j-walk for 2 <= j <= k // 2, every closed k-walk is a
-k-cycle, so cycle copies are tr(M^k) / k and cycle existence is walk
-existence; in oriented mode that covers every k <= 5.
+Each count asks its closed walks of one object (:class:`_Walks`), which
+builds the float64 adjacency matrix M once for the count's trace, filters
+and Möbius sum.  tr(M^length) takes its dtype from a bound the code
+proves: n * maxoutdeg**(length-1) caps every entry and partial sum on the
+way, so float64 (BLAS) is used below 2**53; above it the half powers stay
+in float64 while the bound holds for them, and only their contraction, or
+else the whole power, is in Python integers.  Closed-walk existence uses
+boolean powers (each product clipped to {0, 1}), kept as far as the count
+asks for them.  With no closed j-walk for 2 <= j <= k // 2, every closed
+k-walk is a k-cycle, so cycle copies are tr(M^k) / k and cycle existence
+is walk existence; in oriented mode that covers every k <= 5.
 
 Twins are vertices with equal out- and in-neighbourhoods
 (:func:`graphs.twin_classes`); every blow-up of a pattern has its blobs
@@ -51,18 +52,19 @@ states, breadth-first within a chunk and depth-first over chunks, which
 bounds its memory by the depth times the children of one chunk.  Larger
 graphs, and graphs that fail the bound, use one bitset depth-first path
 counter with Python integers; only :func:`enumerate_cycles` materializes
-the cycles themselves.  Cycle copies try the trace first, then the twin
+the cycles themselves.  Paths and cycle copies share one ladder: the twin
 classes, then the Möbius sum, then the frontier, then the depth-first
-counter; paths start at the twin classes, and per-arc multiplicities skip
-the Möbius sum.  Cycle existence takes the twin classes, the frontier and
-the depth-first counter after its closed-walk filter, and the frontier and
-the depth-first counter stop at the first cycle.
+counter; cycle copies try the trace before it, and per-arc multiplicities
+skip the Möbius sum.  Cycle existence takes the same ladder without the
+Möbius sum after its closed-walk filter, and the frontier and the
+depth-first counter stop at the first cycle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, prod
 from operator import mul
 from typing import Callable, Iterator, Optional
@@ -377,8 +379,7 @@ _TERMS: dict[tuple, list[tuple[int, tuple[tuple[int, int], ...]]] | int] = {}
 _PLANS: dict[tuple, tuple[list[tuple[int, int, list[tuple]]], Counter, int]] = {}
 
 
-def _mobius(g: OrientedGraph, m: int, cyclic: bool,
-            flags: Optional[_WalkFlags] = None) -> Optional[int]:
+def _mobius(walks: _Walks, m: int, cyclic: bool) -> Optional[int]:
     """Simple paths on m vertices, or with ``cyclic`` m-cycle copies, by
     Möbius inversion over walk coincidences; None when the route is not
     taken.
@@ -404,22 +405,20 @@ def _mobius(g: OrientedGraph, m: int, cyclic: bool,
     prunes from (divided by m for cycles), and when no intermediate holds
     more than n**3 entries.  The term table is enumerated and planned once
     per (m, cyclic, closed-walk lengths), and not at all when a lower bound
-    on its cost already rejects it.  ``flags`` shares the closed-walk
-    flags with the caller's own checks.
+    on its cost already rejects it.
     """
-    n = g.n
+    n = walks.g.n
     if n ** m >= 1 << 53:
         return None
-    a = adjacency_matrix(g)
-    walks = np.ones(n)
+    a = walks.a
+    per_start = np.ones(n)
     for _ in range(m - 2):
-        walks = a @ walks
-    budget = _MOBIUS_RATIO * float(walks.sum()) / (m if cyclic else 1)
+        per_start = a @ per_start
+    budget = _MOBIUS_RATIO * float(per_start.sum()) / (m if cyclic else 1)
     step = n * n + _STEP_FLOPS  # every step costs at least this much
     if budget < step:
         return None
-    flags = flags or _WalkFlags(g)
-    key = (m, cyclic, tuple(flags.closed(j) for j in range(1, m)))
+    key = (m, cyclic, tuple(walks.closed(j) for j in range(1, m)))
     terms = _TERMS.get(key, 0)
     if isinstance(terms, int):
         # enumerating a partition costs about as much as a step; an int
@@ -576,34 +575,36 @@ def count_cycle_copies(g: OrientedGraph, k: int) -> int:
         return count_digons(g)
     if k > g.n:
         return 0
-    flags = _WalkFlags(g)
-    if _walks_are_cycles(g, k, flags):
+    walks = _Walks(g)
+    if walks.are_cycles(k):
         # each copy is then k closed walks, one per rotation
-        return count_closed_walks(g, k) // k
-    return _path_cycles(g, k, flags=flags)
+        return walks.trace(k) // k
+    return _simple_count(walks, k, cyclic=True)
 
 
-def _path_cycles(g: OrientedGraph, k: int, limit: Optional[int] = None,
-                 flags: Optional[_WalkFlags] = None) -> int:
-    """k-cycle copies (3 <= k <= n) over the twin classes, else by the
-    Möbius sum (without ``limit``), else on the frontier, else by the
-    depth-first counter.  With ``limit`` the frontier and the depth-first
-    counter may stop once the count reaches it."""
+def _simple_count(walks: _Walks, m: int, cyclic: bool, limit: Optional[int] = None) -> int:
+    """Simple paths on m vertices (2 <= m <= n), or with ``cyclic``
+    m-cycle copies (3 <= m <= n), over the twin classes, else by the Möbius
+    sum (without ``limit``), else on the frontier, else by the depth-first
+    counter.  With ``limit`` the frontier and the depth-first counter may
+    stop once the count reaches it."""
+    g = walks.g
     tw = _twins(g)
     if tw is not None:
-        return sum(_twin_closings(tw, k).values()) // k
+        return sum(_twin_closings(tw, m).values()) // m if cyclic else _twin_paths(tw, m - 1)
     if limit is None:
-        count = _mobius(g, k, cyclic=True, flags=flags)
+        count = _mobius(walks, m, cyclic)
         if count is not None:
             return count
     inn = g.in_bits()
-    if _frontier_ok(g, k - 1):
-        return _frontier_count(g, k - 1, _above(inn), limit)
+    if _frontier_ok(g, m - 1):
+        return _frontier_count(g, m - 1, _above(inn) if cyclic else None, limit)
     out = g.out_bits()
     total = 0
     for s in range(g.n):
-        high = -1 << (s + 1)  # vertices strictly above the canonical start
-        total += _simple_paths(out, s, k - 1, high, inn[s] & high, limit)
+        # a cycle is counted from its lowest vertex, with the rest above it
+        inner = -1 << (s + 1) if cyclic else -1
+        total += _simple_paths(out, s, m - 1, inner, inn[s] & inner if cyclic else -1, limit)
         if limit is not None and total >= limit:
             break
     return total
@@ -720,23 +721,11 @@ def _product(a: np.ndarray, b: np.ndarray, boolean: bool) -> np.ndarray:
 
 
 def count_closed_walks(g: OrientedGraph, length: int) -> int:
-    """tr(M^length), exact: float64 where the bound of :func:`_walk_dtype`
-    proves it exact.  Above that bound the half powers M^a and M^b
-    (a + b = length) are taken in the dtype that bound allows for them,
-    and only the contraction tr(M^a M^b) = sum M^a[u, v] * M^b[v, u] is
-    formed in Python integers."""
+    """tr(M^length), exact: float64 below the bound of :func:`_walk_dtype`,
+    Python integers above it (:meth:`_Walks.trace`)."""
     if length < 1:
         raise ValueError("walk length must be at least 1")
-    if _walk_dtype(g, length) is np.float64:
-        return int(np.trace(_power(adjacency_matrix(g), length)))
-    half = (length + 1) // 2
-    dtype = _walk_dtype(g, half)
-    a = adjacency_matrix(g, dtype)
-    low = _power(a, length // 2)
-    high = low @ a if half > length // 2 else low
-    if dtype is np.float64:
-        low, high = low.astype(np.int64), high.astype(np.int64)
-    return sum(map(mul, low.ravel().tolist(), high.T.ravel().tolist()))
+    return _Walks(g).trace(length)
 
 
 def has_closed_walk(g: OrientedGraph, length: int) -> bool:
@@ -748,55 +737,68 @@ def has_closed_walk(g: OrientedGraph, length: int) -> bool:
     """
     if length < 1:
         raise ValueError("walk length must be at least 1")
-    return bool(_power(adjacency_matrix(g), length, boolean=True).diagonal().any())
+    return _Walks(g).exists(length)
 
 
-def _walks_are_cycles(g: OrientedGraph, length: int, flags: Optional[_WalkFlags] = None) -> bool:
-    """True when every closed ``length``-walk of g is a directed cycle.
-
-    A closed walk that repeats a vertex splits there into two closed
-    walks; loops never occur, so the shorter has length j with
-    2 <= j <= length // 2.  Without such closed walks the identity
-    tr(M^length) = length * C_length holds.  In oriented mode this covers
-    every length up to 5, and 6 and 7 on triangle-free graphs.
-    """
-    if length < 4:
-        return True
-    # the flags for j = 2 .. length // 2, one product each, up to the first closed walk
-    flags = flags or _WalkFlags(g)
-    return not any(flags.closed(j) for j in range(2, length // 2 + 1))
-
-
-def _closed_walk_flags(g: OrientedGraph) -> Iterator[bool]:
-    """Yield, for j = 1, 2, ..., whether a closed j-walk exists.
-
-    The clipped power M^j (reachability in exactly j steps) is one boolean
-    product from M^(j-1), so the first L flags cost L - 1 products.  A
-    single long length is cheaper by :func:`has_closed_walk`.
-    """
-    a = power = adjacency_matrix(g)
-    while True:
-        yield bool(power.diagonal().any())
-        power = _product(power, a, boolean=True)
-
-
-class _WalkFlags:
-    """The flags of :func:`_closed_walk_flags` for one graph, taken as far
-    as they are asked for and kept, so that the checks of one count share
-    their products."""
-
-    __slots__ = ("_source", "_known")
+class _Walks:
+    """The closed walks of one graph, for one count: the float64 adjacency
+    matrix ``a``, built once when first read, and what the count asks of
+    it, so that the checks and the counters of one count share their
+    products."""
 
     def __init__(self, g: OrientedGraph):
-        self._source = _closed_walk_flags(g)
-        self._known: list[bool] = []
+        self.g = g
+        self._clipped: Optional[np.ndarray] = None  # the clipped M^len(_flags)
+        self._flags: list[bool] = []
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return adjacency_matrix(self.g)
 
     def closed(self, j: int) -> bool:
-        """Whether a closed j-walk exists (j >= 1)."""
-        known = self._known
-        while len(known) < j:
-            known.append(next(self._source))
-        return known[j - 1]
+        """Whether a closed j-walk exists (j >= 1).  The clipped power M^j
+        (reachability in exactly j steps) is one boolean product from
+        M^(j-1), so the first L flags cost L - 1 products; they are kept.
+        A single long length is cheaper by :meth:`exists`."""
+        flags = self._flags
+        while len(flags) < j:
+            self._clipped = self.a if not flags else _product(self._clipped, self.a, boolean=True)
+            flags.append(bool(self._clipped.diagonal().any()))
+        return flags[j - 1]
+
+    def exists(self, length: int) -> bool:
+        """Whether a closed ``length``-walk exists, by the boolean power."""
+        return bool(_power(self.a, length, boolean=True).diagonal().any())
+
+    def are_cycles(self, length: int) -> bool:
+        """True when every closed ``length``-walk is a directed cycle.
+
+        A closed walk that repeats a vertex splits there into two closed
+        walks; loops never occur, so the shorter has length j with
+        2 <= j <= length // 2.  Without such closed walks the identity
+        tr(M^length) = length * C_length holds.  In oriented mode this
+        covers every length up to 5, and 6 and 7 on triangle-free graphs.
+        The flags are taken up to the first closed walk.
+        """
+        return not any(self.closed(j) for j in range(2, length // 2 + 1))
+
+    def trace(self, length: int) -> int:
+        """tr(M^length), exact: float64 where the bound of
+        :func:`_walk_dtype` proves it exact.  Above that bound the half
+        powers M^a and M^b (a + b = length) are taken in the dtype that
+        bound allows for them, and only the contraction
+        tr(M^a M^b) = sum M^a[u, v] * M^b[v, u] is formed in Python
+        integers."""
+        if _walk_dtype(self.g, length) is np.float64:
+            return int(np.trace(_power(self.a, length)))
+        half = (length + 1) // 2
+        dtype = _walk_dtype(self.g, half)
+        a = self.a if dtype is np.float64 else adjacency_matrix(self.g, object)
+        low = _power(a, length // 2)
+        high = low @ a if half > length // 2 else low
+        if dtype is np.float64:
+            low, high = low.astype(np.int64), high.astype(np.int64)
+        return sum(map(mul, low.ravel().tolist(), high.T.ravel().tolist()))
 
 
 def has_cycle_subgraph(g: OrientedGraph, length: int) -> bool:
@@ -809,9 +811,10 @@ def has_cycle_subgraph(g: OrientedGraph, length: int) -> bool:
         return count_digons(g) > 0
     # a closed walk is necessary for a cycle; this filter is cheap and
     # settles most freeness sweeps without counting
-    if not has_closed_walk(g, length):
+    walks = _Walks(g)
+    if not walks.exists(length):
         return False
-    return _walks_are_cycles(g, length) or _path_cycles(g, length, limit=1) > 0
+    return walks.are_cycles(length) or _simple_count(walks, length, cyclic=True, limit=1) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -827,16 +830,7 @@ def count_paths(g: OrientedGraph, i: int) -> int:
         return g.n
     if i > g.n:
         return 0
-    tw = _twins(g)
-    if tw is not None:
-        return _twin_paths(tw, i - 1)
-    count = _mobius(g, i, cyclic=False)
-    if count is not None:
-        return count
-    if _frontier_ok(g, i - 1):
-        return _frontier_count(g, i - 1, None)
-    out = g.out_bits()
-    return sum(_simple_paths(out, s, i - 1, -1, -1) for s in range(g.n))
+    return _simple_count(_Walks(g), i, cyclic=False)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice, permutations
+from itertools import combinations_with_replacement, permutations
 
 from . import counting, density, numtheory, search, spectral
 from .constructions import (
@@ -225,8 +225,8 @@ def run_freeness():
     for d in (3, 4, 5, 6):
         cid = ConstructionId("balanced_cycle_blowup", d=d)
         for n in range(d, 61):
-            flags = islice(counting._closed_walk_flags(generate(cid, n)), 60)
-            if any(walk and ell % d for ell, walk in enumerate(flags, 1)):
+            walks = counting._Walks(generate(cid, n))
+            if any(walks.closed(ell) and ell % d for ell in range(1, 61)):
                 bad.append((d, n))
     details["cycle_blowup_walks"] = "ok" if not bad else f"violations {bad[:5]}"
     passed = passed and not bad

@@ -198,12 +198,11 @@ def _half_size_eig(m: np.ndarray, sides: tuple[int, ...]) -> Optional[np.ndarray
     return np.concatenate((lam, -lam, np.zeros(len(large) - b)))
 
 
-def hom_count_via_spectrum(g: OrientedGraph, k: int, spec: Optional[Spectrum] = None) -> float:
-    """(sum of lambda_i^k) / k; the imaginary parts must cancel.  ``spec``
-    is g's spectrum when the caller already has it."""
-    spec = spec or spectrum(g)
+def hom_count_via_spectrum(spec: Spectrum, k: int) -> float:
+    """(sum of lambda_i^k) / k over the spectrum; the imaginary parts must
+    cancel."""
     total = sum(z ** k for z in spec.eigenvalues)
-    scale = max(1.0, max((abs(z) for z in spec.eigenvalues), default=0.0) ** k * g.n)
+    scale = max(1.0, max((abs(z) for z in spec.eigenvalues), default=0.0) ** k * spec.n)
     if abs(total.imag) > 1e-6 * scale:
         raise ConvergenceFailure(f"imaginary residue {total.imag:.3e} in trace")
     return total.real / k

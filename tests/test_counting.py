@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -525,7 +525,7 @@ def test_more_than_64_vertices_without_twins_use_the_dfs(monkeypatch):
     for order in (3, 5):
         assert count_paths(g, order) == counting._frontier_count(core, order - 1, None)
     # k = 6 so that the trace route declines on the closed 3-walks
-    assert not counting._walks_are_cycles(g, 6)
+    assert not counting._Walks(g).are_cycles(6)
     assert count_cycle_copies(g, 6) == counting._frontier_count(core, 5, counting._above(core.in_bits()))
     mat = counting._arc_matrix(core, 6)
     assert arc_cycle_multiplicities(g, 6) == {(u, v): int(mat[u, v]) for (u, v) in core.arcs}
@@ -571,7 +571,7 @@ def test_traces_match_walk_dp(g):
 def test_trace_route_matches_dfs(g):
     for k in range(3, g.n + 1):
         cycles = dfs_cycles(g, k)
-        if counting._walks_are_cycles(g, k):
+        if counting._Walks(g).are_cycles(k):
             assert count_closed_walks(g, k) == k * cycles
         elif g.mode == ORIENTED:
             assert k >= 6  # some closed 3-walk is needed to decline
@@ -584,7 +584,7 @@ def test_trace_route_matches_dfs(g):
 @given(small_digraphs().filter(lambda g: g.n <= 7))
 def test_trace_route_matches_brute_force(g):
     for k in range(3, g.n + 1):
-        if counting._walks_are_cycles(g, k):
+        if counting._Walks(g).are_cycles(k):
             assert count_closed_walks(g, k) == k * naive_count(g, k)
 
 
@@ -639,12 +639,12 @@ def test_boolean_power_stays_exact_on_long_walks():
 def test_trace_route_declines_on_short_closed_walks():
     # blobs of 2 on a triangle: closed 6-walks wind the triangle twice
     g = balanced_blow_up(directed_cycle(3), 6)
-    assert not counting._walks_are_cycles(g, 6)
+    assert not counting._Walks(g).are_cycles(6)
     assert count_closed_walks(g, 6) == 6 * 32
     assert count_cycle_copies(g, 6) == naive_count(g, 6) == 4
     # digons give closed 4-walks that are no 4-cycles
     k4 = new_graph(4, [(u, v) for u in range(4) for v in range(4) if u != v], DIRECTED)
-    assert not counting._walks_are_cycles(k4, 4)
+    assert not counting._Walks(k4).are_cycles(4)
     assert count_closed_walks(k4, 4) == 3 ** 4 + 3
     assert count_cycle_copies(k4, 4) == naive_count(k4, 4) == 6
     # the same holds above 64 vertices, where the fallback is the DFS
@@ -810,7 +810,8 @@ def test_closed_walk_flags_match_has_closed_walk():
             digons = new_graph(n, [(u, v) for u in range(n) for v in range(n)
                                    if u != v and rng.random() < 0.3], DIRECTED)
             for g in (random_oriented(rng, n, 0.6), digons):
-                flags = list(islice(counting._closed_walk_flags(g), 20))
+                walks = counting._Walks(g)
+                flags = [walks.closed(j) for j in range(1, 21)]
                 assert flags == [has_closed_walk(g, j) for j in range(1, 21)], (n, g.arcs)
 
 
@@ -818,8 +819,30 @@ def test_walks_are_cycles_stops_at_the_first_short_closed_walk(monkeypatch):
     # blobs of 3 on a triangle: M^2 has an empty diagonal, M^3 does not, so
     # the check for length 8 stops after the products M^2 and M^3 of j = 2, 3
     calls = spy(monkeypatch, "_product")
-    assert not counting._walks_are_cycles(balanced_blow_up(directed_cycle(3), 9), 8)
+    assert not counting._Walks(balanced_blow_up(directed_cycle(3), 9)).are_cycles(8)
     assert calls["_product"] == 2
+
+
+def test_each_count_builds_the_adjacency_matrix_once(monkeypatch):
+    calls = spy(monkeypatch, "adjacency_matrix", "_twin_closings", "_contract", "_frontier_count")
+    bipartite = random_bipartite_orientation(20, 0)
+    cases = [
+        # the trace route
+        (count_cycle_copies, random_oriented(random.Random(4), 12), 4, None),
+        # the Möbius route: 10-cycles of a K10,10 orientation, and 7-vertex paths
+        (count_cycle_copies, bipartite, 10, "_contract"),
+        (count_paths, random_bipartite_orientation(40, 1), 7, "_contract"),
+        # the twin route, after the closed 3-walks decline the trace
+        (count_cycle_copies, balanced_blow_up(directed_cycle(3), 9), 6, "_twin_closings"),
+        # existence: the closed-walk filter, the trace check, then the frontier
+        (has_cycle_subgraph, random_oriented(random.Random(24), 24), 8, "_frontier_count"),
+    ]
+    for count, g, k, route in cases:
+        for name in calls:
+            calls[name] = 0
+        count(g, k)
+        assert calls["adjacency_matrix"] == 1, (count.__name__, k)
+        assert route is None or calls[route] > 0, (count.__name__, k)
 
 
 # ---------------------------------------------------------------------------
@@ -855,7 +878,7 @@ def test_existence_stops_the_frontier_at_the_first_cycle(monkeypatch):
     # twin-free, with closed 3-walks, so neither the twin counters nor the
     # trace answer, and with 29,937 8-cycles spread over many chunks
     g = random_oriented(random.Random(24), 24, 0.5)
-    assert counting._twins(g) is None and not counting._walks_are_cycles(g, 8)
+    assert counting._twins(g) is None and not counting._Walks(g).are_cycles(8)
     calls = count_closings(monkeypatch)
     # the full count on the frontier itself: the counting ladder may take
     # the Möbius sum instead
@@ -867,7 +890,7 @@ def test_existence_stops_the_frontier_at_the_first_cycle(monkeypatch):
 
 def test_existence_stops_the_dfs_between_starts(monkeypatch):
     _, g = twin_free_65()
-    assert not counting._walks_are_cycles(g, 6)
+    assert not counting._Walks(g).are_cycles(6)
     calls = spy(monkeypatch, "_simple_paths")
     assert has_cycle_subgraph(g, 6)
     assert 0 < calls["_simple_paths"] < 65
@@ -936,8 +959,9 @@ def mobius_inputs(draw):
 def test_mobius_route_matches_enumeration_frontier_and_dfs(case):
     g, m = case
     with mock.patch.object(counting, "_MOBIUS_RATIO", 1e30):  # route whenever exact
-        paths = counting._mobius(g, m, cyclic=False)
-        cycles = counting._mobius(g, m, cyclic=True)
+        walks = counting._Walks(g)
+        paths = counting._mobius(walks, m, cyclic=False)
+        cycles = counting._mobius(walks, m, cyclic=True)
     # the route declines only when there is no walk to count
     expected = dfs_paths(g, m)
     assert paths == expected or paths is None and expected == 0
@@ -964,7 +988,7 @@ def test_mobius_route_taken_by_work(monkeypatch):
     dense = random_oriented(rng, 12, 0.8)
     for g in (k2020, bipartite, thinned, dense):
         assert counting._twins(g) is None
-    assert not counting._walks_are_cycles(bipartite, 10) and not counting._walks_are_cycles(dense, 10)
+    assert not counting._Walks(bipartite).are_cycles(10) and not counting._Walks(dense).are_cycles(10)
     # many walks per term: the K20,20 orientation at order 7 and 10-cycles
     # of a bipartite orientation take the route
     counts = [count_paths(k2020, 7), count_cycle_copies(bipartite, 10)]

@@ -15,7 +15,6 @@ from dicycles.constructions import (
     c7_chords_pattern,
     closed_form_count,
     digon_pattern,
-    hub_triangle_pattern,
     seven_cycle_with_chords,
     threshold_c7_pattern,
 )
@@ -35,7 +34,9 @@ from dicycles.graphs import (
     DIRECTED,
     THRESHOLD,
     ArcRule,
+    BlobInternal,
     PatternError,
+    PatternSpec,
     directed_cycle,
     uniform_pattern,
 )
@@ -57,7 +58,9 @@ NAMED_PATTERNS = {
     "c5c7_opposite": c5c7_pattern("opposite"),
     "c7_chords": c7_chords_pattern(),
     "digon": digon_pattern(),
-    "hub_1/5": hub_triangle_pattern(Fraction(1, 5)),
+    # the hub triangle of the sparse families, with weight on its hub
+    "hub_1/5": PatternSpec(directed_cycle(3), (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)),
+                           tuple(BlobInternal() for _ in range(3))),
     **{f"cycle_{d}": uniform_pattern(directed_cycle(d)) for d in range(3, 7)},
 }
 

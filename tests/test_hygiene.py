@@ -10,7 +10,9 @@ package ``__init__`` re-exports what it imports, so its imports are not
 unused.  A function, method or class that nothing in src/ or perfbench/
 references is dead code: a re-export in ``__init__`` or a call from
 tests/ alone does not keep it, since a test of code that nothing else
-runs checks nothing that reaches a user.
+runs checks nothing that reaches a user.  By the same rule, an optional
+parameter that no call in src/ or perfbench/ passes is a dead knob: every
+user runs its default.
 """
 
 import ast
@@ -29,6 +31,16 @@ CALLED_FROM_OUTSIDE = {
                                        "`dicycles count --per-vertex` prints",
     "density.py:mc_threshold_density": "the quadrature's independent reference in the tests, "
                                        "until an exact threshold density replaces it",
+}
+
+# optional parameters that only the tests pass, with the reason
+PASSED_FROM_OUTSIDE = {
+    "density.py:threshold_density": (("pattern", "weights"),
+                                     "the quadrature's cross-checks against the walk expansion "
+                                     "and the dense reference in test_density.py"),
+    "density.py:mc_threshold_density": (("k", "pattern"),
+                                        "the quadrature's independent reference in the tests, "
+                                        "until an exact threshold density replaces it"),
 }
 
 
@@ -96,15 +108,22 @@ def references(trees) -> tuple[set[str], set[str]]:
     return names, attrs
 
 
+def sources(root: Path) -> tuple[dict[str, ast.Module], list[ast.Module]]:
+    """The trees of root/src/dicycles by module name, and the trees whose
+    references count: the package without ``__init__``, and root/perfbench."""
+    module_trees = {path.name: ast.parse(path.read_text())
+                    for path in sorted((root / "src" / "dicycles").glob("*.py"))}
+    callers = [tree for module, tree in module_trees.items() if module != "__init__.py"]
+    callers += [ast.parse(path.read_text()) for path in sorted((root / "perfbench").glob("*.py"))]
+    return module_trees, callers
+
+
 def dead_definitions(root: Path) -> list[str]:
     """Definitions in root/src/dicycles that nothing in root/perfbench or
     in the package references, ``__init__``'s re-exports not counted.  A
     member counts as referenced by attribute name; a function or class by
     name, import or attribute."""
-    module_trees = {path.name: ast.parse(path.read_text())
-                    for path in sorted((root / "src" / "dicycles").glob("*.py"))}
-    callers = [tree for module, tree in module_trees.items() if module != "__init__.py"]
-    callers += [ast.parse(path.read_text()) for path in sorted((root / "perfbench").glob("*.py"))]
+    module_trees, callers = sources(root)
     names, attrs = references(callers)
     dead = []
     for module, tree in module_trees.items():
@@ -112,6 +131,70 @@ def dead_definitions(root: Path) -> list[str]:
             name = qualname.rsplit(".", 1)[-1]
             if name not in attrs and (is_member or name not in names):
                 dead.append(f"{module}:{qualname}")
+    return sorted(dead)
+
+
+def passed_arguments(trees) -> dict[str, tuple[float, set[str]]]:
+    """For each called name, (the most positional arguments of any call,
+    the keywords passed); a ``*`` argument counts as any number, a ``**``
+    one as every keyword.  ``t.call(label, f, *args, **kw)`` (the
+    benchmark's tracer) is a call of f, with its ``work=`` dropped."""
+    passed: dict[str, tuple[float, set[str]]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args, keywords = node.func, node.args, node.keywords
+            if isinstance(func, ast.Attribute) and func.attr == "call" and len(args) >= 2:
+                func, args = args[1], args[2:]
+                keywords = [kw for kw in keywords if kw.arg != "work"]
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            most, words = passed.get(name, (0, set()))
+            count = float("inf") if any(isinstance(a, ast.Starred) for a in args) else len(args)
+            words |= {kw.arg or "**" for kw in keywords}
+            passed[name] = (max(most, count), words)
+    return passed
+
+
+def dead_parameters(root: Path) -> list[str]:
+    """Optional parameters of the functions, methods and constructors in
+    root/src/dicycles that no call in the package (``__init__`` not
+    counted) or in root/perfbench passes, by position or by keyword, as
+    "module:qualname(parameter)".  Calls are matched by name, so a call of
+    any function of that name counts; ``self`` is not a position, and a
+    constructor is called by its class name."""
+    module_trees, callers = sources(root)
+    passed = passed_arguments(callers)
+    dead = []
+
+    def visit(module, node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(module, child, prefix + child.name + ".", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = prefix + child.name
+                name = cls if child.name == "__init__" else child.name
+                spec = child.args
+                positional = spec.posonlyargs + spec.args
+                if cls is not None and not any(getattr(d, "id", None) == "staticmethod"
+                                               for d in child.decorator_list):
+                    positional = positional[1:]
+                most, words = passed.get(name, (0, set()))
+                optional = [(i, a.arg) for i, a in enumerate(positional)
+                            if i >= len(positional) - len(spec.defaults)]
+                optional += [(None, a.arg) for a, d in zip(spec.kwonlyargs, spec.kw_defaults)
+                             if d is not None]
+                dead.extend(f"{module}:{qualname}({arg})" for i, arg in optional
+                            if "**" not in words and arg not in words
+                            and (i is None or most <= i))
+                visit(module, child, qualname + ".", None)
+            else:
+                visit(module, child, prefix, cls)
+
+    for module, tree in module_trees.items():
+        visit(module, tree, "", None)
     return sorted(dead)
 
 
@@ -140,6 +223,27 @@ def test_scanners_find_what_they_look_for(tmp_path):
                                           "m.py:dead", "m.py:exported"]
 
 
+def test_parameter_scan_finds_what_it_looks_for(tmp_path):
+    files = {
+        "src/dicycles/m.py": "def f(a, b=1, c=2, *, d=3, e=4): pass\ndef g(x=1): pass\n"
+                             "def traced(p, q=0, work=0): pass\ndef star(a=1, b=2): pass\n"
+                             "def spread(a=1, *, b=2): pass\n"
+                             "class K:\n    def __init__(self, size=1): pass\n"
+                             "    def m(self, y=0, z=0): pass\n"
+                             "    @staticmethod\n    def s(y=0, z=0): pass\n"
+                             "def outer(u=0):\n    def inner(v=0): pass\n    inner()\n",
+        "src/dicycles/__init__.py": "from .m import f\nf(1, 2, 3, d=4, e=5)\n",
+        "src/dicycles/user.py": "f(1, 2)\nK(2).m(z=1)\nK.s(1)\nstar(*xs)\nspread(**kw)\n",
+        "perfbench/p.py": "t.call('m.traced', m.traced, 1, q=2, work=3)\nm.f(0, d=1)\nouter(1)\n",
+        "tests/test_m.py": "g(5)\nf(e=1)\nK().m(1, 2)\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert dead_parameters(tmp_path) == ["m.py:K.m(y)", "m.py:K.s(z)", "m.py:f(c)", "m.py:f(e)",
+                                         "m.py:g(x)", "m.py:outer.inner(v)", "m.py:traced(work)"]
+
+
 def test_modules_found():
     assert {"search.py", "counting.py", "cli.py"} <= {p.name for p in MODULES}
 
@@ -159,3 +263,13 @@ def test_no_dead_definitions():
     dead = dead_definitions(ROOT)
     assert [d for d in dead if d not in CALLED_FROM_OUTSIDE] == []
     assert sorted(CALLED_FROM_OUTSIDE) == [d for d in dead if d in CALLED_FROM_OUTSIDE]
+
+
+def test_no_dead_parameters():
+    # the scan is by name too: a parameter passed to any function of the
+    # same name counts as passed
+    exempt = {f"{definition}({arg})" for definition, (args, _) in PASSED_FROM_OUTSIDE.items()
+              for arg in args}
+    dead = dead_parameters(ROOT)
+    assert [d for d in dead if d not in exempt] == []
+    assert sorted(exempt) == [d for d in dead if d in exempt]
