@@ -862,6 +862,8 @@ def clear(g: OrientedGraph, k: int, ell: int) -> ClearingResult:
     so deleting the other arcs leaves every k-cycle, and every remaining
     arc on one.
     """
+    if ell < 1:
+        raise ValueError("walk length must be at least 1")
     dead = {arc for arc, m in arc_cycle_multiplicities(g, k).items() if m == 0}
     removed_arcs = len(dead)
     current = new_graph(g.n, g.arcs - dead, g.mode) if dead else g

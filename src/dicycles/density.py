@@ -5,9 +5,11 @@ Polynomial patterns (full arcs, tournament or bipartite blobs) get a
 :class:`DensityModel`: the exact rational density polynomial from the
 walk expansion.  Threshold patterns with independent blobs get
 :func:`threshold_density`, a transfer-matrix quadrature of their cycle
-integral whose kernels carry exact per-cell areas, with a Monte-Carlo
-cross-check.  A full arc's kernel is the all-ones matrix, so its steps
-factor the trace into matrix-vector products.
+integral, with a Monte-Carlo cross-check.  A threshold arc runs x -> y
+iff y - x <= c (for x, y in [0, 1] the same as min(x + c, 1) >= y), so
+its kernel depends only on the cell difference j - i.  A full arc's
+kernel is the all-ones matrix, so its steps factor the trace into
+matrix-vector products.
 The quadrature integrates the kernels of its argument c, so a pattern
 built for another threshold constant raises PatternError.
 Optimizers: multi-start projected gradient ascent on the weight simplex,
@@ -30,6 +32,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constructions import threshold_c7_pattern
 from .graphs import THRESHOLD, PatternError, PatternSpec
@@ -54,7 +57,13 @@ class WeightsOffSimplexError(DensityError):
     pass
 
 
-def _check_simplex(weights: Sequence) -> None:
+def _check_length(weights: Sequence, p: int) -> None:
+    if len(weights) != p:
+        raise WeightsOffSimplexError(f"{len(weights)} weights given for {p} blobs")
+
+
+def _check_simplex(weights: Sequence, p: int) -> None:
+    _check_length(weights, p)
     total = 0.0
     for w in weights:
         if float(w) < -1e-12:
@@ -76,7 +85,8 @@ class DensityModel:
     monomials: dict
 
     def value(self, weights) -> Fraction:
-        _check_simplex(weights)
+        # an identically zero model has no monomial to fix the blob count
+        _check_simplex(weights, len(next(iter(self.monomials), weights)))
         return evaluate_monomials(self.monomials, weights)
 
 
@@ -203,6 +213,7 @@ def optimize_weights(model: DensityModel, initializations=None) -> WeightsResult
         initializations = _default_initializations(poly.p)
     best_w, best_v = None, -math.inf
     for w0 in initializations:
+        _check_length(w0, poly.p)
         w = _project(np.asarray(w0, dtype=float).tolist())
         w, v = _ascend(poly, w)
         if v > best_v + 1e-15 or (abs(v - best_v) <= 1e-15
@@ -223,31 +234,22 @@ def optimize_weights(model: DensityModel, initializations=None) -> WeightsResult
 # ---------------------------------------------------------------------------
 
 
-def _forward_cell_integrals(c: float, resolution: int) -> np.ndarray:
-    """Cell-averaged values of the kernel [min(x+c, 1) >= y] on an N x N grid."""
+def _threshold_kernels(c: float, resolution: int) -> dict[str, np.ndarray]:
+    """Cell averages of the kernels [y - x <= c] (ALONG) and
+    [x - y > c] (AGAINST) on an N x N grid.
+
+    With x = (i + u)/N and y = (j + v)/N, cell (i, j) is
+    P(v - u <= cN - d), d = j - i, for independent uniforms u and v: F(cN - d)
+    with F the CDF of the triangular law on [-1, 1].  So ALONG is the
+    Toeplitz matrix of F(cN - d) for d = 1 - N .. N - 1.  A CROSS step, along
+    a full arc, has the all-ones kernel, which _tag_trace applies unbuilt.
+    """
     n = resolution
-    edges = np.linspace(0.0, 1.0, n + 1)
-    x0 = edges[:-1][:, None]
-    x1 = edges[1:][:, None]
-    y0 = edges[:-1][None, :]
-    y1 = edges[1:][None, :]
-
-    def integral(m):
-        # int_{x0}^{x1} min(x + c, m) dx for the clamp level m = min(1, y)
-        m = np.minimum(m, 1.0)
-        split = np.clip(m - c, x0, x1)
-        linear = 0.5 * (split ** 2 - x0 ** 2) + c * (split - x0)
-        return linear + m * (x1 - split)
-
-    area = integral(y1) - integral(y0)
-    return area * (n * n)
-
-
-def _threshold_matrices(c: float, resolution: int) -> dict[str, np.ndarray]:
-    # a CROSS step, along a full arc, has the all-ones kernel, which
-    # _tag_trace applies without building it
-    fwd = _forward_cell_integrals(c, resolution)
-    return {ALONG: fwd, AGAINST: 1.0 - fwd.T}
+    t = np.clip(c * n - np.arange(1 - n, n), -1.0, 1.0)
+    f = np.where(t < 0.0, 0.5 * (1.0 + t) ** 2, 1.0 - 0.5 * (1.0 - t) ** 2)
+    # row i of the reversed windows is f[N - 1 - i:2N - 1 - i], entry j the value at d = j - i
+    along = np.ascontiguousarray(sliding_window_view(f, n)[::-1])
+    return {ALONG: along, AGAINST: 1.0 - along.T}
 
 
 def _kernel_steps(pattern: PatternSpec, c: float) -> list[list[tuple[int, str]]]:
@@ -312,10 +314,12 @@ def _tag_trace(tag: tuple[str, ...], kernels: dict[str, np.ndarray], resolution:
 def threshold_density(c: float, k: int = 5, resolution: int = 512,
                       pattern: Optional[PatternSpec] = None,
                       weights: Optional[tuple[Fraction, ...]] = None) -> float:
-    """Limit k-cycle copy density of a threshold pattern.
+    """Limit k-cycle copy density of a threshold pattern, whose threshold
+    arcs run x -> y iff y - x <= c.
 
     The k-dimensional cycle integral factors through transfer matrices of
-    the per-step kernels on a resolution x resolution grid; traces are
+    the per-step kernels on a resolution x resolution grid, exact cell
+    averages of the rule (:func:`_threshold_kernels`); traces are
     shared across walks with the same cyclic kernel sequence.  The
     full-arc kernel has rank one, so a sequence that contains it costs
     matrix-vector products instead of matrix products.  Error decreases
@@ -323,7 +327,8 @@ def threshold_density(c: float, k: int = 5, resolution: int = 512,
     pattern has no shorter cycles, and the grid would report its own
     cell-average error) and resolution >= 1.  A pattern the kernels do not
     cover, or whose threshold constant is not c, raises PatternError (see
-    :func:`_kernel_steps`).
+    :func:`_kernel_steps`), and weights for other than the pattern's blobs
+    raise WeightsOffSimplexError.
     """
     if k < 3:
         raise DensityError(f"k must be at least 3, got {k}")
@@ -333,9 +338,9 @@ def threshold_density(c: float, k: int = 5, resolution: int = 512,
         pattern = threshold_c7_pattern(c)
     if weights is None:
         weights = pattern.blob_weights
-    _check_simplex(weights)
+    _check_simplex(weights, pattern.p)
     grouped = _threshold_walks(pattern, c, k)
-    kernels = _threshold_matrices(c, resolution)
+    kernels = _threshold_kernels(c, resolution)
     scale = float(resolution) ** k
     total = 0.0
     for tag, expo_counts in grouped.items():
@@ -351,7 +356,8 @@ def threshold_density(c: float, k: int = 5, resolution: int = 512,
 def mc_threshold_density(c: float, samples: int, seed: int, k: int = 5,
                          pattern: Optional[PatternSpec] = None) -> tuple[float, float]:
     """Monte-Carlo estimate of the same density with its standard error;
-    the same patterns raise PatternError."""
+    the same patterns raise PatternError.  Each threshold step tests the
+    rule y - x <= c as x + c >= y on uniform coordinates in [0, 1)."""
     if pattern is None:
         pattern = threshold_c7_pattern(c)
     p = pattern.p
@@ -371,8 +377,8 @@ def mc_threshold_density(c: float, samples: int, seed: int, k: int = 5,
         a, b = blobs[:, t], blobs[:, (t + 1) % k]
         x, y = coords[:, t], coords[:, (t + 1) % k]
         r = rel[a, b]
-        fwd = np.minimum(x + c, 1.0) >= y
-        bwd = np.minimum(y + c, 1.0) < x
+        fwd = x + c >= y
+        bwd = y + c < x
         ok &= np.where(r == 3, True, np.where(r == 1, fwd, np.where(r == 2, bwd, False)))
     hits = int(ok.sum())
     p_hat = hits / samples

@@ -232,8 +232,9 @@ class ArcRule:
     """Orientation rule for a base arc: full one-directional, or threshold.
 
     A threshold rule with constant c orients each cross pair individually:
-    with f(x) = min(x + c, 1), the arc runs x -> y iff f(coord(x)) >=
-    coord(y), and y -> x otherwise.
+    the arc runs x -> y iff coord(y) - coord(x) <= c, and y -> x
+    otherwise.  On coordinates in [0, 1] this is the rule
+    min(coord(x) + c, 1) >= coord(y).
     """
 
     kind: str = FULL
@@ -341,10 +342,6 @@ class BlobAssignment:
         if any(s < 0 for s in sizes):
             raise SizeMismatchError("blob sizes must be non-negative")
 
-    @property
-    def n(self) -> int:
-        return sum(self.sizes)
-
 
 def _bipartite_first_part(size: int, split: Fraction) -> int:
     # deterministic half-up rounding of split * size in exact arithmetic
@@ -362,8 +359,10 @@ def blow_up(pattern: PatternSpec, assignment: BlobAssignment) -> OrientedGraph:
     Blob i occupies the contiguous index range following blobs 0..i-1.
     Internal structure: transitive tournaments are ordered by vertex index;
     one-way bipartite blobs send all arcs from the first part to the
-    second.  Threshold arcs compare f(coord(x)) = min(coord(x) + c, 1)
-    against coord(y), with each blob at its equispaced coordinates.
+    second.  A threshold arc u -> v runs x -> y iff coord(y) - coord(x)
+    <= c (tested as coord(x) + c >= coord(y)), and y -> x otherwise, with
+    each blob at its equispaced coordinates in [0, 1]; there the rule is
+    min(coord(x) + c, 1) >= coord(y).
     """
     sizes = assignment.sizes
     if len(sizes) != pattern.p:
@@ -385,9 +384,9 @@ def blow_up(pattern: PatternSpec, assignment: BlobAssignment) -> OrientedGraph:
             for i in range(lu, offsets[u + 1]):
                 out[i] |= _span(lv, offsets[v + 1])
         else:
-            # coordinates increase within a blob, so x -> y (f(x) >= y) holds for a
-            # prefix of v's blob, and y -> x (f(x) < y) for a prefix of u's blob
-            fx = [min(x + rule.c, 1.0) for x in equispaced_coordinates(sizes[u])]
+            # coordinates increase within a blob, so x -> y (x + c >= y) holds for a
+            # prefix of v's blob, and y -> x (x + c < y) for a prefix of u's blob
+            fx = [x + rule.c for x in equispaced_coordinates(sizes[u])]
             cv = equispaced_coordinates(sizes[v])
             for i in range(sizes[u]):
                 out[lu + i] |= _span(lv, lv + bisect_right(cv, fx[i]))

@@ -115,7 +115,7 @@ def _cyclic_sequences(n: int, k: int) -> list[tuple[tuple[int, int], ...]]:
 
 def _naive_cycle_count(g: OrientedGraph, cycles: list[tuple[tuple[int, int], ...]]) -> int:
     """Independent oracle: test every cyclic vertex sequence explicitly."""
-    return sum(all(a in g.arcs for a in cycle) for cycle in cycles)
+    return sum(map(g.arcs.issuperset, cycles))
 
 
 @_timed
@@ -267,24 +267,14 @@ def run_spectral_bound():
 
 
 def _oracle_reachable(gens: tuple[int, ...], limit: int) -> bytearray:
-    """Exhaustive coefficient search, independent of the DP implementation."""
+    """Every sum of the generators up to limit, by a coin DP over a
+    bytearray: independent of numtheory's bitset DP."""
     reach = bytearray(limit + 1)
-    a = gens[0]
-    rest = gens[1:]
-    for x in range(0, limit // a + 1):
-        base = x * a
-        if not rest:
-            reach[base] = 1
-            continue
-        b = rest[0]
-        for y in range(0, (limit - base) // b + 1):
-            base2 = base + y * b
-            if len(rest) == 1:
-                reach[base2] = 1
-                continue
-            c = rest[1]
-            for z in range(0, (limit - base2) // c + 1):
-                reach[base2 + z * c] = 1
+    reach[0] = 1
+    for a in gens:
+        for x in range(a, limit + 1):
+            if reach[x - a]:
+                reach[x] = 1
     return reach
 
 

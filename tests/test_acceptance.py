@@ -41,7 +41,7 @@ DETAILS_SHA256 = {
     "spectral_bound": "460ba1c89d822df8f7691294108da46413cfbb66db728aadf8c623f1a70fce1c",
     "frobenius": "ec38cd00fb1f4bbd35264045d4cbac042d5e2835200e1ae8ee6f157aee1835af",
     "c5c7": "ec6e6be44fc9434f639be74d426bb64ffa709b36c0bbecf12e53cc9c2422f694",
-    "threshold": "9c6fb4e7a94ab765743241b4c1a68cd46478cf9a5102490318750461d6535651",
+    "threshold": "b70081da5429cc82427045091f791316b8c0b2a543608b45473a3bafdc64c1e8",
     "neighbor_condition": "be9a450f7b556ec96e739e71bbcfcc442f764340d194c6c868a8182fdc0e513f",
     "path_bound": "4744c7482e2d1209774d89de28ee09e15aa6b3a557f3efbfea1a80f8f456903b",
     "iterated_c4": "6c893566e45d3e8c714b05d5535878ec542d341307a95de702228518f86f8b10",

@@ -171,6 +171,15 @@ def test_clear_and_count_with_k_below_two_are_usage_errors(tmp_path, capsys, k):
                                    "message": "cycle length must be at least 2"}
 
 
+@pytest.mark.parametrize("k", ["3", "4"])
+def test_clear_with_l_below_one_is_a_usage_error(tmp_path, capsys, k):
+    path = tmp_path / "c3.graph"
+    path.write_text("3 3\n0 1\n1 2\n2 0\n")
+    code, payload, err = run_cli(capsys, "clear", "--in", str(path), "--k", k, "--l", "0")
+    assert code == 2 and payload is None
+    assert json.loads(err) == {"error": "ValueError", "message": "walk length must be at least 1"}
+
+
 def test_clear_command(tmp_path, capsys):
     path = tmp_path / "pendant.graph"
     path.write_text("4 4\n0 1\n1 2\n2 0\n2 3\n")

@@ -236,6 +236,15 @@ def test_clear_pendant_and_fixed_point():
     assert result.cleared.n == 0 and result.removed_arcs == 3
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_clear_rejects_ell_below_one_before_any_work(k):
+    # at k = 4 the directed triangle clears to nothing, so the walk check
+    # that once raised was never reached and clear returned ell_walk_free
+    for ell in (0, -1):
+        with pytest.raises(ValueError, match="walk length must be at least 1"):
+            clear(directed_cycle(3), k, ell)
+
+
 @pytest.mark.parametrize("k", [1, 0, -1])
 def test_per_arc_counts_reject_k_below_two(k):
     # as count_cycle_copies does; k = 1 once gave every arc multiplicity 0,

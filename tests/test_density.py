@@ -21,8 +21,8 @@ from dicycles.constructions import (
 from dicycles.density import (
     DensityError,
     WeightsOffSimplexError,
-    _forward_cell_integrals,
     _project,
+    _threshold_kernels,
     density_model,
     hub_split_model,
     mc_threshold_density,
@@ -327,6 +327,25 @@ def test_weights_off_simplex_rejected():
         model.value([1.5, -0.25, -0.25])
 
 
+# each entry took a weight vector of the wrong length: zip dropped the
+# seventh blob (0.00488 against 0.000431), the missing weights read as
+# zero, or an index ran off the end
+WRONG_WEIGHT_COUNTS = {
+    "threshold_density": lambda: threshold_density(0.7, resolution=64, pattern=threshold_c7_pattern(0.7),
+                                                   weights=(Fraction(1, 6),) * 6),
+    "value_long": lambda: density_model(uniform_pattern(directed_cycle(3)), 3).value((0.5, 0.5, 0, 0)),
+    "value_short": lambda: density_model(uniform_pattern(directed_cycle(3)), 3).value((0.5, 0.5)),
+    "optimize_weights": lambda: optimize_weights(density_model(uniform_pattern(directed_cycle(3)), 3),
+                                                 [[1 / 3] * 3, [0.5, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_WEIGHT_COUNTS))
+def test_weight_count_must_match_the_blobs(name):
+    with pytest.raises(WeightsOffSimplexError, match="weights given for"):
+        WRONG_WEIGHT_COUNTS[name]()
+
+
 def test_density_invariant_under_base_automorphism():
     rng = random.Random(8)
     for pattern, k in ((uniform_pattern(directed_cycle(4)), 4),
@@ -459,14 +478,43 @@ def test_threshold_monte_carlo_agrees():
     quad = threshold_density(0.67757, resolution=256)
     mc, se = mc_threshold_density(0.67757, 400_000, seed=99)
     assert abs(mc - quad) <= 3 * se
+    assert (mc, se) == (0.000427, 1.4596032937068895e-05)
+
+
+def _all_threshold_pattern(c):
+    base = seven_cycle_with_chords()
+    return uniform_pattern(base, arc_rule={arc: ArcRule("threshold", c) for arc in base.arcs})
+
+
+# mc_threshold_density outputs as the clamped test min(x + c, 1) >= y gave
+# them: (c, seed, k, all-threshold pattern) -> (estimate, standard error)
+PINNED_MONTE_CARLO = {
+    (0.0, 7, 5, False): (0.000272, 3.29624076790516e-05),
+    (0.3, 7, 5, False): (0.00035999999999999997, 3.791316394077392e-05),
+    (0.9, 7, 5, False): (0.00041999999999999996, 4.094474325233949e-05),
+    (1.0, 7, 5, False): (0.00040800000000000005, 4.0356792736787195e-05),
+    (0.0, 3, 4, True): (0.0, 1.1180339887498948e-153),
+    (0.3, 3, 4, True): (5e-05, 1.5809807082946963e-05),
+    (0.9, 3, 4, True): (2e-05, 9.99959999199968e-06),
+    (1.0, 3, 4, True): (0.0, 1.1180339887498948e-153),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_MONTE_CARLO))
+def test_monte_carlo_estimates_are_pinned(key):
+    # the rule y - x <= c needs no clamp at 1 for coordinates in [0, 1],
+    # so the unclamped test gives the clamped test's estimates bit for bit
+    c, seed, k, all_threshold = key
+    pattern = _all_threshold_pattern(c) if all_threshold else None
+    assert mc_threshold_density(c, 50_000, seed=seed, k=k, pattern=pattern) == PINNED_MONTE_CARLO[key]
 
 
 def test_threshold_all_arcs_variant_evaluates():
-    base = seven_cycle_with_chords()
-    pattern = uniform_pattern(base, arc_rule={arc: ArcRule("threshold", 0.7) for arc in base.arcs})
+    pattern = _all_threshold_pattern(0.7)
     dens = threshold_density(0.7, resolution=128, pattern=pattern)
     mc, se = mc_threshold_density(0.7, 300_000, seed=5, pattern=pattern)
     assert abs(mc - dens) <= 3.5 * se
+    assert (mc, se) == (0.00042466666666666667, 1.680803295605562e-05)
 
 
 def test_optimize_threshold_fast_resolution():
@@ -486,21 +534,16 @@ def dense_threshold_reference(c, k, resolution, pattern):
     (a, b) block is w_b times the step kernel, with the full-arc kernel
     materialized as the all-ones matrix."""
     n = resolution
-    fwd = _forward_cell_integrals(c, n)
+    kernels = _threshold_kernels(c, n)
     w = [float(x) for x in pattern.blob_weights]
     t = np.zeros((pattern.p * n, pattern.p * n))
     for (u, v), rule in pattern.arc_rule.items():
         if rule.kind == THRESHOLD:
-            t[u * n:(u + 1) * n, v * n:(v + 1) * n] += w[v] * fwd
-            t[v * n:(v + 1) * n, u * n:(u + 1) * n] += w[u] * (1.0 - fwd.T)
+            t[u * n:(u + 1) * n, v * n:(v + 1) * n] += w[v] * kernels[ALONG]
+            t[v * n:(v + 1) * n, u * n:(u + 1) * n] += w[u] * kernels[AGAINST]
         else:
             t[u * n:(u + 1) * n, v * n:(v + 1) * n] += w[v] * np.ones((n, n))
     return float(np.trace(np.linalg.matrix_power(t, k))) / (k * n ** k)
-
-
-def _all_threshold_pattern(c):
-    base = seven_cycle_with_chords()
-    return uniform_pattern(base, arc_rule={arc: ArcRule("threshold", c) for arc in base.arcs})
 
 
 @pytest.mark.parametrize("c", [0.0, 0.3, 0.67757, 1.0])
@@ -525,6 +568,35 @@ def test_threshold_all_arcs_variant_matches_dense_reference():
             ref = dense_threshold_reference(c, k, n, pattern)
             dens = threshold_density(c, k=k, resolution=n, pattern=pattern)
             assert dens == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+def _cell_average(c, n, i, j):
+    """The share of grid cell (i, j) where y - x <= c, exactly: the cell
+    clipped by the half-plane (Sutherland-Hodgman), its area by the
+    shoelace formula, times n^2."""
+    x0, x1, y0, y1 = Fraction(i, n), Fraction(i + 1, n), Fraction(j, n), Fraction(j + 1, n)
+    square = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    slack = [c - (y - x) for x, y in square]
+    clipped = []
+    for a, b, sa, sb in zip(square, square[1:] + square[:1], slack, slack[1:] + slack[:1]):
+        if sa >= 0:
+            clipped.append(a)
+        if (sa < 0) != (sb < 0):
+            t = sa / (sa - sb)
+            clipped.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+    twice_area = sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(clipped, clipped[1:] + clipped[:1]))
+    return twice_area / 2 * n * n
+
+
+@pytest.mark.parametrize("c", [0.0, 0.25, 0.3, 0.5, 0.67757, 1.0])
+def test_threshold_kernels_are_exact_cell_averages(c):
+    # the cell averages lie in [0, 1], so 2e-15 is a few ulps of each
+    for n in (3, 7, 12, 16, 64):
+        ref = np.array([[float(_cell_average(Fraction(c), n, i, j)) for j in range(n)]
+                        for i in range(n)])
+        kernels = _threshold_kernels(c, n)
+        assert np.abs(kernels[ALONG] - ref).max() <= 2e-15
+        assert np.abs(kernels[AGAINST] - (1.0 - ref.T)).max() <= 2e-15
 
 
 def test_step_table_lists_stays_first_then_sorted_arcs():

@@ -177,6 +177,31 @@ def test_threshold_pair_never_contains_two_by_two_cycle(c):
     assert g.num_arcs == 36
 
 
+def test_threshold_arcs_follow_the_rule_pair_by_pair():
+    # blow_up bisects for each vertex's arcs; here each cross pair is
+    # decided on its own, x -> y iff x + c >= y (the clamped min(x + c, 1)
+    # >= y on these coordinates).  At dyadic c and blobs of 2^j + 1
+    # vertices the sums are exact, so exact ties y - x = c occur and the
+    # rule is y - x <= c in exact arithmetic too.
+    base = new_graph(2, [(0, 1)])
+    rng = random.Random(21)
+    cases = [(rng.random(), (rng.randint(0, 9), rng.randint(0, 9)), False) for _ in range(60)]
+    cases += [(c / 8, sizes, True) for c in range(9)
+              for sizes in ((3, 3), (5, 9), (2, 17), (1, 3), (9, 1))]
+    for c, sizes, dyadic in cases:
+        g = blow_up(uniform_pattern(base, arc_rule={(0, 1): ArcRule("threshold", c)}),
+                    BlobAssignment(sizes))
+        expected = set()
+        for i, x in enumerate(equispaced_coordinates(sizes[0])):
+            for j, y in enumerate(equispaced_coordinates(sizes[1])):
+                forward = min(x + c, 1.0) >= y
+                assert forward == (x + c >= y)
+                if dyadic:
+                    assert forward == (Fraction(y) - Fraction(x) <= Fraction(c))
+                expected.add((i, sizes[0] + j) if forward else (sizes[0] + j, i))
+        assert g.arcs == expected, (c, sizes)
+
+
 def test_pattern_weight_validation():
     with pytest.raises(PatternError):
         PatternSpec(directed_cycle(3), (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),

@@ -12,7 +12,9 @@ references is dead code: a re-export in ``__init__`` or a call from
 tests/ alone does not keep it, since a test of code that nothing else
 runs checks nothing that reaches a user.  By the same rule, an optional
 parameter that no call in src/ or perfbench/ passes is a dead knob: every
-user runs its default.
+user runs its default.  The oracles of ``reproduce`` check the counting,
+number-theory and search layers, so they load nothing from those modules,
+not even through a helper of their own module.
 """
 
 import ast
@@ -42,6 +44,11 @@ PASSED_FROM_OUTSIDE = {
                                         "the quadrature's independent reference in the tests, "
                                         "until an exact threshold density replaces it"),
 }
+
+
+# the independent oracles of reproduce.py, and the modules they check
+ORACLES = ("_oracle_reachable", "_naive_cycle_count", "_cyclic_sequences")
+CHECKED_MODULES = ("numtheory", "counting", "search")
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -198,6 +205,51 @@ def dead_parameters(root: Path) -> list[str]:
     return sorted(dead)
 
 
+def imported_from(tree: ast.AST, modules) -> dict[str, str]:
+    """Each name that an import in tree binds to one of the modules, or to
+    something from one, mapped to that module."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module.rsplit(".", 1)[-1] if node.module else None
+            for alias in node.names:
+                module = alias.name if source in (None, "dicycles") else source
+                if module in modules:
+                    bound[alias.asname or alias.name] = module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                for module in modules:
+                    if module in parts:
+                        bound[alias.asname or parts[0]] = module
+    return bound
+
+
+def oracle_leaks(tree: ast.Module, oracles, modules) -> list[str]:
+    """"oracle: name (module)" for each name that an oracle, or a function
+    of the same module it calls, loads from one of the modules."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    bound = imported_from(tree, modules)
+    leaks = set()
+    for oracle in oracles:
+        seen, todo = set(), [oracle]
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            body = functions[name]
+            local = imported_from(body, modules)
+            leaks.update(f"{oracle}: {n} ({m})" for n, m in local.items())
+            for node in ast.walk(body):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id in bound and node.id not in local:
+                        leaks.add(f"{oracle}: {node.id} ({bound[node.id]})")
+                    elif node.id in functions:
+                        todo.append(node.id)
+    return sorted(leaks)
+
+
 def test_scanners_find_what_they_look_for(tmp_path):
     tree = ast.parse("import os, os.path as osp\nfrom x import (a, b as c)\n"
                      "from __future__ import annotations\nassert a\nprint(os)\n")
@@ -242,6 +294,28 @@ def test_parameter_scan_finds_what_it_looks_for(tmp_path):
         (tmp_path / name).write_text(text)
     assert dead_parameters(tmp_path) == ["m.py:K.m(y)", "m.py:K.s(z)", "m.py:f(c)", "m.py:f(e)",
                                          "m.py:g(x)", "m.py:outer.inner(v)", "m.py:traced(work)"]
+
+
+def test_oracle_scan_finds_what_it_looks_for():
+    tree = ast.parse(
+        "from . import counting, graphs\nfrom .numtheory import brauer_bound as bb\n"
+        "import dicycles.search as srch\nfrom dicycles import search\n"
+        "def helper(): return counting.x()\ndef clean(g): return sum(map(g.arcs.issuperset, []))\n"
+        "def direct(): return bb(3)\ndef indirect(): return helper()\n"
+        "def attr(): return srch.f() + search.g()\n"
+        "def inner():\n    from .counting import y\n    return y\n"
+        "def other(): return graphs.new_graph(1, [])\n")
+    oracles = ("clean", "direct", "indirect", "attr", "inner", "other")
+    assert oracle_leaks(tree, oracles, CHECKED_MODULES) == [
+        "attr: search (search)", "attr: srch (search)", "direct: bb (numtheory)",
+        "indirect: counting (counting)", "inner: y (counting)"]
+
+
+def test_oracles_are_independent_of_what_they_check():
+    tree = ast.parse((SRC / "reproduce.py").read_text())
+    assert oracle_leaks(tree, ORACLES, CHECKED_MODULES) == []
+    # and the scan sees the modules reproduce does import
+    assert set(imported_from(tree, CHECKED_MODULES).values()) == set(CHECKED_MODULES)
 
 
 def test_modules_found():
