@@ -45,14 +45,16 @@ condition (which needs vertex sets and a witness cycle), run on a numpy
 frontier (the vectorised Held-Karp subset dynamic program) when the
 graph has at most 64 vertices and ``n * maxoutdeg**arcs < 2**63``:
 states are (end vertex, uint64 visited set, int64 multiplicity), equal
-states are merged after every level, and the last arc is counted in place
-by a popcount.  The bound caps every multiplicity and partial sum, so int64
-never overflows.  The frontier is expanded in chunks of a fixed number of
-states, breadth-first within a chunk and depth-first over chunks, which
-bounds its memory by the depth times the children of one chunk.  Larger
-graphs, and graphs that fail the bound, use one bitset depth-first path
-counter with Python integers; only :func:`enumerate_cycles` materializes
-the cycles themselves.  Paths and cycle copies share one ladder: the twin
+states are merged after every level, and one generator yields each chunk
+of paths with the mask of the vertices that close each path.  Its callers
+count the last arc in place (by a popcount for paths and copies) and stop
+by leaving their loop.  The bound caps every multiplicity and partial sum,
+so int64 never overflows.  The frontier is expanded in chunks of a fixed
+number of states, breadth-first within a chunk and depth-first over
+chunks, which bounds its memory by the depth times the children of one
+chunk.  Larger graphs, and graphs that fail the bound, use one bitset
+depth-first path counter with Python integers; only
+:func:`enumerate_cycles` materializes the cycles themselves.  Paths and cycle copies share one ladder: the twin
 classes, then the Möbius sum, then the frontier, then the depth-first
 counter; cycle copies try the trace before it, and per-arc multiplicities
 skip the Möbius sum.  Cycle existence takes the same ladder without the
@@ -131,10 +133,9 @@ def _uint64(bits: list[int]) -> np.ndarray:
     return np.array(bits, dtype=np.uint64)
 
 
-def _out_table(g: OrientedGraph, bit: np.ndarray) -> np.ndarray:
-    """Row u holds the bits of u's out-neighbours, padded with zeros to the
-    largest out-degree."""
-    out = _uint64(g.out_bits())
+def _out_table(out: np.ndarray, bit: np.ndarray) -> np.ndarray:
+    """Row u holds the bits of u's out-neighbours (``out``, the uint64
+    out-masks), padded with zeros to the largest out-degree."""
     rows = np.sort(out[:, None] & bit, axis=1)[:, ::-1]  # the set bits first
     return rows[:, :int(np.bitwise_count(out).max(initial=0))]
 
@@ -146,11 +147,14 @@ def _expand(table: np.ndarray, end: np.ndarray, free: np.ndarray) -> tuple[np.nd
     return hit // table.shape[1], step.ravel()[hit]
 
 
-def _frontier(g: OrientedGraph, arcs: int, close: Callable[..., bool],
-              canonical: bool = False, by_start: bool = False) -> None:
-    """Expand the simple paths of ``g`` to ``arcs - 1`` arcs and hand them,
-    a chunk at a time, to ``close(end, vis, mult, start)``, which accounts
-    for the last arc in place and may return True to stop.
+def _frontier(g: OrientedGraph, arcs: int, last: Optional[np.ndarray] = None,
+              canonical: bool = False, by_start: bool = False) -> Iterator[tuple[np.ndarray, ...]]:
+    """Expand the simple paths of ``g`` to ``arcs - 1`` arcs and yield them,
+    a chunk at a time, as ``(ends, vis, mult, start)``: ``ends`` holds the
+    unvisited out-neighbours of each path's end, within last[start] when
+    ``last`` is given, so each of its set bits closes one path with
+    ``arcs`` arcs, and ``mult`` is the number of paths behind each state.
+    A caller stops the expansion by leaving its loop.
 
     ``canonical`` keeps interior vertices above the start, so that the
     start is the lowest bit of ``vis``.  ``by_start`` keeps paths from
@@ -158,7 +162,8 @@ def _frontier(g: OrientedGraph, arcs: int, close: Callable[..., bool],
     ``canonical``.
     """
     bit = np.left_shift(np.uint64(1), np.arange(g.n, dtype=np.uint64))
-    table = _out_table(g, bit)
+    out = _uint64(g.out_bits())
+    table = _out_table(out, bit)
     high = ~(bit | (bit - np.uint64(1)))  # the vertices above each start
     verts = np.arange(g.n, dtype=np.uint8)  # vertex numbers, as end and start
     stack = [(0, verts, bit, np.ones(g.n, dtype=np.int64), verts)]
@@ -179,8 +184,8 @@ def _frontier(g: OrientedGraph, arcs: int, close: Callable[..., bool],
                 continue
         # the last level before the closing arc is not merged: counting it
         # in place is cheaper than sorting it
-        if close(end, vis, mult, start):
-            return
+        ends = out[end] & ~vis
+        yield (ends if last is None else ends & last[start]), vis, mult, start
 
 
 def _merge(end, vis, mult, start, by_start: bool):
@@ -208,30 +213,19 @@ def _frontier_count(g: OrientedGraph, arcs: int, last: Optional[np.ndarray],
     """Simple paths with ``arcs`` arcs from every start; with ``last``, only
     canonical ones (interior above the start) ending in last[start].  With
     ``limit`` the count may stop early once it reaches the limit."""
-    out = _uint64(g.out_bits())
     total = 0
-
-    def close(end, vis, mult, start):
-        nonlocal total
-        ends = out[end] & ~vis
-        if last is not None:
-            ends &= last[start]
+    for ends, _, mult, _ in _frontier(g, arcs, last, canonical=last is not None):
         total += int(np.bitwise_count(ends).astype(np.int64) @ mult)
-        return limit is not None and total >= limit
-
-    _frontier(g, arcs, close, canonical=last is not None)
+        if limit is not None and total >= limit:
+            break
     return total
 
 
 def _arc_matrix(g: OrientedGraph, k: int) -> np.ndarray:
     """m[u, v] = k-cycle copies through the arc (u, v): each copy is found
     once per arc, as a simple path from v back to u."""
-    out = _uint64(g.out_bits())
-    inn = _uint64(g.in_bits())
     mat = np.zeros((g.n, g.n), dtype=np.int64)
-
-    def close(end, vis, mult, start):
-        ends = out[end] & inn[start] & ~vis
+    for ends, _, mult, start in _frontier(g, k - 1, _uint64(g.in_bits()), by_start=True):
         # one closing arc (tail, start) per set bit of ends, lowest first
         while ends.size:
             live = ends != 0
@@ -239,9 +233,6 @@ def _arc_matrix(g: OrientedGraph, k: int) -> np.ndarray:
             low = ends & (~ends + np.uint64(1))
             np.add.at(mat, (np.bitwise_count(low - np.uint64(1)), start), mult)
             ends ^= low
-        return False
-
-    _frontier(g, k - 1, close, by_start=True)
     return mat
 
 
@@ -371,12 +362,12 @@ _MOBIUS_RATIO = 32
 _STEP_FLOPS = 25_000
 _VARS = "abcdefghijklmnopqrstuvwxyz"
 
-# by (m, cyclic, closed-walk flags): the term table, or the number of
-# partitions it is known to exceed; and the table's contraction plans, the
-# number of steps of each flop exponent, and the most variables any
-# intermediate keeps.  Each is a function of its key.
-_TERMS: dict[tuple, list[tuple[int, tuple[tuple[int, int], ...]]] | int] = {}
-_PLANS: dict[tuple, tuple[list[tuple[int, int, list[tuple]]], Counter, int]] = {}
+# by (m, cyclic, closed-walk flags): the number of partitions the term
+# table is known to exceed, or the planned table: each term's coefficient,
+# arc count and contraction plan, the number of steps of each flop
+# exponent, and the most variables any intermediate keeps.  Each is a
+# function of its key.
+_TABLES: dict[tuple, int | tuple[list[tuple[int, int, list[tuple]]], Counter, int]] = {}
 
 
 def _mobius(walks: _Walks, m: int, cyclic: bool) -> Optional[int]:
@@ -415,29 +406,26 @@ def _mobius(walks: _Walks, m: int, cyclic: bool) -> Optional[int]:
     for _ in range(m - 2):
         per_start = a @ per_start
     budget = _MOBIUS_RATIO * float(per_start.sum()) / (m if cyclic else 1)
-    step = n * n + _STEP_FLOPS  # every step costs at least this much
-    if budget < step:
+    # a term's first step joins two arcs, so it costs at least n**2 + _STEP_FLOPS
+    if budget < n * n + _STEP_FLOPS:
         return None
     key = (m, cyclic, tuple(walks.closed(j) for j in range(1, m)))
-    terms = _TERMS.get(key, 0)
-    if isinstance(terms, int):
+    table = _TABLES.get(key, 0)
+    if isinstance(table, int):
         # enumerating a partition costs about as much as a step; an int
         # records a limit that the enumeration has already exceeded
         limit = int(budget // _STEP_FLOPS)
-        if limit <= terms:
+        if limit <= table:
             return None
         terms = _mobius_terms(m, cyclic, key[2], limit)
-        _TERMS[key] = limit if terms is None else terms
         if terms is None:
+            _TABLES[key] = limit
             return None
-    if len(terms) * step > budget:
-        return None
-    if key not in _PLANS:
         plans = [(c, len(arcs), _plan(arcs)) for c, arcs in terms]
         steps = [s for _, _, plan in plans for s in plan]
         widest = max((s[4] + s[5] + s[7] for s in steps), default=0)
-        _PLANS[key] = plans, Counter(s[-1] for s in steps), widest
-    plans, exponents, widest = _PLANS[key]
+        table = _TABLES[key] = plans, Counter(s[-1] for s in steps), widest
+    plans, exponents, widest = table
     if widest > 3 or sum(count * (n ** e + _STEP_FLOPS) for e, count in exponents.items()) > budget:
         return None
     total = sum(c * _contract(a, k, steps, n) for c, k, steps in plans)
@@ -930,14 +918,8 @@ def _neighbor_violation(g: OrientedGraph, k: int, limit: int) -> Optional[tuple[
     c == limit and some closing t is a neighbour of w.
     """
     und_bits = g.und_bits()
-    out = _uint64(g.out_bits())
-    last = _above(g.in_bits())
     und = _uint64(und_bits)[:, None]
-    found = None
-
-    def close(end, vis, mult, start):
-        nonlocal found
-        ends = out[end] & last[start] & ~vis
+    for ends, vis, _, _ in _frontier(g, k - 1, _above(g.in_bits()), canonical=True):
         live = np.flatnonzero(ends)
         for lo in range(0, live.size, _CHUNK):
             i = live[lo:lo + _CHUNK]
@@ -951,12 +933,8 @@ def _neighbor_violation(g: OrientedGraph, k: int, limit: int) -> Optional[tuple[
                 members = [v for v in range(g.n) if cycle_set >> v & 1]
                 # any k-cycle through the whole set is a witness
                 cyc = next(enumerate_cycles(g.subgraph(members), k))
-                found = (w, tuple(members[x] for x in cyc))
-                return True
-        return False
-
-    _frontier(g, k - 1, close, canonical=True)
-    return found
+                return w, tuple(members[x] for x in cyc)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -994,6 +972,8 @@ class CountReport:
 
 def count_report(g: OrientedGraph, k: int, paths_up_to: Optional[int] = None,
                  per_arc: bool = False, per_vertex: bool = False) -> CountReport:
+    if paths_up_to is not None and paths_up_to < 0:
+        raise ValueError("paths_up_to must be non-negative")
     mult = arc_cycle_multiplicities(g, k) if per_arc or per_vertex else None
     return CountReport(
         k=k,

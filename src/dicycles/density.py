@@ -78,22 +78,23 @@ class DensityModel:
     """The limit of (k-cycle copies)/n^k of a polynomial pattern.
 
     ``monomials`` holds the exact expansion, a homogeneous degree-k
-    polynomial in the blob weights (exponent tuple -> coefficient).
+    polynomial in the weights of the ``p`` blobs (exponent tuple ->
+    coefficient).
     """
 
     k: int
+    p: int
     monomials: dict
 
     def value(self, weights) -> Fraction:
-        # an identically zero model has no monomial to fix the blob count
-        _check_simplex(weights, len(next(iter(self.monomials), weights)))
+        _check_simplex(weights, self.p)
         return evaluate_monomials(self.monomials, weights)
 
 
 def density_model(pattern: PatternSpec, k: int) -> DensityModel:
     """Exact density model; a threshold pattern raises PatternError (see
     :func:`threshold_density`)."""
-    return DensityModel(k, density_monomials(pattern, k))
+    return DensityModel(k, pattern.p, density_monomials(pattern, k))
 
 
 def hub_split_model(t: int) -> DensityModel:
@@ -104,7 +105,7 @@ def hub_split_model(t: int) -> DensityModel:
     """
     if t < 2:
         raise DensityError("t must be at least 2")
-    return DensityModel(3, {(1, 1): Fraction(t - 1)})
+    return DensityModel(3, 2, {(1, 1): Fraction(t - 1)})
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,8 @@ def predicted_extremal(k: int, ell: int, n: int, mode: str = ORIENTED) -> Predic
     """
     if k < 3 or ell < 3 or k == ell:
         raise InvalidParametersError("need k >= 3, ell >= 3, k != ell")
+    if n < 0:
+        raise InvalidParametersError("n must be non-negative")
     if mode not in (ORIENTED, DIRECTED):
         raise InvalidParametersError(f"unknown mode {mode!r}")
 

@@ -452,10 +452,12 @@ def local_search_extremal(n: int, k: int, forbidden, budget: int, seed: int,
 
     With fewer than two vertices there is no pair to draw, and the empty
     graph is returned without drawing; k < 2 raises :class:`SearchError`,
-    as in :func:`exhaustive_extremal`.
+    as in :func:`exhaustive_extremal`, and so does a negative budget.
     """
     if k < 2:
         raise SearchError("k must be at least 2")
+    if budget < 0:
+        raise SearchError("budget must be non-negative")
     rng = random.Random(seed)
     state = _AnnealState(n, k, forbidden, mode)
     n_states = 3 if mode == ORIENTED else 4

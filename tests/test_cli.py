@@ -295,6 +295,24 @@ def test_search_k_below_two_is_json_error(capsys):
                                            "message": "k must be at least 2"}
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["predict", "--k", "3", "--l", "4", "--n", "-3"],
+     {"error": "InvalidParametersError", "message": "n must be non-negative"}),
+    (["search", "--n", "5", "--k", "3", "--forbid", "C4", "--local", "--budget", "-5"],
+     {"error": "SearchError", "message": "budget must be non-negative"}),
+    (["count", "--k", "3", "--paths-up-to", "-2"],
+     {"error": "ValueError", "message": "paths_up_to must be non-negative"}),
+], ids=["predict", "search", "count"])
+def test_negative_sizes_are_usage_errors(tmp_path, capsys, argv, error):
+    path = tmp_path / "c3.graph"
+    path.write_text("3 3\n0 1\n1 2\n2 0\n")
+    if argv[0] == "count":
+        argv = argv + ["--in", str(path)]
+    code, payload, err = run_cli(capsys, *argv)
+    assert code == 2 and payload is None
+    assert json.loads(err) == error
+
+
 def test_usage_error_is_json_exit_2(capsys):
     code = main(["count", "--k", "3"])  # missing --in
     captured = capsys.readouterr()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
@@ -350,6 +351,14 @@ def test_count_report_serialization():
     assert all(v == "2" for v in data["per_arc"].values())
 
 
+def test_count_report_rejects_negative_paths_up_to():
+    # -2 reported "paths": {}, where 0 omits the key
+    g = balanced_blow_up(directed_cycle(3), 6)
+    with pytest.raises(ValueError, match="paths_up_to must be non-negative"):
+        count_report(g, 3, paths_up_to=-2)
+    assert "paths" not in count_report(g, 3, paths_up_to=0).to_dict()
+
+
 def test_enumerate_cycles_canonical():
     cycles = list(enumerate_cycles(balanced_blow_up(directed_cycle(3), 6), 3))
     assert len(cycles) == 8
@@ -475,6 +484,41 @@ def test_frontier_matches_brute_force(g):
         assert count_cycle_copies(g, k) == naive_count(g, k)
     for order in range(1, g.n + 1):
         assert count_paths(g, order) == naive_paths(g, order)
+
+
+def frontier_closings(g, arcs, last=None, start_known=True, **kwargs):
+    # sum mult over every (start, vertex set, closing vertex t) yielded;
+    # where paths from different starts are merged, over (vertex set, t)
+    got = Counter()
+    for ends, vis, mult, start in counting._frontier(g, arcs, last, **kwargs):
+        for e, v, m, s in zip(ends.tolist(), vis.tolist(), mult.tolist(), start.tolist()):
+            for t in range(g.n):
+                if e >> t & 1:
+                    got[(s, v | 1 << t, t) if start_known else (v | 1 << t, t)] += m
+    return got
+
+
+def path_key(seq):
+    return seq[0], sum(1 << v for v in seq), seq[-1]
+
+
+@settings(max_examples=40)
+@given(small_digraphs().filter(lambda g: g.n <= 7))
+def test_frontier_yields_every_closing_once(g):
+    # the engine's contract, against simple paths built by permutations:
+    # paths from any start, canonical cycles (interior above the start,
+    # closing into it), and paths from each start closing into it
+    inn = g.in_bits()
+    for arcs in range(1, g.n):
+        paths = [seq for seq in permutations(range(g.n), arcs + 1)
+                 if all((seq[t], seq[t + 1]) in g.arcs for t in range(arcs))]
+        closing = [seq for seq in paths if inn[seq[0]] >> seq[-1] & 1]
+        assert frontier_closings(g, arcs, start_known=False) == \
+            Counter(path_key(seq)[1:] for seq in paths)
+        assert frontier_closings(g, arcs, counting._above(inn), canonical=True) == \
+            Counter(path_key(seq) for seq in closing if seq[0] == min(seq))
+        assert frontier_closings(g, arcs, counting._uint64(inn), by_start=True) == \
+            Counter(path_key(seq) for seq in closing)
 
 
 def test_frontier_uses_the_top_bit_at_n_64():
@@ -869,15 +913,14 @@ def test_long_cycle_check_on_a_blow_up_takes_no_dfs(monkeypatch):
 
 
 def count_closings(monkeypatch):
-    # record the calls of the close hook that every frontier run is given
+    # record the closing chunks that callers take from every frontier run
     calls = {"close": 0}
     frontier = counting._frontier
 
-    def wrapper(g, arcs, close, **kwargs):
-        def counted(*args):
+    def wrapper(*args, **kwargs):
+        for chunk in frontier(*args, **kwargs):
             calls["close"] += 1
-            return close(*args)
-        return frontier(g, arcs, counted, **kwargs)
+            yield chunk
 
     monkeypatch.setattr(counting, "_frontier", wrapper)
     return calls

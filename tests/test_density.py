@@ -38,6 +38,7 @@ from dicycles.graphs import (
     PatternError,
     PatternSpec,
     directed_cycle,
+    new_graph,
     uniform_pattern,
 )
 from dicycles.pattern_walks import (
@@ -337,13 +338,28 @@ WRONG_WEIGHT_COUNTS = {
     "value_short": lambda: density_model(uniform_pattern(directed_cycle(3)), 3).value((0.5, 0.5)),
     "optimize_weights": lambda: optimize_weights(density_model(uniform_pattern(directed_cycle(3)), 3),
                                                  [[1 / 3] * 3, [0.5, 0.5]]),
+    # a model with no monomial has nothing to read the blob count from
+    "zero_model_short": lambda: transitive_triangle_model().value((1,)),
+    "zero_model_long": lambda: transitive_triangle_model().value((0.5, 0.5, 0, 0, 0)),
 }
+
+
+def transitive_triangle_model():
+    # the blow-up of a transitive triangle has no directed triangle
+    return density_model(uniform_pattern(new_graph(3, [(0, 1), (1, 2), (0, 2)])), 3)
 
 
 @pytest.mark.parametrize("name", sorted(WRONG_WEIGHT_COUNTS))
 def test_weight_count_must_match_the_blobs(name):
     with pytest.raises(WeightsOffSimplexError, match="weights given for"):
         WRONG_WEIGHT_COUNTS[name]()
+
+
+def test_zero_model_is_zero_on_its_simplex():
+    model = transitive_triangle_model()
+    assert model.p == 3 and not any(model.monomials.values())
+    assert model.value((Fraction(1, 3),) * 3) == 0
+    assert hub_split_model(3).p == 2
 
 
 def test_density_invariant_under_base_automorphism():

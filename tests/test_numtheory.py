@@ -231,6 +231,14 @@ def test_predicted_invalid_parameters():
         predicted_extremal(4, 4, 10)
 
 
+def test_predicted_rejects_negative_n():
+    # n = -3 was reported as an exact extremal value of -1
+    for n in (-3, -1):
+        with pytest.raises(InvalidParametersError, match="n must be non-negative"):
+            predicted_extremal(3, 4, n)
+    assert predicted_extremal(3, 4, 0).value == 0
+
+
 def test_predicted_json_round_trip():
     row = predicted_extremal(5, 7, 20)
     data = row.to_dict()

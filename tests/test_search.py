@@ -516,6 +516,13 @@ def test_local_search_rejects_k_below_two_before_its_budget(k):
         exhaustive_extremal(5, k, [4])
 
 
+def test_local_search_rejects_a_negative_budget():
+    # a budget of -5 ran no move and reported "search_budget": -5
+    with pytest.raises(SearchError, match="budget must be non-negative"):
+        local_search_extremal(5, 3, [4], -5, 0)
+    assert local_search_extremal(5, 3, [4], 0, 0).search_budget == 0
+
+
 def test_local_search_records_hold_under_optimize_flag():
     # python -O strips asserts; the annealer's rollback must not live in one
     script = """
