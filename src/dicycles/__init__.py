@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .graphs import (
     DIRECTED,
     ORIENTED,
-    BlobAssignment,
     OrientedGraph,
     PatternSpec,
     blow_up,

@@ -21,7 +21,6 @@ from .graphs import (
     ORIENTED,
     TRANSITIVE_TOURNAMENT,
     ArcRule,
-    BlobAssignment,
     BlobInternal,
     OrientedGraph,
     PatternSpec,
@@ -263,7 +262,7 @@ def generate(cid: ConstructionId, n: int, seed: Optional[int] = None) -> Oriente
         _require(cid, n, 4)
         return iterated_blow_up(directed_cycle(4), n)
     pattern, sizes = _pattern_and_sizes(cid, n)
-    return blow_up(pattern, BlobAssignment(sizes))
+    return blow_up(pattern, sizes)
 
 
 def closed_form_count(cid: ConstructionId, n: int, k: int):

@@ -15,7 +15,9 @@ else the whole power, is in Python integers.  Closed-walk existence uses
 boolean powers (each product clipped to {0, 1}), kept as far as the count
 asks for them.  With no closed j-walk for 2 <= j <= k // 2, every closed
 k-walk is a k-cycle, so cycle copies are tr(M^k) / k and cycle existence
-is walk existence; in oriented mode that covers every k <= 5.
+is walk existence; in oriented mode that covers every k <= 5.  k = 2 is
+the digon case of this route: a closed 2-walk is always a digon, so the
+digons are tr(M^2) / 2.
 
 Twins are vertices with equal out- and in-neighbourhoods
 (:func:`graphs.twin_classes`); every blow-up of a pattern has its blobs
@@ -547,8 +549,9 @@ def _contract(a: np.ndarray, k: int, steps: list[tuple], n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def count_digons(g: OrientedGraph) -> int:
-    return sum((out & inn).bit_count() for out, inn in zip(g.out_bits(), g.in_bits())) // 2
+def _check_cycle_length(k: int) -> None:
+    if k < 2:
+        raise ValueError("cycle length must be at least 2")
 
 
 def count_cycle_copies(g: OrientedGraph, k: int) -> int:
@@ -557,13 +560,13 @@ def count_cycle_copies(g: OrientedGraph, k: int) -> int:
     Each copy is counted once (not per rotation).  k = 2 counts digons,
     which only exist in directed mode.
     """
-    if k < 2:
-        raise ValueError("cycle length must be at least 2")
-    if k == 2:
-        return count_digons(g)
-    if k > g.n:
+    _check_cycle_length(k)
+    return _copies(_Walks(g), k)
+
+
+def _copies(walks: _Walks, k: int) -> int:
+    if k > walks.g.n:
         return 0
-    walks = _Walks(g)
     if walks.are_cycles(k):
         # each copy is then k closed walks, one per rotation
         return walks.trace(k) // k
@@ -599,10 +602,9 @@ def _simple_count(walks: _Walks, m: int, cyclic: bool, limit: Optional[int] = No
 
 
 def enumerate_cycles(g: OrientedGraph, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield each directed k-cycle once, as a vertex tuple starting at its
-    minimum vertex."""
-    if k < 3:
-        raise ValueError("enumerate_cycles requires k >= 3")
+    """Yield each directed k-cycle (k >= 2, digons included) once, as a
+    vertex tuple starting at its minimum vertex."""
+    _check_cycle_length(k)
     out = g.out_bits()
     inn = g.in_bits()
     n = g.n
@@ -643,12 +645,8 @@ def _vertex_counts(g: OrientedGraph, mult: dict[tuple[int, int], int]) -> dict[i
 
 def arc_cycle_multiplicities(g: OrientedGraph, k: int) -> dict[tuple[int, int], int]:
     """For each arc, the number of k-cycle copies containing it."""
-    if k < 2:
-        raise ValueError("cycle length must be at least 2")
-    if k == 2:
-        inn = g.in_bits()  # an arc u -> v is on a digon iff v -> u
-        return {(u, v): inn[u] >> v & 1 for (u, v) in g.arcs}
-    if not 3 <= k <= g.n:
+    _check_cycle_length(k)
+    if k > g.n:
         return {arc: 0 for arc in g.arcs}
     tw = _twins(g)
     if tw is not None:
@@ -791,12 +789,9 @@ class _Walks:
 
 def has_cycle_subgraph(g: OrientedGraph, length: int) -> bool:
     """True iff a simple directed cycle of exactly ``length`` exists."""
-    if length < 2:
-        raise ValueError("cycle length must be at least 2")
+    _check_cycle_length(length)
     if length > g.n:
         return False
-    if length == 2:
-        return count_digons(g) > 0
     # a closed walk is necessary for a cycle; this filter is cheap and
     # settles most freeness sweeps without counting
     walks = _Walks(g)
@@ -814,11 +809,15 @@ def count_paths(g: OrientedGraph, i: int) -> int:
     """Number of simple directed paths on exactly i vertices."""
     if i < 1:
         raise ValueError("path order must be at least 1")
+    return _paths(_Walks(g), i)
+
+
+def _paths(walks: _Walks, i: int) -> int:
     if i == 1:
-        return g.n
-    if i > g.n:
+        return walks.g.n
+    if i > walks.g.n:
         return 0
-    return _simple_count(_Walks(g), i, cyclic=False)
+    return _simple_count(walks, i, cyclic=False)
 
 
 # ---------------------------------------------------------------------------
@@ -886,11 +885,13 @@ class NeighborConditionReport:
 
 def check_neighbor_condition(g: OrientedGraph, k: int, d: int) -> NeighborConditionReport:
     """Check that every vertex has at most floor(2k/d) underlying neighbors
-    on every k-cycle copy; returns the first violating (vertex, cycle)."""
+    on every k-cycle copy (k >= 2, digons included); returns the first
+    violating (vertex, cycle)."""
+    _check_cycle_length(k)
     if d < 2:
         raise ValueError("d must be at least 2")
     limit = (2 * k) // d
-    if k > g.n or k < 3:
+    if k > g.n:
         return NeighborConditionReport(True, limit)
     if _frontier_ok(g, k - 1):
         found = _neighbor_violation(g, k, limit)
@@ -972,14 +973,16 @@ class CountReport:
 
 def count_report(g: OrientedGraph, k: int, paths_up_to: Optional[int] = None,
                  per_arc: bool = False, per_vertex: bool = False) -> CountReport:
+    _check_cycle_length(k)
     if paths_up_to is not None and paths_up_to < 0:
         raise ValueError("paths_up_to must be non-negative")
     mult = arc_cycle_multiplicities(g, k) if per_arc or per_vertex else None
+    walks = _Walks(g)  # one adjacency matrix for every count of the report
     return CountReport(
         k=k,
-        copies=count_cycle_copies(g, k),
-        closed_walks=count_closed_walks(g, k),
-        paths={i: count_paths(g, i) for i in range(1, paths_up_to + 1)} if paths_up_to else None,
+        copies=_copies(walks, k),
+        closed_walks=walks.trace(k),
+        paths={i: _paths(walks, i) for i in range(1, paths_up_to + 1)} if paths_up_to else None,
         per_arc=mult if per_arc else None,
         per_vertex=_vertex_counts(g, mult) if per_vertex else None,
     )

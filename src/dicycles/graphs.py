@@ -330,19 +330,6 @@ def equispaced_coordinates(size: int) -> tuple[float, ...]:
     return tuple(i / (size - 1) for i in range(size))
 
 
-@dataclass(frozen=True)
-class BlobAssignment:
-    """Concrete realization of a pattern at finite n: one size per blob."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
-        object.__setattr__(self, "sizes", sizes)
-        if any(s < 0 for s in sizes):
-            raise SizeMismatchError("blob sizes must be non-negative")
-
-
 def _bipartite_first_part(size: int, split: Fraction) -> int:
     # deterministic half-up rounding of split * size in exact arithmetic
     return (size * split.numerator + split.denominator // 2) // split.denominator
@@ -353,8 +340,8 @@ def _span(lo: int, hi: int) -> int:
     return (1 << hi) - (1 << lo)
 
 
-def blow_up(pattern: PatternSpec, assignment: BlobAssignment) -> OrientedGraph:
-    """Realize a pattern at finite n.
+def blow_up(pattern: PatternSpec, sizes: Sequence[int]) -> OrientedGraph:
+    """Realize a pattern at finite n, with ``sizes[i]`` vertices in blob i.
 
     Blob i occupies the contiguous index range following blobs 0..i-1.
     Internal structure: transitive tournaments are ordered by vertex index;
@@ -364,9 +351,14 @@ def blow_up(pattern: PatternSpec, assignment: BlobAssignment) -> OrientedGraph:
     each blob at its equispaced coordinates in [0, 1]; there the rule is
     min(coord(x) + c, 1) >= coord(y).
     """
-    sizes = assignment.sizes
+    try:
+        sizes = [operator.index(s) for s in sizes]
+    except TypeError:
+        raise SizeMismatchError("blob sizes must be integers") from None
     if len(sizes) != pattern.p:
-        raise SizeMismatchError(f"assignment has {len(sizes)} parts, pattern has {pattern.p}")
+        raise SizeMismatchError(f"{len(sizes)} blob sizes, pattern has {pattern.p} blobs")
+    if any(s < 0 for s in sizes):
+        raise SizeMismatchError("blob sizes must be non-negative")
     offsets = list(accumulate(sizes, initial=0))
     out = [0] * offsets[-1]
     for lo, s, internal in zip(offsets, sizes, pattern.blob_internal):
@@ -398,7 +390,7 @@ def blow_up(pattern: PatternSpec, assignment: BlobAssignment) -> OrientedGraph:
 
 def balanced_blow_up(base: OrientedGraph, n: int) -> OrientedGraph:
     """Balanced blow-up of a plain graph (independent blobs, full arcs)."""
-    return blow_up(uniform_pattern(base), BlobAssignment(balanced_sizes(n, base.n)))
+    return blow_up(uniform_pattern(base), balanced_sizes(n, base.n))
 
 
 def iterated_blow_up(base: OrientedGraph, n: int) -> OrientedGraph:

@@ -133,8 +133,6 @@ def _check_witness(g: OrientedGraph, k: int, forbidden, copies: int) -> None:
 
 def _cycle_arc_patterns(n: int, k: int) -> list[tuple[tuple[int, int], ...]]:
     """Each directed k-cycle on [0, n) once, as its arc tuple."""
-    if k == 2:
-        return [((u, v), (v, u)) for u, v in combinations(range(n), 2)]
     pats = []
     for subset in combinations(range(n), k):
         s = subset[0]

@@ -201,6 +201,8 @@ def _half_size_eig(m: np.ndarray, sides: tuple[int, ...]) -> Optional[np.ndarray
 def hom_count_via_spectrum(spec: Spectrum, k: int) -> float:
     """(sum of lambda_i^k) / k over the spectrum; the imaginary parts must
     cancel."""
+    if k < 1:
+        raise SpectralError("walk length must be at least 1")
     total = sum(z ** k for z in spec.eigenvalues)
     scale = max(1.0, max((abs(z) for z in spec.eigenvalues), default=0.0) ** k * spec.n)
     if abs(total.imag) > 1e-6 * scale:

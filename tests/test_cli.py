@@ -160,11 +160,13 @@ def test_check_without_a_complete_check_is_a_usage_error(tmp_path, capsys, flags
 
 @pytest.mark.parametrize("k", ["1", "0"])
 def test_clear_and_count_with_k_below_two_are_usage_errors(tmp_path, capsys, k):
-    # clear once deleted every arc and vertex at k = 1 and exited 0
+    # clear once deleted every arc and vertex at k = 1 and exited 0, and
+    # check held vacuously and printed "passed": true
     path = tmp_path / "c3.graph"
     path.write_text("3 3\n0 1\n1 2\n2 0\n")
     for argv in (["clear", "--in", str(path), "--k", k, "--l", "6"],
-                 ["count", "--in", str(path), "--k", k]):
+                 ["count", "--in", str(path), "--k", k],
+                 ["check", "--in", str(path), "--neighbor-k", k, "--neighbor-d", "3"]):
         code, payload, err = run_cli(capsys, *argv)
         assert code == 2 and payload is None
         assert json.loads(err) == {"error": "ValueError",
@@ -341,3 +343,72 @@ def test_reproduce_threshold_prints_json(capsys):
     assert payload["results"][0]["name"] == "threshold"
     assert payload["results"][0]["details"]["c_ok"] is True
     assert "PASS threshold" in err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_spectral_walk_length_below_one_is_a_usage_error(tmp_path, capsys, k):
+    # --k 0 divided by zero, and --k -1 summed the inverse eigenvalues
+    path = tmp_path / "c3.graph"
+    path.write_text("3 3\n0 1\n1 2\n2 0\n")
+    code, payload, err = run_cli(capsys, "spectral", "--in", str(path), "--k", k)
+    assert code == 2 and payload is None
+    assert json.loads(err) == {"error": "SpectralError", "message": "walk length must be at least 1"}
+
+
+# a small valid command line for each subcommand with integer options; each
+# of them is run with each integer option set to 0 and to -1
+_INTEGER_FLAG_BASES = {
+    "gen": [["--construction", "balanced_cycle_blowup", "--d", "3", "--n", "6"],
+            ["--construction", "sparse_singleton_blowup", "--cycle", "3", "--t", "2", "--n", "6"],
+            ["--construction", "random_bipartite", "--n", "6", "--seed", "1"]],
+    "count": [["--in", "{graph}", "--k", "3", "--paths-up-to", "3"]],
+    "check": [["--in", "{graph}", "--neighbor-k", "3", "--neighbor-d", "3"]],
+    "clear": [["--in", "{graph}", "--k", "3", "--l", "6"]],
+    "frobenius": [["--l", "8", "--gens", "3,5"]],
+    "predict": [["--k", "3", "--l", "4", "--n", "7"]],
+    "optimize": [["--pattern", "cycle:3", "--k", "3"],
+                 ["--pattern", "threshold", "--k", "3", "--resolution", "8"]],
+    "spectral": [["--in", "{graph}", "--k", "3"]],
+    "search": [["--n", "4", "--k", "3", "--forbid", "C4"],
+               ["--n", "4", "--k", "3", "--forbid", "C4", "--local", "--budget", "20", "--seed", "1"]],
+}
+
+
+def _integer_options(parser):
+    return [a.option_strings[-1] for a in parser._actions if a.type is int]
+
+
+def _with_option(argv, option, value):
+    argv = list(argv)
+    if option in argv:
+        argv[argv.index(option) + 1] = value
+    else:
+        argv += [option, value]
+    return argv
+
+
+def test_integer_flags_never_crash(tmp_path, capsys):
+    import argparse
+
+    from dicycles.cli import build_parser
+
+    graph = tmp_path / "c3.graph"
+    graph.write_text("3 3\n0 1\n1 2\n2 0\n")
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert _integer_options(parser) == ["--threads"]
+    runs = [["--threads", value, "search", "--n", "4", "--k", "3", "--forbid", "C4"]
+            for value in ("0", "-1")]
+    for command, sub in subs.items():
+        options = _integer_options(sub)
+        assert not options or command in _INTEGER_FLAG_BASES, command
+        for option in options:
+            for base in _INTEGER_FLAG_BASES[command]:
+                base = [str(graph) if x == "{graph}" else x for x in base]
+                runs += [[command] + _with_option(base, option, value) for value in ("0", "-1")]
+    for argv in runs:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert "error" in json.loads(err), argv

@@ -252,7 +252,9 @@ def test_per_arc_counts_reject_k_below_two(k):
     # so clear deleted the whole graph
     g = balanced_blow_up(directed_cycle(3), 6)
     for call in (lambda: count_cycle_copies(g, k), lambda: arc_cycle_multiplicities(g, k),
-                 lambda: vertex_cycle_counts(g, k), lambda: clear(g, k, 6)):
+                 lambda: vertex_cycle_counts(g, k), lambda: clear(g, k, 6),
+                 lambda: has_cycle_subgraph(g, k), lambda: list(enumerate_cycles(g, k)),
+                 lambda: check_neighbor_condition(g, k, 3), lambda: count_report(g, k)):
         with pytest.raises(ValueError, match="cycle length must be at least 2"):
             call()
 
@@ -286,6 +288,15 @@ def test_neighbor_condition_violation_detected():
     cycle = set(report.witness_cycle)
     und = spiked.und_bits()
     assert bin(und[report.witness_vertex] & sum(1 << v for v in cycle)).count("1") > report.limit
+
+
+def test_neighbor_condition_on_digons():
+    # vertex 0 has a neighbour on the digon {0, 1}; k = 2 once held vacuously
+    g = new_graph(4, [(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (2, 0)], DIRECTED)
+    report = check_neighbor_condition(g, 2, 5)
+    assert (report.holds, report.limit) == (False, 0)
+    assert (report.witness_vertex, report.witness_cycle) == (0, (0, 1))
+    assert check_neighbor_condition(g, 2, 2).holds
 
 
 def test_cleared_walkfree_graphs_have_no_transitive_triangle():
@@ -474,13 +485,13 @@ def assert_matches_oracles(g, lengths, orders):
 @given(small_digraphs())
 def test_frontier_matches_dfs_and_enumeration(g):
     assert counting._frontier_ok(g, g.n)
-    assert_matches_oracles(g, range(3, g.n + 1), range(1, g.n + 2))
+    assert_matches_oracles(g, range(2, g.n + 1), range(1, g.n + 2))
 
 
 @settings(max_examples=40)
 @given(small_digraphs().filter(lambda g: g.n <= 7))
 def test_frontier_matches_brute_force(g):
-    for k in range(3, g.n + 1):
+    for k in range(2, g.n + 1):
         assert count_cycle_copies(g, k) == naive_count(g, k)
     for order in range(1, g.n + 1):
         assert count_paths(g, order) == naive_paths(g, order)
@@ -847,6 +858,54 @@ def test_twin_route_on_clear_inputs(monkeypatch, d, n):
     assert calls["arc_cycle_multiplicities"] == 1
 
 
+def test_count_report_builds_the_adjacency_matrix_once(monkeypatch):
+    # it once built M for the copies, the closed walks and each path order
+    g = random_bipartite_orientation(20, 5)
+    expected = (count_cycle_copies(g, 8), count_closed_walks(g, 8),
+                {i: count_paths(g, i) for i in range(1, 9)},
+                arc_cycle_multiplicities(g, 8))
+    calls = spy(monkeypatch, "adjacency_matrix")
+    report = count_report(g, 8, paths_up_to=8, per_arc=True)
+    assert calls["adjacency_matrix"] == 1
+    assert (report.copies, report.closed_walks, report.paths, report.per_arc) == expected
+
+
+def digon_mode_graph(rng, n, p):
+    return new_graph(n, [(u, v) for u in range(n) for v in range(n)
+                         if u != v and rng.random() < p], DIRECTED)
+
+
+@pytest.mark.parametrize("route", ["twin", "frontier", "dfs"])
+def test_digons_take_the_ladders_of_every_length(monkeypatch, route):
+    # copies and existence come from the trace, tr(M^2) / 2; the per-arc
+    # counts from the twin classes, the frontier or the cycle enumeration
+    g = {"twin": generate(ConstructionId("complete_bipartite_digraph"), 12),
+         "frontier": digon_mode_graph(random.Random(2), 12, 0.3),
+         "dfs": digon_mode_graph(random.Random(70), 70, 0.05)}[route]
+    assert (counting._twins(g) is not None) == (route == "twin")
+    assert counting._frontier_ok(g, 1) == (route != "dfs")
+    out, inn = g.out_bits(), g.in_bits()
+    per_arc = {(u, v): inn[u] >> v & 1 for (u, v) in g.arcs}  # v -> u closes a digon
+    digons = [(u, v) for (u, v), m in sorted(per_arc.items()) if m and u < v]
+    assert digons and sum((o & i).bit_count() for o, i in zip(out, inn)) == 2 * len(digons)
+    und = g.und_bits()
+    calls = spy(monkeypatch, "_simple_count", "_twin_closings", "_arc_matrix", "enumerate_cycles")
+    assert count_cycle_copies(g, 2) == len(digons) and has_cycle_subgraph(g, 2)
+    assert calls["_simple_count"] == 0
+    assert arc_cycle_multiplicities(g, 2) == per_arc
+    assert vertex_cycle_counts(g, 2) == {v: (out[v] & inn[v]).bit_count() for v in range(g.n)}
+    route_fn = {"twin": "_twin_closings", "frontier": "_arc_matrix", "dfs": "enumerate_cycles"}[route]
+    assert calls[route_fn] > 0
+    assert list(enumerate_cycles(g, 2)) == digons  # each once, lowest vertex first
+    for d in (2, 3, 4, 5):
+        report = check_neighbor_condition(g, 2, d)
+        violated = any((und[w] & (1 << u | 1 << v)).bit_count() > report.limit
+                       for u, v in digons for w in range(g.n))
+        assert report.holds == (not violated), d
+        if not report.holds:
+            assert_valid_witness(g, 2, report)
+
+
 def test_count_report_computes_per_arc_counts_once(monkeypatch):
     g, _ = clear_input(random.Random(1), 20, 4)
     per_arc, per_vertex = arc_cycle_multiplicities(g, 4), vertex_cycle_counts(g, 4)
@@ -1021,7 +1080,7 @@ def test_mobius_route_matches_enumeration_frontier_and_dfs(case):
     if g.n <= 7:
         assert naive_paths(g, m) == expected
     if m == 2:
-        assert cycles == counting.count_digons(g)
+        assert cycles == sum((o & i).bit_count() for o, i in zip(g.out_bits(), g.in_bits())) // 2
         return
     expected = dfs_cycles(g, m)
     assert cycles == expected or cycles is None and expected == 0

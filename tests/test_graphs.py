@@ -17,7 +17,6 @@ from dicycles.graphs import (
     DIRECTED,
     ORIENTED,
     ArcRule,
-    BlobAssignment,
     BlobInternal,
     DigonError,
     GraphError,
@@ -26,6 +25,7 @@ from dicycles.graphs import (
     PatternError,
     PatternSpec,
     SelfLoopError,
+    SizeMismatchError,
     VertexRangeError,
     balanced_blow_up,
     balanced_sizes,
@@ -140,7 +140,7 @@ def test_blow_up_c3_counts():
 
 def test_blow_up_unit_sizes_is_base():
     for base in (directed_cycle(3), directed_cycle(4), directed_cycle(5)):
-        g = blow_up(uniform_pattern(base), BlobAssignment((1,) * base.n))
+        g = blow_up(uniform_pattern(base), (1,) * base.n)
         assert iso_key(g) == iso_key(base)
 
 
@@ -150,7 +150,7 @@ def test_blow_up_internal_structures():
         (Fraction(1, 3),) * 3,
         (BlobInternal("transitive_tournament"), BlobInternal(), BlobInternal()),
     )
-    g = blow_up(pattern, BlobAssignment((4, 2, 2)))
+    g = blow_up(pattern, (4, 2, 2))
     internal = [(u, v) for (u, v) in g.arcs if u < 4 and v < 4]
     assert len(internal) == 6  # C(4,2), a transitive tournament
     sub = g.subgraph(range(4))
@@ -162,7 +162,7 @@ def test_blow_up_internal_structures():
 def test_threshold_full_at_c_one():
     base = new_graph(2, [(0, 1)])
     pattern = uniform_pattern(base, arc_rule={(0, 1): ArcRule("threshold", 1.0)})
-    g = blow_up(pattern, BlobAssignment((3, 3)))
+    g = blow_up(pattern, (3, 3))
     assert all(u < 3 <= v for (u, v) in g.arcs)
     assert g.num_arcs == 9
 
@@ -171,7 +171,7 @@ def test_threshold_full_at_c_one():
 def test_threshold_pair_never_contains_two_by_two_cycle(c):
     base = new_graph(2, [(0, 1)])
     pattern = uniform_pattern(base, arc_rule={(0, 1): ArcRule("threshold", c)})
-    g = blow_up(pattern, BlobAssignment((6, 6)))
+    g = blow_up(pattern, (6, 6))
     assert not has_cycle_subgraph(g, 4)
     # every cross pair is oriented exactly one way
     assert g.num_arcs == 36
@@ -189,8 +189,7 @@ def test_threshold_arcs_follow_the_rule_pair_by_pair():
     cases += [(c / 8, sizes, True) for c in range(9)
               for sizes in ((3, 3), (5, 9), (2, 17), (1, 3), (9, 1))]
     for c, sizes, dyadic in cases:
-        g = blow_up(uniform_pattern(base, arc_rule={(0, 1): ArcRule("threshold", c)}),
-                    BlobAssignment(sizes))
+        g = blow_up(uniform_pattern(base, arc_rule={(0, 1): ArcRule("threshold", c)}), sizes)
         expected = set()
         for i, x in enumerate(equispaced_coordinates(sizes[0])):
             for j, y in enumerate(equispaced_coordinates(sizes[1])):
@@ -382,8 +381,12 @@ def test_equispaced_coordinates():
 
 
 def test_blob_assignment_validation():
-    with pytest.raises(ValueError):
-        BlobAssignment((2, -1))
+    pattern = uniform_pattern(directed_cycle(2, DIRECTED))
+    # sizes are integers, one per blob and non-negative; 2.7 and "4" were
+    # once truncated and parsed to 2 and 4
+    for sizes in ((2, -1), (2.7, 3), (2, "4"), (2,), (2, 3, 4)):
+        with pytest.raises(SizeMismatchError):
+            blow_up(pattern, sizes)
 
 
 def test_canonical_arcs_detects_isomorphism():

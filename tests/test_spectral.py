@@ -20,6 +20,7 @@ from dicycles.graphs import (
 from dicycles.spectral import (
     NotCompleteBipartiteError,
     PreconditionViolatedError,
+    SpectralError,
     bipartite_cycle_bound,
     complete_bipartite_sides,
     hom_count_via_spectrum,
@@ -171,6 +172,14 @@ def test_hom_count_examples():
     assert hom_count_via_spectrum(spectrum(directed_cycle(3)), 3) == pytest.approx(1.0)
     g = balanced_blow_up(directed_cycle(3), 6)
     assert hom_count_via_spectrum(spectrum(g), 3) == pytest.approx(8.0)
+
+
+def test_hom_count_rejects_walk_length_below_one():
+    # k = 0 divided by zero, and k = -1 summed the inverse eigenvalues
+    spec = spectrum(directed_cycle(3))
+    for k in (0, -1):
+        with pytest.raises(SpectralError, match="walk length must be at least 1"):
+            hom_count_via_spectrum(spec, k)
 
 
 def test_hom_count_equals_c4_copies_without_digons():
