@@ -259,6 +259,9 @@ def _cmd_optimize(args, manifest):
     from .constructions import c5c3_pattern, c5c7_pattern
     from .graphs import directed_cycle, uniform_pattern
 
+    # the flag is read by the threshold pattern only, but is checked for all
+    if args.resolution < 1:
+        raise density.DensityError(f"resolution must be at least 1, got {args.resolution}")
     name = args.pattern
     if name == "threshold":
         result = density.optimize_threshold(tuple(args.threshold_range),

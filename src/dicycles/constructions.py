@@ -65,6 +65,15 @@ KINDS = (
 )
 
 
+# the one parameter each kind reads; the other kinds read none
+_PARAMETER = {
+    "balanced_cycle_blowup": "d",
+    "sparse_singleton_blowup": "k",
+    "threshold_c7": "c",
+    "c3_3t_sparse": "t",
+}
+
+
 @dataclass(frozen=True)
 class ConstructionId:
     """A construction family plus its parameters.
@@ -73,6 +82,7 @@ class ConstructionId:
     directed mode); k: cycle length for sparse_singleton_blowup; c:
     threshold constant in [0, 1]; t: hub multiplier for c3_3t_sparse
     (t >= 2); variant: large-blob placement for c5c7 (adjacent/opposite).
+    A parameter that the kind does not read must be left unset.
     """
 
     kind: str
@@ -85,6 +95,9 @@ class ConstructionId:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConstructionError(f"unknown construction {self.kind!r}")
+        for f in ("d", "k", "c", "t"):
+            if f != _PARAMETER.get(self.kind) and getattr(self, f) is not None:
+                raise ConstructionError(f"{self.kind} takes no parameter {f}")
         if self.kind == "balanced_cycle_blowup":
             if self.d is None or self.d < 2:
                 raise ConstructionError("balanced_cycle_blowup needs d >= 2")
@@ -97,13 +110,16 @@ class ConstructionId:
         if self.kind == "c3_3t_sparse":
             if self.t is None or self.t < 2:
                 raise ConstructionError("c3_3t_sparse needs t >= 2")
-        if self.variant not in ("adjacent", "opposite"):
-            raise ConstructionError("variant must be adjacent or opposite")
+        if self.kind == "c5c7_bipartite_blobs":
+            if self.variant not in ("adjacent", "opposite"):
+                raise ConstructionError("variant must be adjacent or opposite")
+        elif self.variant != "adjacent":
+            raise ConstructionError(f"{self.kind} takes no variant")
 
     def label(self) -> str:
-        params = [f"{f}={getattr(self, f)}" for f in ("d", "k", "c", "t")
-                  if getattr(self, f) is not None]
-        if self.kind == "c5c7_bipartite_blobs" and self.variant != "adjacent":
+        f = _PARAMETER.get(self.kind)
+        params = [f"{f}={getattr(self, f)}"] if f else []
+        if self.variant != "adjacent":
             params.append(f"variant={self.variant}")
         return self.kind + (f"({', '.join(params)})" if params else "")
 

@@ -14,10 +14,12 @@ in float64 while the bound holds for them, and only their contraction, or
 else the whole power, is in Python integers.  Closed-walk existence uses
 boolean powers (each product clipped to {0, 1}), kept as far as the count
 asks for them.  With no closed j-walk for 2 <= j <= k // 2, every closed
-k-walk is a k-cycle, so cycle copies are tr(M^k) / k and cycle existence
-is walk existence; in oriented mode that covers every k <= 5.  k = 2 is
-the digon case of this route: a closed 2-walk is always a digon, so the
-digons are tr(M^2) / 2.
+k-walk is a k-cycle, so cycle copies are tr(M^k) / k, the k-cycles
+through an arc (u, v) are the (k-1)-walks (M^(k-1))[v, u] back from v to
+u, and cycle existence is walk existence; in oriented mode that covers
+every k <= 5.  k = 2 is the digon case of this route: a closed 2-walk is
+always a digon, so the digons are tr(M^2) / 2, and M[v, u] says whether
+the arc (u, v) lies on one.
 
 Twins are vertices with equal out- and in-neighbourhoods
 (:func:`graphs.twin_classes`); every blow-up of a pattern has its blobs
@@ -56,10 +58,12 @@ number of states, breadth-first within a chunk and depth-first over
 chunks, which bounds its memory by the depth times the children of one
 chunk.  Larger graphs, and graphs that fail the bound, use one bitset
 depth-first path counter with Python integers; only
-:func:`enumerate_cycles` materializes the cycles themselves.  Paths and cycle copies share one ladder: the twin
-classes, then the Möbius sum, then the frontier, then the depth-first
-counter; cycle copies try the trace before it, and per-arc multiplicities
-skip the Möbius sum.  Cycle existence takes the same ladder without the
+:func:`enumerate_cycles` materializes the cycles themselves.  Paths and
+cycle copies share one ladder: the twin classes, then the Möbius sum,
+then the frontier, then the depth-first counter.  Cycle copies and
+per-arc multiplicities try the trace before it, and per-arc
+multiplicities skip the Möbius sum (and enumerate the cycles in place of
+the depth-first counter).  Cycle existence takes the same ladder without the
 Möbius sum after its closed-walk filter, and the frontier and the
 depth-first counter stop at the first cycle.
 """
@@ -644,10 +648,27 @@ def _vertex_counts(g: OrientedGraph, mult: dict[tuple[int, int], int]) -> dict[i
 
 
 def arc_cycle_multiplicities(g: OrientedGraph, k: int) -> dict[tuple[int, int], int]:
-    """For each arc, the number of k-cycle copies containing it."""
+    """For each arc, the number of k-cycle copies containing it.
+
+    When every closed k-walk is a k-cycle (:meth:`_Walks.are_cycles`) and
+    n * maxoutdeg**(k-2) < 2**53 proves the float64 power M^(k-1) exact,
+    the count for (u, v) is (M^(k-1))[v, u]; otherwise it is taken over
+    the twin classes, else on the frontier, else by enumerating the
+    cycles.
+    """
     _check_cycle_length(k)
+    return _arc_counts(_Walks(g), k)
+
+
+def _arc_counts(walks: _Walks, k: int) -> dict[tuple[int, int], int]:
+    g = walks.g
     if k > g.n:
         return {arc: 0 for arc in g.arcs}
+    if _walk_dtype(g, k - 1) is np.float64 and walks.are_cycles(k):
+        # each k-cycle through (u, v) is then the one closed k-walk that
+        # leaves u by (u, v), so it is one (k-1)-walk from v back to u
+        p = _power(walks.a, k - 1)
+        return {(u, v): int(p[v, u]) for (u, v) in g.arcs}
     tw = _twins(g)
     if tw is not None:
         return _twin_arc_counts(g, tw, k)
@@ -976,8 +997,8 @@ def count_report(g: OrientedGraph, k: int, paths_up_to: Optional[int] = None,
     _check_cycle_length(k)
     if paths_up_to is not None and paths_up_to < 0:
         raise ValueError("paths_up_to must be non-negative")
-    mult = arc_cycle_multiplicities(g, k) if per_arc or per_vertex else None
     walks = _Walks(g)  # one adjacency matrix for every count of the report
+    mult = _arc_counts(walks, k) if per_arc or per_vertex else None
     return CountReport(
         k=k,
         copies=_copies(walks, k),

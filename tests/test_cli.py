@@ -269,6 +269,28 @@ def test_optimize_threshold_bad_input_is_json_error(capsys):
         assert json.loads(err.strip())["error"] == "DensityError"
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_optimize_resolution_below_one_is_a_usage_error(capsys, value):
+    # only the threshold pattern reads the flag; the others once exited 0
+    for pattern in ("threshold", "cycle:3", "c5c7", "hub:3"):
+        code, payload, err = run_cli(capsys, "optimize", "--pattern", pattern, "--resolution", value)
+        assert code == 2 and payload is None, pattern
+        assert json.loads(err) == {"error": "DensityError",
+                                   "message": f"resolution must be at least 1, got {value}"}
+
+
+def test_gen_rejects_parameters_its_construction_does_not_read(capsys):
+    # the label once read "sparse_singleton_blowup(d=0, k=3, t=2)"
+    for extra in (["--cycle", "3", "--t", "2", "--d", "0"], ["--cycle", "3", "--variant", "opposite"]):
+        code, payload, err = run_cli(capsys, "gen", "--construction", "sparse_singleton_blowup",
+                                     "--n", "6", *extra)
+        assert code == 2 and payload is None, extra
+        assert json.loads(err)["error"] == "ConstructionError"
+    code, payload, _ = run_cli(capsys, "gen", "--construction", "sparse_singleton_blowup",
+                               "--n", "6", "--cycle", "3")
+    assert code == 0 and payload["construction"] == "sparse_singleton_blowup(k=3)"
+
+
 def test_search_short_forbidden_length_is_json_error(capsys):
     code, payload, err = run_cli(capsys, "search", "--local", "--n", "5", "--k", "3",
                                  "--forbid", "C1", "--budget", "100")

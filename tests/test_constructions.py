@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dicycles.constructions import (
+    ConstructionError,
     ConstructionId,
     Estimate,
     NoClosedFormError,
@@ -159,6 +160,26 @@ def test_construction_id_validation():
         ConstructionId("no_such_thing")
     with pytest.raises(ValueError):
         ConstructionId("c5c7_bipartite_blobs", variant="diagonal")
+
+
+def test_construction_id_rejects_parameters_its_kind_does_not_read():
+    # each kind reads one parameter at most, and only c5c7 reads a variant;
+    # the others were once accepted and printed in the label
+    for kind, param, value in (("balanced_cycle_blowup", "d", 3), ("sparse_singleton_blowup", "k", 3),
+                               ("threshold_c7", "c", 0.5), ("c3_3t_sparse", "t", 2)):
+        assert ConstructionId(kind, **{param: value}).label() == f"{kind}({param}={value})"
+        for other in ("d", "k", "c", "t"):
+            if other != param:
+                with pytest.raises(ConstructionError, match=f"{kind} takes no parameter {other}"):
+                    ConstructionId(kind, **{param: value, other: 0})
+        with pytest.raises(ConstructionError, match=f"{kind} takes no variant"):
+            ConstructionId(kind, **{param: value}, variant="opposite")
+    for kind in ("iterated_c4", "c5c7_bipartite_blobs", "random_bipartite"):
+        for other in ("d", "k", "c", "t"):
+            with pytest.raises(ConstructionError, match="takes no parameter"):
+                ConstructionId(kind, **{other: -1})
+    assert ConstructionId("c5c7_bipartite_blobs", variant="opposite").label() == \
+        "c5c7_bipartite_blobs(variant=opposite)"
 
 
 def test_c3_3t_sparse_freeness():

@@ -823,7 +823,7 @@ def test_twin_route_taken_on_blow_ups_only(monkeypatch):
     g = random_bipartite_orientation(16, 3)
     assert counting._twins(g) is None
     # k = 8, since closed 4-walks keep the trace route from answering
-    count_paths(g, 6), count_cycle_copies(g, 8), arc_cycle_multiplicities(g, 6)
+    count_paths(g, 6), count_cycle_copies(g, 8), arc_cycle_multiplicities(g, 8)
     assert calls == {"_twin_paths": 0, "_twin_closings": 0, "_frontier_count": 2, "_arc_matrix": 1}
     g = balanced_blow_up(directed_cycle(4), 16)
     count_paths(g, 6), count_cycle_copies(g, 8), arc_cycle_multiplicities(g, 8)
@@ -848,7 +848,10 @@ def clear_input(rng, n, d, pendants=3):
 def test_twin_route_on_clear_inputs(monkeypatch, d, n):
     g, blow_up = clear_input(random.Random(d * n), n, d)
     mat = counting._arc_matrix(g, d)
+    calls = spy(monkeypatch, "_power", "_twin_closings", "_arc_matrix")
     mult = arc_cycle_multiplicities(g, d)
+    # every closed d-walk winds once around the blobs, so the trace rung answers
+    assert calls == {"_power": 1, "_twin_closings": 0, "_arc_matrix": 0}
     assert mult == {(u, v): int(mat[u, v]) for (u, v) in g.arcs} == enumerated_arc_counts(g, d)
     calls = spy(monkeypatch, "arc_cycle_multiplicities")
     result = clear(g, d, d + 1)
@@ -877,8 +880,9 @@ def digon_mode_graph(rng, n, p):
 
 @pytest.mark.parametrize("route", ["twin", "frontier", "dfs"])
 def test_digons_take_the_ladders_of_every_length(monkeypatch, route):
-    # copies and existence come from the trace, tr(M^2) / 2; the per-arc
-    # counts from the twin classes, the frontier or the cycle enumeration
+    # copies and existence come from the trace, tr(M^2) / 2, and the per-arc
+    # counts from M itself; the graphs are those the twin classes, the
+    # frontier and the cycle enumeration would otherwise count
     g = {"twin": generate(ConstructionId("complete_bipartite_digraph"), 12),
          "frontier": digon_mode_graph(random.Random(2), 12, 0.3),
          "dfs": digon_mode_graph(random.Random(70), 70, 0.05)}[route]
@@ -894,8 +898,7 @@ def test_digons_take_the_ladders_of_every_length(monkeypatch, route):
     assert calls["_simple_count"] == 0
     assert arc_cycle_multiplicities(g, 2) == per_arc
     assert vertex_cycle_counts(g, 2) == {v: (out[v] & inn[v]).bit_count() for v in range(g.n)}
-    route_fn = {"twin": "_twin_closings", "frontier": "_arc_matrix", "dfs": "enumerate_cycles"}[route]
-    assert calls[route_fn] > 0
+    assert calls == {"_simple_count": 0, "_twin_closings": 0, "_arc_matrix": 0, "enumerate_cycles": 0}
     assert list(enumerate_cycles(g, 2)) == digons  # each once, lowest vertex first
     for d in (2, 3, 4, 5):
         report = check_neighbor_condition(g, 2, d)
@@ -909,10 +912,70 @@ def test_digons_take_the_ladders_of_every_length(monkeypatch, route):
 def test_count_report_computes_per_arc_counts_once(monkeypatch):
     g, _ = clear_input(random.Random(1), 20, 4)
     per_arc, per_vertex = arc_cycle_multiplicities(g, 4), vertex_cycle_counts(g, 4)
-    calls = spy(monkeypatch, "arc_cycle_multiplicities")
+    calls = spy(monkeypatch, "_arc_counts")
     report = count_report(g, 4, per_arc=True, per_vertex=True)
-    assert calls["arc_cycle_multiplicities"] == 1
+    assert calls["_arc_counts"] == 1
     assert report.per_arc == per_arc and report.per_vertex == per_vertex
+
+
+@st.composite
+def trace_rung_inputs(draw):
+    # random oriented graphs at k = 3-5, ones without directed triangles at
+    # k = 6, 7 and digon-mode ones at k = 2: every closed k-walk is a cycle
+    family = draw(st.sampled_from(["oriented", "triangle_free", "digons"]))
+    k = draw(st.integers(*{"oriented": (3, 5), "triangle_free": (6, 7), "digons": (2, 2)}[family]))
+    n = draw(st.integers(k, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    states = draw(st.lists(st.integers(0, 3 if family == "digons" else 2),
+                           min_size=len(pairs), max_size=len(pairs)))
+    out, inn = [0] * n, [0] * n
+    for (u, v), c in zip(pairs, states):
+        for (a, b), bit in (((u, v), 1), ((v, u), 2)):
+            # an arc a -> b closes a directed triangle iff b reaches a in two steps
+            if c & bit and not (family == "triangle_free" and out[b] & inn[a]):
+                out[a] |= 1 << b
+                inn[b] |= 1 << a
+    arcs = [(a, b) for a in range(n) for b in range(n) if out[a] >> b & 1]
+    return new_graph(n, arcs, DIRECTED if family == "digons" else ORIENTED), k
+
+
+def refuse(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+    return fail
+
+
+@settings(max_examples=150)
+@given(trace_rung_inputs())
+def test_trace_rung_counts_cycles_through_each_arc(case):
+    g, k = case
+    assert counting._Walks(g).are_cycles(k)
+    with mock.patch.multiple(counting, **{name: refuse(name) for name in
+                                          ("_twin_closings", "_arc_matrix", "enumerate_cycles")}):
+        mult = arc_cycle_multiplicities(g, k)
+    mat = counting._arc_matrix(g, k)
+    assert mult == {(u, v): int(mat[u, v]) for (u, v) in g.arcs}
+    assert mult == enumerated_arc_counts(g, k)
+    assert sum(mult.values()) == k * count_cycle_copies(g, k)
+
+
+def test_trace_rung_falls_through(monkeypatch):
+    calls = spy(monkeypatch, "_power", "_twin_closings", "_arc_matrix")
+    # closed 4-walks: the 8-cycles of a bipartite orientation are not all of
+    # its closed 8-walks, so the frontier counts them
+    g = random_bipartite_orientation(16, 3)
+    assert counting._twins(g) is None and not counting._Walks(g).are_cycles(8)
+    assert arc_cycle_multiplicities(g, 8) == enumerated_arc_counts(g, 8)
+    assert calls == {"_power": 0, "_twin_closings": 0, "_arc_matrix": 1}
+    # every closed 20-walk of a C20 blow-up is a 20-cycle, but with blobs of
+    # 6, n * 6**18 >= 2**53 fails the float64 bound and the twin classes
+    # count; with blobs of 5, n * 5**18 < 2**53 and the trace rung answers
+    for n, blob in ((120, 6), (100, 5)):
+        g = balanced_blow_up(directed_cycle(20), n)
+        calls.update(dict.fromkeys(calls, 0))
+        assert set(arc_cycle_multiplicities(g, 20).values()) == {blob ** 18}
+        trace = n * blob ** 18 < 1 << 53
+        assert calls == {"_power": int(trace), "_twin_closings": int(not trace), "_arc_matrix": 0}, n
 
 
 def test_closed_walk_flags_match_has_closed_walk():
