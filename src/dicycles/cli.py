@@ -8,6 +8,7 @@ Every report is a single JSON document on stdout embedding a run manifest
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -338,9 +339,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: parsing keeps no
+    state in it, and building the subcommand tree costs more than a small
+    count."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

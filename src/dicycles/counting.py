@@ -30,7 +30,11 @@ step into class b has size_b - used_b choices, and a cycle closes back to
 its fixed start vertex.  The work then depends on the pattern and the
 path length, not on n: the 265,720,500,000 12-cycles of the C6 blow-up
 on 60 vertices are counted in about 0.35 ms (one core of a 2-core x86
-host, Python 3.11), where the frontier takes over a minute.
+host, Python 3.11), where the frontier takes over a minute.  The neighbor
+condition tries the classes first too: a vertex of class c has as many
+neighbours on a cycle as the cycle uses vertices of the classes adjacent
+to c, so the cycles' used vectors decide it; only a violation, which needs
+a witness cycle, goes on to the frontier.
 
 Paths and cycle copies on twin-free graphs are then tried by Möbius
 inversion over walk coincidences (Alon-Yuster-Zwick): a simple path or
@@ -45,9 +49,10 @@ seven-vertex paths of a K20,20 orientation take about 0.5 ms instead of
 0.1 s on the frontier.
 
 Other paths, cycle copies and per-arc multiplicities, and the neighbor
-condition (which needs vertex sets and a witness cycle), run on a numpy
-frontier (the vectorised Held-Karp subset dynamic program) when the
-graph has at most 64 vertices and ``n * maxoutdeg**arcs < 2**63``:
+condition that the classes do not settle (it needs vertex sets and a
+witness cycle), run on a numpy frontier (the vectorised Held-Karp subset
+dynamic program) when the graph has at most 64 vertices and
+``n * maxoutdeg**arcs < 2**63``:
 states are (end vertex, uint64 visited set, int64 multiplicity), equal
 states are merged after every level, and one generator yields each chunk
 of paths with the mask of the vertices that close each path.  Its callers
@@ -290,6 +295,20 @@ def _twin_quotient(g: OrientedGraph, label: list[int]) -> _Twins:
     return _Twins(label, tuple(sizes[c] for c in range(len(first))), succ)
 
 
+def _used_fields(sizes: tuple[int, ...], arcs: int) -> tuple[list[int], list[int]]:
+    """The layout of the packed used vector of paths with ``arcs`` arcs:
+    class b uses ``used >> off[b] & mask[b]`` vertices, in a field wide
+    enough for the arcs + 1 vertices of a path."""
+    off, mask = [], []
+    width = 0
+    for size in sizes:
+        off.append(width)
+        bits = min(size, arcs + 1).bit_length()
+        mask.append((1 << bits) - 1)
+        width += bits
+    return off, mask
+
+
 def _twin_walks(tw: _Twins, starts: list[int], arcs: int) -> dict[tuple[int, int], int]:
     """Simple paths with ``arcs`` arcs over the twin classes.
 
@@ -297,18 +316,11 @@ def _twin_walks(tw: _Twins, starts: list[int], arcs: int) -> dict[tuple[int, int
     labeled paths behind it.  Paths start at any vertex of a class in
     ``starts`` and are merged regardless of their start.  A step into
     class b has size_b - used_b choices.  The used vector is packed into
-    one integer, with a field per class wide enough for the arcs + 1
-    vertices of a path.
+    one integer (:func:`_used_fields`).
     """
     sizes = tw.sizes
-    off, unit, mask = [], [], []
-    width = 0
-    for size in sizes:
-        off.append(width)
-        unit.append(1 << width)
-        bits = min(size, arcs + 1).bit_length()
-        mask.append((1 << bits) - 1)
-        width += bits
+    off, mask = _used_fields(sizes, arcs)
+    unit = [1 << o for o in off]
     states = {(s, unit[s]): sizes[s] for s in starts}
     for _ in range(arcs):
         nxt: dict[tuple[int, int], int] = {}
@@ -342,6 +354,30 @@ def _twin_closings(tw: _Twins, k: int) -> dict[tuple[int, int], int]:
             if s in tw.succ[a]:
                 total[a, s] = total.get((a, s), 0) + m
     return total
+
+
+def _twin_neighbours_hold(tw: _Twins, k: int, limit: int) -> bool:
+    """True iff no vertex has more than ``limit`` underlying neighbours on
+    any k-cycle, read from the cycles' used vectors.
+
+    The k-cycles through a fixed vertex of class s are the paths of
+    :func:`_twin_walks` from s that close back to s.  A vertex of class c
+    has sum(used_b for b adjacent to c) neighbours on a cycle with used
+    vector ``used``; twins are never adjacent, so this does not depend on
+    the vertex chosen in c.  The check stops at the first violation.
+    """
+    off, mask = _used_fields(tw.sizes, k - 1)
+    adjacent = [set(succ) for succ in tw.succ]
+    for a, succ in enumerate(tw.succ):
+        for b in succ:
+            adjacent[b].add(a)
+    for s in range(len(tw.sizes)):
+        for a, used in _twin_walks(tw, [s], k - 1):
+            if s in tw.succ[a]:
+                counts = [used >> o & m for o, m in zip(off, mask)]
+                if any(sum(counts[b] for b in adj) > limit for adj in adjacent):
+                    return False
+    return True
 
 
 def _twin_arc_counts(g: OrientedGraph, tw: _Twins, k: int) -> dict[tuple[int, int], int]:
@@ -907,12 +943,21 @@ class NeighborConditionReport:
 def check_neighbor_condition(g: OrientedGraph, k: int, d: int) -> NeighborConditionReport:
     """Check that every vertex has at most floor(2k/d) underlying neighbors
     on every k-cycle copy (k >= 2, digons included); returns the first
-    violating (vertex, cycle)."""
+    violating (vertex, cycle).
+
+    The twin classes are tried first (under the rule of :func:`_twins`):
+    when no cycle's class counts give any class too many neighbours, the
+    condition holds.  Otherwise the frontier, or where its bound fails the
+    cycle enumeration, finds the witness.
+    """
     _check_cycle_length(k)
     if d < 2:
         raise ValueError("d must be at least 2")
     limit = (2 * k) // d
     if k > g.n:
+        return NeighborConditionReport(True, limit)
+    tw = _twins(g)
+    if tw is not None and _twin_neighbours_hold(tw, k, limit):
         return NeighborConditionReport(True, limit)
     if _frontier_ok(g, k - 1):
         found = _neighbor_violation(g, k, limit)

@@ -98,24 +98,15 @@ def representable(q: RepresentabilityQuery) -> RepresentabilityResult:
     """Exact decision by bounded dynamic programming over values.
 
     Each suffix's reachable values are one integer bitset: bit v is set iff
-    v <= target is a combination of a_{i+1..k}.  Closing a row under a
-    generator a ORs in its shifts by a, 2a, 4a, ... while they fit, which
-    after j shifts adds every multiple up to (2^j - 1) a.  The witness,
-    when one exists, is lexicographically minimal in the coefficient vector
-    (smallest x_1, then x_2, ...).
+    v <= bound is a combination of a_{i+1..k} (:func:`_suffix_rows`, kept
+    per generator tuple for some bound >= target); only bits up to the
+    target are read.  The witness, when one exists, is lexicographically
+    minimal in the coefficient vector (smallest x_1, then x_2, ...).
     """
     gens = q.generators
     target = q.target
     k = len(gens)
-    full = (1 << (target + 1)) - 1
-    suffix = [0] * k + [1]
-    for i in range(k - 1, -1, -1):
-        row = suffix[i + 1]
-        shift = gens[i]
-        while shift <= target:
-            row |= (row << shift) & full
-            shift <<= 1
-        suffix[i] = row
+    suffix = _suffix_rows(gens, target)
     if not suffix[0] >> target & 1:
         return RepresentabilityResult(False, None, *_bound_and_chain(gens))
     witness = []
@@ -130,6 +121,46 @@ def representable(q: RepresentabilityQuery) -> RepresentabilityResult:
     if rest:
         raise NumTheoryError(f"witness {witness} leaves {rest} of the target {target}")
     return RepresentabilityResult(True, tuple(witness), *_bound_and_chain(gens))
+
+
+# by validated generator tuple: (bound, suffix rows up to bound); at most
+# _SUFFIX_SETS tuples are kept, the oldest dropped first, and only those
+# whose rows hold at most _SUFFIX_BITS bits in all, so the cache stays
+# under 4 MB however large the targets
+_SUFFIX: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+_SUFFIX_SETS = 1024
+_SUFFIX_BITS = 1 << 15
+
+
+def _suffix_rows(gens: tuple[int, ...], target: int) -> list[int]:
+    """Row i has bit v set iff v is a combination of a_{i+1..k}, for every
+    v up to a bound of at least ``target``; row k is {0}.
+
+    Closing a row under a generator a ORs in its shifts by a, 2a, 4a, ...
+    while they fit, which after j shifts adds every multiple up to
+    (2^j - 1) a.  A target above the kept bound rebuilds the rows to at
+    least twice that bound, so a sweep over rising targets builds them
+    O(log) times, not once per target.
+    """
+    bound, rows = _SUFFIX.get(gens, (-1, []))
+    if target <= bound:
+        return rows
+    bound = max(target, 2 * bound)
+    full = (1 << (bound + 1)) - 1
+    rows = [0] * len(gens) + [1]
+    for i in range(len(gens) - 1, -1, -1):
+        row = rows[i + 1]
+        shift = gens[i]
+        while shift <= bound:
+            row |= (row << shift) & full
+            shift <<= 1
+        rows[i] = row
+    _SUFFIX.pop(gens, None)
+    if len(rows) * (bound + 1) <= _SUFFIX_BITS:
+        if len(_SUFFIX) >= _SUFFIX_SETS:
+            del _SUFFIX[next(iter(_SUFFIX))]
+        _SUFFIX[gens] = bound, rows
+    return rows
 
 
 @lru_cache(maxsize=1024)

@@ -434,3 +434,50 @@ def test_integer_flags_never_crash(tmp_path, capsys):
         assert code in (0, 1, 2), argv
         if code == 2:
             assert "error" in json.loads(err), argv
+
+
+# one call of every subcommand; each is run twice in one process
+_ONE_CALL_EACH = {
+    "gen": ["--construction", "balanced_cycle_blowup", "--d", "3", "--n", "6"],
+    "count": ["--in", "{graph}", "--k", "3", "--paths-up-to", "3", "--per-arc", "--per-vertex"],
+    "check": ["--in", "{graph}", "--forbid", "C4,TT3", "--neighbor-k", "3", "--neighbor-d", "3"],
+    "clear": ["--in", "{graph}", "--k", "3", "--l", "6"],
+    "frobenius": ["--l", "8", "--gens", "3,5"],
+    "predict": ["--k", "5", "--l", "7", "--n", "25"],
+    "optimize": ["--pattern", "cycle:3", "--k", "3"],
+    "spectral": ["--in", "{graph}", "--k", "3"],
+    "search": ["--n", "4", "--k", "3", "--forbid", "C4"],
+    "reproduce": ["iterated_c4"],
+}
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    from dicycles import cli
+
+    graph = tmp_path / "c6.graph"
+    graph.write_text("6 9\n0 2\n1 2\n2 4\n3 4\n4 0\n4 1\n0 3\n2 5\n5 0\n")
+    assert main(["frobenius", "--l", "8", "--gens", "3,5"]) == 0  # builds the parser
+    capsys.readouterr()
+    assert cli.build_parser() is not cli.build_parser()  # still a fresh one per call
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    subs = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subs.choices) == sorted(_ONE_CALL_EACH)
+    for command, argv in _ONE_CALL_EACH.items():
+        argv = [command] + [str(graph) if x == "{graph}" else x for x in argv]
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first[0] == 0 and first[1] is not None, command
+        # the reproduce results carry their own timing field
+        for _, payload, _ in (first, second):
+            for result in payload.get("results", ()):
+                result.pop("elapsed_s")
+        assert strip_time(first[1]) == strip_time(second[1]), command
+        assert first[0] == second[0], command
+    # a usage error, or a runtime error, leaves nothing behind for the next call
+    for bad in (["count", "--k", "x"], ["frobenius", "--l", "8", "--gens", "0"]):
+        assert run_cli(capsys, *bad)[0] == 2
+        code, payload, err = run_cli(capsys, "frobenius", "--l", "8", "--gens", "3,5")
+        assert (code, err) == (0, "")
+        assert (payload["witness"], payload["manifest"]["argv"]) == (
+            [1, 1], ["frobenius", "--l", "8", "--gens", "3,5"])

@@ -861,6 +861,72 @@ def test_twin_route_on_clear_inputs(monkeypatch, d, n):
     assert calls["arc_cycle_multiplicities"] == 1
 
 
+@st.composite
+def pattern_blow_ups(draw):
+    # a 1-4-vertex pattern (digons in directed mode) with independent blobs
+    # of 1-5 vertices
+    directed = draw(st.booleans())
+    p = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    states = draw(st.lists(st.integers(0, 3 if directed else 2), min_size=len(pairs),
+                           max_size=len(pairs)))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=p, max_size=p))
+    offset = [sum(sizes[:i]) for i in range(p)]
+    blob = [range(offset[i], offset[i] + sizes[i]) for i in range(p)]
+    arcs = [(u, v) for (i, j), c in zip(pairs, states)
+            for (a, b), bit in (((i, j), 1), ((j, i), 2)) if c & bit
+            for u in blob[a] for v in blob[b]]
+    return new_graph(sum(sizes), arcs, DIRECTED if directed else ORIENTED)
+
+
+@settings(max_examples=150)
+@given(st.one_of(pattern_blow_ups(), small_digraphs()), st.integers(2, 7), st.integers(2, 6))
+def test_twin_rung_decides_the_neighbour_condition(g, k, d):
+    report = check_neighbor_condition(g, k, d)
+    with mock.patch.object(counting, "_twins", return_value=None):
+        assert check_neighbor_condition(g, k, d) == report
+    if k > g.n:
+        return
+    # the rung is exact both ways on any graph's classes: every closing
+    # state of the class walk is some labeled cycle
+    assert counting._twin_neighbours_hold(all_twins(g), k, report.limit) == report.holds
+    if count_cycle_copies(g, k) <= _DFS_WORK:
+        assert report.holds == (not neighbor_violated(g, k, report.limit))
+
+
+def neighbor_input(rng, k, d, n, plant):
+    # the C_d blow-up and, with ``plant``, a vertex joined to floor(2k/d) + 1
+    # vertices of one k-cycle through the blobs
+    g = balanced_blow_up(directed_cycle(d), n)
+    if not plant:
+        return g
+    sizes = [n // d + (i < n % d) for i in range(d)]
+    per_blob = [rng.sample(range(sum(sizes[:i]), sum(sizes[:i + 1])), k // d) for i in range(d)]
+    cycle = [per_blob[j % d][j // d] for j in range(k)]
+    return new_graph(n + 1, list(g.arcs) + [(n, v) for v in rng.sample(cycle, 2 * k // d + 1)])
+
+
+@pytest.mark.parametrize("k, d, n, plant", [
+    (k, d, n, plant) for k, d, sizes in ((4, 4, (36, 40)), (6, 3, (21, 24)), (5, 5, (35, 40)))
+    for n, plant in ((sizes[0], False), (sizes[1], False), (sizes[0], True))])
+def test_neighbour_inputs_take_the_twin_rung(monkeypatch, k, d, n, plant):
+    g = neighbor_input(random.Random(k * n), k, d, n, plant)
+    limit = 2 * k // d
+    expected = counting._neighbor_violation(g, k, limit)
+    assert (expected is None) != plant
+    assert counting._twins(g) is not None
+    calls = spy(monkeypatch, "_twin_walks", "_neighbor_violation")
+    report = check_neighbor_condition(g, k, d)
+    assert calls["_twin_walks"] > 0
+    # a holding blow-up never builds the frontier; a planted vertex falls
+    # through to it and gets its witness
+    assert calls["_neighbor_violation"] == int(plant)
+    assert report == counting.NeighborConditionReport(
+        expected is None, limit, *(expected or (None, None)))
+    if plant:
+        assert_valid_witness(g, k, report)
+
+
 def test_count_report_builds_the_adjacency_matrix_once(monkeypatch):
     # it once built M for the copies, the closed walks and each path order
     g = random_bipartite_orientation(20, 5)

@@ -8,6 +8,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from dicycles import numtheory
 from dicycles.graphs import DIRECTED, ORIENTED
 from dicycles.numtheory import (
     ASYMPTOTIC,
@@ -119,6 +120,37 @@ def test_bitset_rows_match_bytearray_reference():
         for ell in list(range(0, 130)) + [255, 256, 257, 1023, 1024]:
             got = representable(RepresentabilityQuery(ell, gens))
             assert (got.representable, got.witness) == bytearray_representable(ell, gens), (gens, ell)
+
+
+@pytest.mark.parametrize("gens", [(3, 5), (6, 10, 15), (7, 4, 11)])
+def test_cached_rows_match_uncached_sweeps(monkeypatch, gens):
+    def uncached(ell):
+        numtheory._SUFFIX.clear()
+        got = representable(RepresentabilityQuery(ell, gens))
+        return got.representable, got.witness, got.brauer_bound, got.gcd_chain
+
+    expected = {ell: uncached(ell) for ell in range(301)}
+    assert all(expected[ell][:2] == bytearray_representable(ell, gens) for ell in range(301))
+    for order in (range(300, -1, -1), range(301)):
+        numtheory._SUFFIX.clear()
+        bounds = set()
+        for ell in order:
+            got = representable(RepresentabilityQuery(ell, gens))
+            assert (got.representable, got.witness, got.brauer_bound, got.gcd_chain) == expected[ell]
+            bounds.add(numtheory._SUFFIX[gens][0])
+        # a falling sweep builds the rows once; a rising one once per doubling
+        assert len(bounds) == 1 if order[0] == 300 else len(bounds) <= 11
+    # the cache keeps at most _SUFFIX_SETS generator tuples, oldest out first
+    monkeypatch.setattr(numtheory, "_SUFFIX_SETS", 2)
+    for other in ((2,), (3,), gens):
+        representable(RepresentabilityQuery(10, other))
+    assert list(numtheory._SUFFIX) == [(3,), gens]
+    # and no rows of more than _SUFFIX_BITS bits: a large target is answered
+    # and its rows dropped, with the smaller rows of the tuple
+    big = numtheory._SUFFIX_BITS // (len(gens) + 1)
+    got = representable(RepresentabilityQuery(big, gens))
+    assert sum(a * x for a, x in zip(gens, got.witness)) == big
+    assert list(numtheory._SUFFIX) == [(3,)]
 
 
 def test_smallest_valid_divisor():
