@@ -21,56 +21,33 @@ every k <= 5.  k = 2 is the digon case of this route: a closed 2-walk is
 always a digon, so the digons are tr(M^2) / 2, and M[v, u] says whether
 the arc (u, v) lies on one.
 
-Twins are vertices with equal out- and in-neighbourhoods
-(:func:`graphs.twin_classes`); every blow-up of a pattern has its blobs
-as twin classes.  When the classes average at least two vertices, paths,
-cycle copies and per-arc multiplicities are counted over the classes in
-Python integers: a state is (current class, vertices used per class), a
-step into class b has size_b - used_b choices, and a cycle closes back to
-its fixed start vertex.  The work then depends on the pattern and the
-path length, not on n: the 265,720,500,000 12-cycles of the C6 blow-up
-on 60 vertices are counted in about 0.35 ms (one core of a 2-core x86
-host, Python 3.11), where the frontier takes over a minute.  The neighbor
-condition tries the classes first too: a vertex of class c has as many
-neighbours on a cycle as the cycle uses vertices of the classes adjacent
-to c, so the cycles' used vectors decide it; only a violation, which needs
-a witness cycle, goes on to the frontier.
+Every count states its query (copies, paths, existence, per-arc counts
+or the neighbor condition), and :func:`_route` answers it from the first
+of these rungs that admits it; each rung answers the whole query:
 
-Paths and cycle copies on twin-free graphs are then tried by Möbius
-inversion over walk coincidences (Alon-Yuster-Zwick): a simple path or
-cycle is an injective map of a path or cycle H, and inj(H) is a signed
-sum of homomorphism counts of the quotients of H that merge positions.  A
-merge of positions d apart needs a closed d-walk in the graph, so the
-boolean powers prune the sum (hard on bipartite graphs), and each
-remaining term is a short chain of float64 matrix products, exact while
-n**|V(H)| < 2**53.  The sum is taken when its estimated flops are at most
-a constant times the walks the frontier would prune from: the 2.5 * 10^7
-seven-vertex paths of a K20,20 orientation take about 0.5 ms instead of
-0.1 s on the frontier.
-
-Other paths, cycle copies and per-arc multiplicities, and the neighbor
-condition that the classes do not settle (it needs vertex sets and a
-witness cycle), run on a numpy frontier (the vectorised Held-Karp subset
-dynamic program) when the graph has at most 64 vertices and
-``n * maxoutdeg**arcs < 2**63``:
-states are (end vertex, uint64 visited set, int64 multiplicity), equal
-states are merged after every level, and one generator yields each chunk
-of paths with the mask of the vertices that close each path.  Its callers
-count the last arc in place (by a popcount for paths and copies) and stop
-by leaving their loop.  The bound caps every multiplicity and partial sum,
-so int64 never overflows.  The frontier is expanded in chunks of a fixed
-number of states, breadth-first within a chunk and depth-first over
-chunks, which bounds its memory by the depth times the children of one
-chunk.  Larger graphs, and graphs that fail the bound, use one bitset
-depth-first path counter with Python integers; only
-:func:`enumerate_cycles` materializes the cycles themselves.  Paths and
-cycle copies share one ladder: the twin classes, then the Möbius sum,
-then the frontier, then the depth-first counter.  Cycle copies and
-per-arc multiplicities try the trace before it, and per-arc
-multiplicities skip the Möbius sum (and enumerate the cycles in place of
-the depth-first counter).  Cycle existence takes the same ladder without the
-Möbius sum after its closed-walk filter, and the frontier and the
-depth-first counter stop at the first cycle.
+1. The trace, when every closed k-walk is a k-cycle: copies, existence,
+   and per-arc counts while M^(k-1) is exact in float64.  Existence first
+   asks for a closed k-walk at all.
+2. The twin classes, when they average at least two vertices.  Twins are
+   vertices with equal out- and in-neighbourhoods (a blow-up's blobs).  A
+   state is (current class, vertices used per class), and a step into
+   class b has size_b - used_b choices, so the work depends on the pattern
+   and the length, not on n: the 265,720,500,000 12-cycles of the C6
+   blow-up on 60 vertices take about 0.35 ms (one core of a 2-core x86
+   host, Python 3.11), and over a minute on the frontier.  The cycles'
+   used vectors decide the neighbor condition; a violation's witness is
+   the first member of the lowest violating class, on a k-cycle through
+   the first used_b members of each class b.
+3. The Möbius sum over walk coincidences (Alon-Yuster-Zwick), for copies
+   and paths, when its estimated flops are at most a constant times the
+   walks the frontier would prune from: the 2.5 * 10^7 seven-vertex paths
+   of a K20,20 orientation take about 0.5 ms, and 0.1 s on the frontier.
+4. The frontier, a numpy form of the Held-Karp subset dynamic program over
+   (end vertex, uint64 visited set, int64 multiplicity) states, when
+   n <= 64 and n * maxoutdeg**arcs < 2**63 caps every multiplicity.
+5. The depth-first counter in Python integers, or for per-arc counts and
+   the neighbor condition the enumeration of the cycles.  This rung and
+   the frontier stop an existence check at the first cycle.
 """
 
 from __future__ import annotations
@@ -356,15 +333,18 @@ def _twin_closings(tw: _Twins, k: int) -> dict[tuple[int, int], int]:
     return total
 
 
-def _twin_neighbours_hold(tw: _Twins, k: int, limit: int) -> bool:
-    """True iff no vertex has more than ``limit`` underlying neighbours on
-    any k-cycle, read from the cycles' used vectors.
+def _twin_neighbours(g: OrientedGraph, tw: _Twins, k: int, limit: int) -> tuple:
+    """A vertex with more than ``limit`` underlying neighbours on a
+    k-cycle, and that cycle, or (), read from the cycles' used vectors.
 
     The k-cycles through a fixed vertex of class s are the paths of
     :func:`_twin_walks` from s that close back to s.  A vertex of class c
     has sum(used_b for b adjacent to c) neighbours on a cycle with used
-    vector ``used``; twins are never adjacent, so this does not depend on
-    the vertex chosen in c.  The check stops at the first violation.
+    vector ``used``, whichever vertex of c it is, since twins are never
+    adjacent.  The witness is the first member of the lowest violating
+    class, on a cycle through the first used_b members of each class b:
+    permuting twins is an automorphism, so one cycle of that used vector
+    lies on those vertices.
     """
     off, mask = _used_fields(tw.sizes, k - 1)
     adjacent = [set(succ) for succ in tw.succ]
@@ -375,9 +355,12 @@ def _twin_neighbours_hold(tw: _Twins, k: int, limit: int) -> bool:
         for a, used in _twin_walks(tw, [s], k - 1):
             if s in tw.succ[a]:
                 counts = [used >> o & m for o, m in zip(off, mask)]
-                if any(sum(counts[b] for b in adj) > limit for adj in adjacent):
-                    return False
-    return True
+                over = [sum(counts[b] for b in adj) > limit for adj in adjacent]
+                if True in over:
+                    members = [[v for v, c in enumerate(tw.label) if c == b] for b in range(len(counts))]
+                    cycle = sorted(v for b, used_b in enumerate(counts) for v in members[b][:used_b])
+                    return members[over.index(True)][0], _cycle_on(g, k, cycle)
+    return ()
 
 
 def _twin_arc_counts(g: OrientedGraph, tw: _Twins, k: int) -> dict[tuple[int, int], int]:
@@ -585,6 +568,104 @@ def _contract(a: np.ndarray, k: int, steps: list[tuple], n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The counting ladder
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Query:
+    """A question about the k-cycles (k >= 2), or the paths on k vertices:
+    "copies", "paths", "exists", "arcs" (per-arc copies) or "neighbours"
+    (a vertex with over ``limit`` neighbours on a k-cycle, and the cycle)."""
+
+    kind: str
+    k: int
+    limit: int = 0
+
+
+def _route(walks: _Walks, q: _Query):
+    """The answer to ``q`` from the first rung that admits it (see the
+    module docstring); a violation found is (vertex, cycle), else ()."""
+    g, kind, k = walks.g, q.kind, q.k
+    if k > g.n:  # no k-cycle, and no path on k vertices
+        return {"copies": 0, "paths": 0, "exists": False, "arcs": dict.fromkeys(g.arcs, 0)}.get(kind, ())
+    if kind == "exists" and not walks.exists(k):
+        return False  # a closed k-walk is necessary for a k-cycle
+    if (kind in ("copies", "exists") or kind == "arcs" and _walk_dtype(g, k - 1) is np.float64) \
+            and walks.are_cycles(k):
+        return _trace_rung(walks, q)
+    if walks.twins is not None:
+        return _twin_rung(g, walks.twins, q)
+    count = _mobius(walks, k, cyclic=kind == "copies") if kind in ("copies", "paths") else None
+    if count is not None:
+        return count
+    if _frontier_ok(g, k - 1):
+        return _frontier_rung(g, q)
+    return _search_rung(g, q)
+
+
+def _trace_rung(walks: _Walks, q: _Query):
+    """Every closed k-walk is a k-cycle: each copy is k closed walks, one
+    per rotation, and each k-cycle through (u, v) is the one closed k-walk
+    that leaves u by (u, v), so one (k-1)-walk from v back to u."""
+    if q.kind == "copies":
+        return walks.trace(q.k) // q.k
+    if q.kind == "exists":
+        return True
+    p = _power(walks.a, q.k - 1)
+    return {(u, v): int(p[v, u]) for (u, v) in walks.g.arcs}
+
+
+def _twin_rung(g: OrientedGraph, tw: _Twins, q: _Query):
+    kind, k = q.kind, q.k
+    if kind == "paths":
+        return _twin_paths(tw, k - 1)
+    if kind == "arcs":
+        return _twin_arc_counts(g, tw, k)
+    if kind == "neighbours":
+        return _twin_neighbours(g, tw, k, q.limit)
+    copies = sum(_twin_closings(tw, k).values()) // k
+    return copies if kind == "copies" else copies > 0
+
+
+def _frontier_rung(g: OrientedGraph, q: _Query):
+    kind, k = q.kind, q.k
+    if kind == "paths":
+        return _frontier_count(g, k - 1, None)
+    if kind == "arcs":
+        mat = _arc_matrix(g, k)
+        return {(u, v): int(mat[u, v]) for (u, v) in g.arcs}
+    if kind == "neighbours":
+        return _neighbor_violation(g, k, q.limit)
+    copies = _frontier_count(g, k - 1, _above(g.in_bits()), 1 if kind == "exists" else None)
+    return copies if kind == "copies" else copies > 0
+
+
+def _search_rung(g: OrientedGraph, q: _Query):
+    """The rung without a size bound: per-arc counts and the neighbor
+    condition enumerate the cycles, the rest run the depth-first counter."""
+    kind, k = q.kind, q.k
+    if kind == "arcs":
+        tally = Counter(arc for cyc in enumerate_cycles(g, k) for arc in zip(cyc, cyc[1:] + cyc[:1]))
+        return {arc: tally[arc] for arc in g.arcs}
+    if kind == "neighbours":
+        und = g.und_bits()
+        cycles = ((sum(1 << v for v in cyc), cyc) for cyc in enumerate_cycles(g, k))
+        return next(((w, cyc) for mask, cyc in cycles for w in range(g.n)
+                     if (und[w] & mask).bit_count() > q.limit), ())
+    cyclic, limit = kind != "paths", 1 if kind == "exists" else None
+    out, inn = g.out_bits(), g.in_bits()
+    total = 0
+    for s in range(g.n):
+        # a cycle is counted from its lowest vertex, with the rest above it
+        inner = -1 << (s + 1) if cyclic else -1
+        total += _simple_paths(out, s, k - 1, inner, inn[s] & inner if cyclic else -1, limit)
+        if limit is not None and total >= limit:
+            break
+    return total > 0 if limit else total
+
+
+# ---------------------------------------------------------------------------
 # Cycle copies
 # ---------------------------------------------------------------------------
 
@@ -601,44 +682,7 @@ def count_cycle_copies(g: OrientedGraph, k: int) -> int:
     which only exist in directed mode.
     """
     _check_cycle_length(k)
-    return _copies(_Walks(g), k)
-
-
-def _copies(walks: _Walks, k: int) -> int:
-    if k > walks.g.n:
-        return 0
-    if walks.are_cycles(k):
-        # each copy is then k closed walks, one per rotation
-        return walks.trace(k) // k
-    return _simple_count(walks, k, cyclic=True)
-
-
-def _simple_count(walks: _Walks, m: int, cyclic: bool, limit: Optional[int] = None) -> int:
-    """Simple paths on m vertices (2 <= m <= n), or with ``cyclic``
-    m-cycle copies (3 <= m <= n), over the twin classes, else by the Möbius
-    sum (without ``limit``), else on the frontier, else by the depth-first
-    counter.  With ``limit`` the frontier and the depth-first counter may
-    stop once the count reaches it."""
-    g = walks.g
-    tw = _twins(g)
-    if tw is not None:
-        return sum(_twin_closings(tw, m).values()) // m if cyclic else _twin_paths(tw, m - 1)
-    if limit is None:
-        count = _mobius(walks, m, cyclic)
-        if count is not None:
-            return count
-    inn = g.in_bits()
-    if _frontier_ok(g, m - 1):
-        return _frontier_count(g, m - 1, _above(inn) if cyclic else None, limit)
-    out = g.out_bits()
-    total = 0
-    for s in range(g.n):
-        # a cycle is counted from its lowest vertex, with the rest above it
-        inner = -1 << (s + 1) if cyclic else -1
-        total += _simple_paths(out, s, m - 1, inner, inn[s] & inner if cyclic else -1, limit)
-        if limit is not None and total >= limit:
-            break
-    return total
+    return _route(_Walks(g), _Query("copies", k))
 
 
 def enumerate_cycles(g: OrientedGraph, k: int) -> Iterator[tuple[int, ...]]:
@@ -688,34 +732,15 @@ def arc_cycle_multiplicities(g: OrientedGraph, k: int) -> dict[tuple[int, int], 
 
     When every closed k-walk is a k-cycle (:meth:`_Walks.are_cycles`) and
     n * maxoutdeg**(k-2) < 2**53 proves the float64 power M^(k-1) exact,
-    the count for (u, v) is (M^(k-1))[v, u]; otherwise it is taken over
-    the twin classes, else on the frontier, else by enumerating the
-    cycles.
+    the count for (u, v) is (M^(k-1))[v, u]; otherwise the later rungs of
+    :func:`_route` count it.
     """
     _check_cycle_length(k)
     return _arc_counts(_Walks(g), k)
 
 
 def _arc_counts(walks: _Walks, k: int) -> dict[tuple[int, int], int]:
-    g = walks.g
-    if k > g.n:
-        return {arc: 0 for arc in g.arcs}
-    if _walk_dtype(g, k - 1) is np.float64 and walks.are_cycles(k):
-        # each k-cycle through (u, v) is then the one closed k-walk that
-        # leaves u by (u, v), so it is one (k-1)-walk from v back to u
-        p = _power(walks.a, k - 1)
-        return {(u, v): int(p[v, u]) for (u, v) in g.arcs}
-    tw = _twins(g)
-    if tw is not None:
-        return _twin_arc_counts(g, tw, k)
-    if _frontier_ok(g, k - 1):
-        mat = _arc_matrix(g, k)
-        return {(u, v): int(mat[u, v]) for (u, v) in g.arcs}
-    mult = {arc: 0 for arc in g.arcs}
-    for cyc in enumerate_cycles(g, k):
-        for i in range(k):
-            mult[(cyc[i], cyc[(i + 1) % k])] += 1
-    return mult
+    return _route(walks, _Query("arcs", k))
 
 
 # ---------------------------------------------------------------------------
@@ -785,9 +810,9 @@ def has_closed_walk(g: OrientedGraph, length: int) -> bool:
 
 class _Walks:
     """The closed walks of one graph, for one count: the float64 adjacency
-    matrix ``a``, built once when first read, and what the count asks of
-    it, so that the checks and the counters of one count share their
-    products."""
+    matrix ``a`` and the twin classes ``twins``, each found once when first
+    read, and what the count asks of them, so that the checks and the
+    counters of one count share their products."""
 
     def __init__(self, g: OrientedGraph):
         self.g = g
@@ -797,6 +822,10 @@ class _Walks:
     @cached_property
     def a(self) -> np.ndarray:
         return adjacency_matrix(self.g)
+
+    @cached_property
+    def twins(self) -> Optional[_Twins]:
+        return _twins(self.g)
 
     def closed(self, j: int) -> bool:
         """Whether a closed j-walk exists (j >= 1).  The clipped power M^j
@@ -847,14 +876,7 @@ class _Walks:
 def has_cycle_subgraph(g: OrientedGraph, length: int) -> bool:
     """True iff a simple directed cycle of exactly ``length`` exists."""
     _check_cycle_length(length)
-    if length > g.n:
-        return False
-    # a closed walk is necessary for a cycle; this filter is cheap and
-    # settles most freeness sweeps without counting
-    walks = _Walks(g)
-    if not walks.exists(length):
-        return False
-    return walks.are_cycles(length) or _simple_count(walks, length, cyclic=True, limit=1) > 0
+    return _route(_Walks(g), _Query("exists", length))
 
 
 # ---------------------------------------------------------------------------
@@ -870,11 +892,7 @@ def count_paths(g: OrientedGraph, i: int) -> int:
 
 
 def _paths(walks: _Walks, i: int) -> int:
-    if i == 1:
-        return walks.g.n
-    if i > walks.g.n:
-        return 0
-    return _simple_count(walks, i, cyclic=False)
+    return walks.g.n if i == 1 else _route(walks, _Query("paths", i))
 
 
 # ---------------------------------------------------------------------------
@@ -942,42 +960,20 @@ class NeighborConditionReport:
 
 def check_neighbor_condition(g: OrientedGraph, k: int, d: int) -> NeighborConditionReport:
     """Check that every vertex has at most floor(2k/d) underlying neighbors
-    on every k-cycle copy (k >= 2, digons included); returns the first
-    violating (vertex, cycle).
-
-    The twin classes are tried first (under the rule of :func:`_twins`):
-    when no cycle's class counts give any class too many neighbours, the
-    condition holds.  Otherwise the frontier, or where its bound fails the
-    cycle enumeration, finds the witness.
-    """
+    on every k-cycle copy (k >= 2, digons included); returns a violating
+    (vertex, cycle): on twin classes the one :func:`_twin_neighbours`
+    picks, otherwise the first the frontier or the enumeration finds."""
     _check_cycle_length(k)
     if d < 2:
         raise ValueError("d must be at least 2")
     limit = (2 * k) // d
-    if k > g.n:
-        return NeighborConditionReport(True, limit)
-    tw = _twins(g)
-    if tw is not None and _twin_neighbours_hold(tw, k, limit):
-        return NeighborConditionReport(True, limit)
-    if _frontier_ok(g, k - 1):
-        found = _neighbor_violation(g, k, limit)
-        if found is None:
-            return NeighborConditionReport(True, limit)
-        return NeighborConditionReport(False, limit, *found)
-    und_bits = g.und_bits()
-    for cyc in enumerate_cycles(g, k):
-        mask = 0
-        for v in cyc:
-            mask |= 1 << v
-        for w in range(g.n):
-            if (und_bits[w] & mask).bit_count() > limit:
-                return NeighborConditionReport(False, limit, w, cyc)
-    return NeighborConditionReport(True, limit)
+    found = _route(_Walks(g), _Query("neighbours", k, limit))
+    return NeighborConditionReport(not found, limit, *found)
 
 
-def _neighbor_violation(g: OrientedGraph, k: int, limit: int) -> Optional[tuple[int, tuple[int, ...]]]:
+def _neighbor_violation(g: OrientedGraph, k: int, limit: int) -> tuple:
     """A vertex with more than ``limit`` underlying neighbours on a k-cycle,
-    and that cycle, or None.
+    and that cycle, or ().
 
     The count depends only on the cycle's vertex set.  A canonical path
     closes into cycles on vis | {t} for each t in ``ends``; w has
@@ -997,11 +993,14 @@ def _neighbor_violation(g: OrientedGraph, k: int, limit: int) -> Optional[tuple[
                 w, j = divmod(int(np.argmax(bad)), i.size)
                 t = int(ends[i[j]]) & (und_bits[w] if c[w, j] == limit else -1)
                 cycle_set = int(vis[i[j]]) | (t & -t)
-                members = [v for v in range(g.n) if cycle_set >> v & 1]
-                # any k-cycle through the whole set is a witness
-                cyc = next(enumerate_cycles(g.subgraph(members), k))
-                return w, tuple(members[x] for x in cyc)
-    return None
+                return w, _cycle_on(g, k, [v for v in range(g.n) if cycle_set >> v & 1])
+    return ()
+
+
+def _cycle_on(g: OrientedGraph, k: int, vertices: list[int]) -> tuple[int, ...]:
+    """The first k-cycle (:func:`enumerate_cycles`) through all of the k
+    ascending ``vertices``, which must carry one."""
+    return tuple(vertices[x] for x in next(enumerate_cycles(g.subgraph(vertices), k)))
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +1045,7 @@ def count_report(g: OrientedGraph, k: int, paths_up_to: Optional[int] = None,
     mult = _arc_counts(walks, k) if per_arc or per_vertex else None
     return CountReport(
         k=k,
-        copies=_copies(walks, k),
+        copies=_route(walks, _Query("copies", k)),
         closed_walks=walks.trace(k),
         paths={i: _paths(walks, i) for i in range(1, paths_up_to + 1)} if paths_up_to else None,
         per_arc=mult if per_arc else None,

@@ -879,17 +879,44 @@ def pattern_blow_ups(draw):
     return new_graph(sum(sizes), arcs, DIRECTED if directed else ORIENTED)
 
 
+def assert_twin_witness(g, k, report):
+    # the documented rule of the twin rung: the first member of the lowest
+    # class with too many neighbours on the cycle, and the first k-cycle
+    # (as enumerate_cycles yields it) through the first used_b members of
+    # each class b
+    assert_valid_witness(g, k, report)
+    label, und = twin_classes(g), g.und_bits()
+    members = [[v for v in range(g.n) if label[v] == c] for c in range(max(label) + 1)]
+    cyc = report.witness_cycle
+    used = Counter(label[v] for v in cyc)
+    vertices = sorted(v for c, m in used.items() for v in members[c][:m])
+    assert sorted(cyc) == vertices
+    assert cyc == tuple(vertices[x] for x in next(enumerate_cycles(g.subgraph(vertices), k)))
+    mask = sum(1 << v for v in cyc)
+    lowest = next(c for c in range(len(members)) if (und[members[c][0]] & mask).bit_count() > report.limit)
+    assert report.witness_vertex == members[lowest][0]
+
+
 @settings(max_examples=150)
 @given(st.one_of(pattern_blow_ups(), small_digraphs()), st.integers(2, 7), st.integers(2, 6))
 def test_twin_rung_decides_the_neighbour_condition(g, k, d):
     report = check_neighbor_condition(g, k, d)
     with mock.patch.object(counting, "_twins", return_value=None):
-        assert check_neighbor_condition(g, k, d) == report
+        frontier = check_neighbor_condition(g, k, d)
+    assert (report.holds, report.limit) == (frontier.holds, frontier.limit)
     if k > g.n:
         return
-    # the rung is exact both ways on any graph's classes: every closing
-    # state of the class walk is some labeled cycle
-    assert counting._twin_neighbours_hold(all_twins(g), k, report.limit) == report.holds
+    # the rung is exact both ways on any graph's classes, every closing
+    # state of the class walk being some labeled cycle, and its witness
+    # follows the documented rule
+    found = counting._twin_neighbours(g, all_twins(g), k, report.limit)
+    twin = counting.NeighborConditionReport(not found, report.limit, *found)
+    assert twin.holds == report.holds
+    if counting._twins(g) is not None:
+        assert report == twin
+    if not report.holds:
+        assert_valid_witness(g, k, frontier)
+        assert_twin_witness(g, k, twin)
     if count_cycle_copies(g, k) <= _DFS_WORK:
         assert report.holds == (not neighbor_violated(g, k, report.limit))
 
@@ -912,19 +939,19 @@ def neighbor_input(rng, k, d, n, plant):
 def test_neighbour_inputs_take_the_twin_rung(monkeypatch, k, d, n, plant):
     g = neighbor_input(random.Random(k * n), k, d, n, plant)
     limit = 2 * k // d
-    expected = counting._neighbor_violation(g, k, limit)
-    assert (expected is None) != plant
+    frontier = counting._neighbor_violation(g, k, limit)
+    assert bool(frontier) == plant
     assert counting._twins(g) is not None
     calls = spy(monkeypatch, "_twin_walks", "_neighbor_violation")
     report = check_neighbor_condition(g, k, d)
-    assert calls["_twin_walks"] > 0
-    # a holding blow-up never builds the frontier; a planted vertex falls
-    # through to it and gets its witness
-    assert calls["_neighbor_violation"] == int(plant)
-    assert report == counting.NeighborConditionReport(
-        expected is None, limit, *(expected or (None, None)))
+    # the class walk answers both ways: no blow-up builds the frontier, and
+    # a planted vertex gets its witness from the classes
+    assert calls["_twin_walks"] > 0 and calls["_neighbor_violation"] == 0
+    assert (report.holds, report.limit) == (not plant, limit)
+    if count_cycle_copies(g, k) <= _DFS_WORK:
+        assert report.holds == (not neighbor_violated(g, k, limit))
     if plant:
-        assert_valid_witness(g, k, report)
+        assert_twin_witness(g, k, report)
 
 
 def test_count_report_builds_the_adjacency_matrix_once(monkeypatch):
@@ -959,12 +986,12 @@ def test_digons_take_the_ladders_of_every_length(monkeypatch, route):
     digons = [(u, v) for (u, v), m in sorted(per_arc.items()) if m and u < v]
     assert digons and sum((o & i).bit_count() for o, i in zip(out, inn)) == 2 * len(digons)
     und = g.und_bits()
-    calls = spy(monkeypatch, "_simple_count", "_twin_closings", "_arc_matrix", "enumerate_cycles")
+    below = ("_twin_rung", "_mobius", "_frontier_rung", "_search_rung")
+    calls = spy(monkeypatch, *below, "_twin_closings", "_arc_matrix", "enumerate_cycles")
     assert count_cycle_copies(g, 2) == len(digons) and has_cycle_subgraph(g, 2)
-    assert calls["_simple_count"] == 0
     assert arc_cycle_multiplicities(g, 2) == per_arc
     assert vertex_cycle_counts(g, 2) == {v: (out[v] & inn[v]).bit_count() for v in range(g.n)}
-    assert calls == {"_simple_count": 0, "_twin_closings": 0, "_arc_matrix": 0, "enumerate_cycles": 0}
+    assert calls == dict.fromkeys(calls, 0)  # no rung below the trace ran
     assert list(enumerate_cycles(g, 2)) == digons  # each once, lowest vertex first
     for d in (2, 3, 4, 5):
         report = check_neighbor_condition(g, 2, d)
@@ -982,6 +1009,112 @@ def test_count_report_computes_per_arc_counts_once(monkeypatch):
     report = count_report(g, 4, per_arc=True, per_vertex=True)
     assert calls["_arc_counts"] == 1
     assert report.per_arc == per_arc and report.per_vertex == per_vertex
+
+
+def test_count_report_finds_the_twin_classes_once(monkeypatch):
+    # it once ran twin_classes for the per-arc counts, the copies and each
+    # path order
+    g = balanced_blow_up(directed_cycle(4), 18)
+    expected = (count_cycle_copies(g, 8), {i: count_paths(g, i) for i in range(1, 6)},
+                arc_cycle_multiplicities(g, 8))
+    calls = spy(monkeypatch, "twin_classes")
+    report = count_report(g, 8, paths_up_to=5, per_arc=True, per_vertex=True)
+    assert calls["twin_classes"] == 1
+    assert (report.copies, report.paths, report.per_arc) == expected
+
+
+# ---------------------------------------------------------------------------
+# Every rung of the counting ladder, reached by some input
+# ---------------------------------------------------------------------------
+
+RUNGS = ("_trace_rung", "_twin_rung", "_mobius", "_frontier_rung", "_search_rung")
+
+
+def hub_64():
+    # out-degree 62 and a long directed path: 64 * 62**10 >= 2**63, so
+    # paths and cycles with 10 arcs fail the frontier's bound
+    return new_graph(64, [(0, v) for v in range(1, 63)] + [(v, v + 1) for v in range(1, 63)] + [(63, 0)])
+
+
+def tally_paths(g, order):
+    # simple paths extended one vertex at a time over neighbour lists
+    out = [[v for v in range(g.n) if g.out_bits()[u] >> v & 1] for u in range(g.n)]
+
+    def extend(path, left):
+        return 1 if not left else sum(extend(path + [v], left - 1) for v in out[path[-1]] if v not in path)
+
+    return sum(extend([s], order - 1) for s in range(g.n))
+
+
+def answered(monkeypatch):
+    # the rungs that answered, in order (the Möbius sum declines with None)
+    taken = []
+    for name in RUNGS:
+        def wrapper(*args, _name=name, _f=getattr(counting, name), **kwargs):
+            result = _f(*args, **kwargs)
+            if result is not None:
+                taken.append(_name)
+            return result
+        monkeypatch.setattr(counting, name, wrapper)
+    return taken
+
+
+_LADDER_INPUTS = {
+    "random12": lambda: random_oriented(random.Random(4), 12),
+    "random10": lambda: random_oriented(random.Random(5), 10, 0.6),  # no 6-cycle
+    "c3_blow_up": lambda: balanced_blow_up(directed_cycle(3), 9),
+    "c4_blow_up": lambda: balanced_blow_up(directed_cycle(4), 16),
+    "bipartite16": lambda: random_bipartite_orientation(16, 3),
+    "bipartite18": lambda: random_bipartite_orientation(18, 0),
+    "bipartite20": lambda: random_bipartite_orientation(20, 0),
+    "planted": lambda: neighbor_input(random.Random(4 * 36), 4, 4, 36, True),
+    "core65": lambda: twin_free_65()[1],
+    "hub64": hub_64,
+}
+
+
+@pytest.mark.parametrize("query, rung, graph, k", [
+    ("copies", "_trace_rung", "random12", 4),
+    ("copies", "_twin_rung", "c3_blow_up", 6),
+    ("copies", "_mobius", "bipartite18", 10),
+    ("copies", "_frontier_rung", "random12", 6),
+    ("copies", "_search_rung", "core65", 6),
+    ("paths", "_twin_rung", "c4_blow_up", 6),
+    ("paths", "_mobius", "bipartite20", 7),
+    ("paths", "_frontier_rung", "bipartite16", 6),
+    ("paths", "_search_rung", "core65", 4),
+    ("exists", "_trace_rung", "random12", 4),
+    ("exists", "_twin_rung", "c4_blow_up", 8),
+    ("exists", "_frontier_rung", "random10", 6),
+    ("exists", "_search_rung", "core65", 6),
+    ("arcs", "_trace_rung", "random12", 4),
+    ("arcs", "_twin_rung", "c3_blow_up", 6),
+    ("arcs", "_frontier_rung", "bipartite16", 8),
+    ("arcs", "_search_rung", "core65", 6),
+    # the neighbour condition, at (k, d)
+    ("holds", "_twin_rung", "c4_blow_up", (4, 4)),
+    ("violated", "_twin_rung", "planted", (4, 4)),
+    ("violated", "_frontier_rung", "random12", (4, 3)),
+    ("violated", "_search_rung", "hub64", (11, 3)),
+])
+def test_every_rung_is_reached(monkeypatch, query, rung, graph, k):
+    g = _LADDER_INPUTS[graph]()
+    taken = answered(monkeypatch)
+    if query == "copies":
+        assert count_cycle_copies(g, k) == sum(1 for _ in enumerate_cycles(g, k))
+    elif query == "paths":
+        assert count_paths(g, k) == tally_paths(g, k)
+    elif query == "exists":
+        assert has_cycle_subgraph(g, k) == (next(enumerate_cycles(g, k), None) is not None)
+    elif query == "arcs":
+        assert arc_cycle_multiplicities(g, k) == enumerated_arc_counts(g, k)
+    else:
+        k, d = k
+        report = check_neighbor_condition(g, k, d)
+        assert report.holds == (query == "holds") == (not neighbor_violated(g, k, report.limit))
+        if not report.holds:
+            assert_valid_witness(g, k, report)
+    assert taken == [rung]
 
 
 @st.composite

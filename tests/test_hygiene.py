@@ -14,7 +14,9 @@ runs checks nothing that reaches a user.  By the same rule, an optional
 parameter that no call in src/ or perfbench/ passes is a dead knob: every
 user runs its default.  The oracles of ``reproduce`` check the counting,
 number-theory and search layers, so they load nothing from those modules,
-not even through a helper of their own module.
+not even through a helper of their own module.  The counting ladder's
+order and admission rules live in one router, so no other code asks its
+admission tests.
 """
 
 import ast
@@ -49,6 +51,11 @@ PASSED_FROM_OUTSIDE = {
 # the independent oracles of reproduce.py, and the modules they check
 ORACLES = ("_oracle_reachable", "_naive_cycle_count", "_cyclic_sequences")
 CHECKED_MODULES = ("numtheory", "counting", "search")
+
+# the admission tests of the counting ladder (as names or attributes), and
+# the one function that may ask them
+ADMISSIONS = ("_twins", "twins", "_frontier_ok", "_mobius")
+ROUTER = "_route"
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -250,6 +257,23 @@ def oracle_leaks(tree: ast.Module, oracles, modules) -> list[str]:
     return sorted(leaks)
 
 
+def admission_leaks(tree: ast.Module, admissions, router) -> list[str]:
+    """"function: name" for each admission test that a top-level function
+    or method other than ``router`` names; a definition of an admission
+    test may name another (a cached form wraps the test)."""
+    leaks = set()
+    for top in tree.body:
+        for func in top.body if isinstance(top, ast.ClassDef) else [top]:
+            name = getattr(func, "name", "<module>")
+            if name in (router, *admissions):
+                continue
+            for node in ast.walk(func):
+                used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if used in admissions:
+                    leaks.add(f"{name}: {used}")
+    return sorted(leaks)
+
+
 def test_scanners_find_what_they_look_for(tmp_path):
     tree = ast.parse("import os, os.path as osp\nfrom x import (a, b as c)\n"
                      "from __future__ import annotations\nassert a\nprint(os)\n")
@@ -309,6 +333,25 @@ def test_oracle_scan_finds_what_it_looks_for():
     assert oracle_leaks(tree, oracles, CHECKED_MODULES) == [
         "attr: search (search)", "attr: srch (search)", "direct: bb (numtheory)",
         "indirect: counting (counting)", "inner: y (counting)"]
+
+
+def test_admission_scan_finds_what_it_looks_for():
+    tree = ast.parse(
+        "def _route(w):\n    return w.twins or _frontier_ok(w.g, 2) or _mobius(w, 3, True)\n"
+        "def _twins(g): return g\n"
+        "class _Walks:\n    @property\n    def twins(self): return _twins(self.g)\n"
+        "    def other(self): return self.twins\n"
+        "def ladder(walks):\n    def inner(): return counting._mobius(walks, 3, False)\n"
+        "    return _frontier_ok(walks.g, 1) and inner()\n"
+        "def clean(walks): return walks.a\n"
+        "flag = _twins(None)\n")
+    assert admission_leaks(tree, ADMISSIONS, ROUTER) == [
+        "<module>: _twins", "ladder: _frontier_ok", "ladder: _mobius", "other: twins"]
+
+
+def test_only_the_router_asks_the_admission_tests():
+    for path in MODULES:
+        assert admission_leaks(ast.parse(path.read_text()), ADMISSIONS, ROUTER) == [], path.name
 
 
 def test_oracles_are_independent_of_what_they_check():
