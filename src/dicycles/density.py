@@ -11,16 +11,24 @@ its kernel depends only on the cell difference j - i.  A full arc's
 kernel is the all-ones matrix, so its steps factor the trace into
 matrix-vector products.
 The quadrature integrates the kernels of its argument c, so a pattern
-built for another threshold constant raises PatternError.
+built for another threshold constant raises PatternError.  The grouping
+of the closed walks by kernel sequence does not depend on c, so it is
+kept per (step table, k) in a small bounded cache, and every
+``threshold_c7_pattern(c)`` shares one entry; the pattern is still
+checked on every call.
 Optimizers: multi-start projected gradient ascent on the weight simplex,
 and golden-section search for the threshold constant.  The ascent
 compiles the polynomial once per call (:class:`CompiledMonomials`) and
 evaluates it, and its gradient, as exact integer sums over one common
-denominator, so every step sees the correctly rounded exact value.  A
-rejected step leaves the weights where they were, so the gradient is
-evaluated only at accepted points.  The steps and the simplex projection
-run on Python float lists, which for a handful of blobs cost less than
-numpy arrays and give the same floats.
+denominator, so every step sees the correctly rounded exact value.  Each
+point's power table is built once, from the compiled slot list, and the
+ascent keeps the table of the point it accepts: a rejected step leaves
+the weights where they were, so the gradient is taken only at accepted
+points, from the table their value was read from.  A projected candidate
+equal, to the last bit, to the last rejected one is rejected again
+without evaluation: the value never decreases, so it would be.  The
+steps and the simplex projection run on Python float lists, which for a
+handful of blobs cost less than numpy arrays and give the same floats.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -174,27 +183,34 @@ _ASCENT_STEPS, _ASCENT_TOL = 20000, 1e-14
 
 def _ascend(poly: CompiledMonomials, w: list[float]) -> tuple[list[float], float]:
     # int true division rounds correctly, so each value is float() of the
-    # exact Fraction, bit for bit; the gradient is kept until w moves
-    num, den = poly.ratio(w)
+    # exact Fraction, bit for bit; the power table of w is kept, and its
+    # gradient taken once, until w moves
+    table = poly.powers(w)
+    num, den = poly.value_at(table)
     value = num / den
-    grad = None
+    grad = rejected = None
     step = 0.25
     for _ in range(_ASCENT_STEPS):
         if grad is None:
-            nums, den = poly.gradient_ratio(w)
+            nums, den = poly.gradient_at(table)
             grad = [g / den for g in nums]
         cand = _project([x + step * g for x, g in zip(w, grad)])
-        num, den = poly.ratio(cand)
-        cand_value = num / den
-        if cand_value > value + _ASCENT_TOL * max(abs(value), 1e-30):
-            w, value, grad = cand, cand_value, None
-            step *= 1.3
-        else:
+        # value never decreases, so the last rejected candidate stays rejected
+        if cand != rejected:
+            cand_table = poly.powers(cand)
+            num, den = poly.value_at(cand_table)
+            cand_value = num / den
+            if cand_value > value + _ASCENT_TOL * max(abs(value), 1e-30):
+                w, value, table, grad = cand, cand_value, cand_table, None
+                step *= 1.3
+                continue
             if cand_value > value:
-                w, value, grad = cand, cand_value, None
-            step *= 0.5
-            if step < 1e-16:
-                break
+                w, value, table, grad = cand, cand_value, cand_table, None
+            else:
+                rejected = cand
+        step *= 0.5
+        if step < 1e-16:
+            break
     return w, value
 
 
@@ -253,11 +269,11 @@ def _threshold_kernels(c: float, resolution: int) -> dict[str, np.ndarray]:
     return {ALONG: along, AGAINST: 1.0 - along.T}
 
 
-def _kernel_steps(pattern: PatternSpec, c: float) -> list[list[tuple[int, str]]]:
-    """The step table, if the threshold kernels for constant c cover every
-    step: no stay steps, no threshold constant other than c and one step
-    per ordered blob pair.  Other patterns raise PatternError rather than
-    lose steps or integrate the wrong kernel."""
+def _kernel_steps(pattern: PatternSpec, c: float) -> tuple[tuple[tuple[int, str], ...], ...]:
+    """The step table, as tuples, if the threshold kernels for constant c
+    cover every step: no stay steps, no threshold constant other than c
+    and one step per ordered blob pair.  Other patterns raise PatternError
+    rather than lose steps or integrate the wrong kernel."""
     table = step_table(pattern)
     if any(tag == STAY for steps in table for _, tag in steps):
         raise PatternError("the threshold kernels cover independent blobs only")
@@ -268,23 +284,26 @@ def _kernel_steps(pattern: PatternSpec, c: float) -> list[list[tuple[int, str]]]
         raise PatternError(f"the pattern's threshold constant {constants.pop()} differs from c = {c}")
     if any(len({b for b, _ in steps}) < len(steps) for steps in table):
         raise PatternError("two steps between one pair of blobs are not supported")
-    return table
+    return tuple(map(tuple, table))
 
 
-def _threshold_walks(pattern: PatternSpec, c: float, k: int):
-    """Closed k-walks over the step table, grouped by cyclic kernel pattern.
+@lru_cache(maxsize=32)
+def _threshold_walks(table: tuple[tuple[tuple[int, str], ...], ...], k: int) -> tuple:
+    """Closed k-walks over a step table, grouped by cyclic kernel pattern.
 
-    Returns {canonical cyclic tag tuple: {blob exponent tuple: count}}.
+    Returns ((canonical cyclic tag tuple, ((blob exponent tuple, count),
+    ...)), ...).  The grouping does not depend on c, so it is kept per
+    (table, k), as tuples that no caller can change.
     """
     grouped: dict[tuple, dict[tuple, int]] = {}
-    for blobs, tags in closed_walks(_kernel_steps(pattern, c), k):
-        expo = [0] * pattern.p
+    for blobs, tags in closed_walks(table, k):
+        expo = [0] * len(table)
         for b in blobs:
             expo[b] += 1
         tag = min(tags[i:] + tags[:i] for i in range(k))
         counts = grouped.setdefault(tag, {})
         counts[tuple(expo)] = counts.get(tuple(expo), 0) + 1
-    return grouped
+    return tuple((tag, tuple(counts.items())) for tag, counts in grouped.items())
 
 
 def _tag_trace(tag: tuple[str, ...], kernels: dict[str, np.ndarray], resolution: int) -> float:
@@ -340,16 +359,17 @@ def threshold_density(c: float, k: int = 5, resolution: int = 512,
     if weights is None:
         weights = pattern.blob_weights
     _check_simplex(weights, pattern.p)
-    grouped = _threshold_walks(pattern, c, k)
+    grouped = _threshold_walks(_kernel_steps(pattern, c), k)
     kernels = _threshold_kernels(c, resolution)
     scale = float(resolution) ** k
+    floats = [float(w) for w in weights]
     total = 0.0
-    for tag, expo_counts in grouped.items():
+    for tag, expo_counts in grouped:
         integral = _tag_trace(tag, kernels, resolution) / scale
-        for expo, count in expo_counts.items():
+        for expo, count in expo_counts:
             mono = count
-            for w, e in zip(weights, expo):
-                mono *= float(w) ** e
+            for w, e in zip(floats, expo):
+                mono *= w ** e
             total += mono * integral
     return total / k
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
 
 from .graphs import (
     ONE_WAY_BIPARTITE,
@@ -222,6 +220,8 @@ def _as_ratio(x) -> tuple[int, int]:
     except AttributeError:  # numpy integers, strings
         x = Fraction(x)
         return x.numerator, x.denominator
+    except (ValueError, OverflowError):  # nan, inf
+        raise PatternError(f"weight {x} is not a finite number") from None
 
 
 class CompiledMonomials:
@@ -234,10 +234,18 @@ class CompiledMonomials:
     sum(C * D ** pad * prod(N_j ** e_j)) / (L * D ** top), with C = c * L,
     top the largest degree and pad = top - degree.  Gradient entry b is
     the same sum over the terms C * e_b with e_b lowered by one, over
-    L * D ** (top - 1).  Each term is kept as its integer coefficient and
-    the positions of its factors in the power table of an evaluation,
-    [N_0 ** 0, ..., N_0 ** m_0, N_1 ** 0, ..., D ** 0, ..., D ** m], where
-    m_j and m are the highest powers that any term takes.
+    L * D ** (top - 1).
+
+    The slot list holds each (base, exponent) pair, exponent >= 1, that a
+    term or a gradient term takes, over the bases N_0, ..., N_{p-1} and,
+    last, D.  A point's power table is ``bases[j] ** e`` for each slot
+    (:meth:`powers`), and each term is kept as its integer coefficient and
+    the slots of its factors.  The value (:meth:`value_at`) and the
+    gradient (:meth:`gradient_at`) read the same table, so a caller that
+    needs both at one point builds it once: the weight ascent keeps the
+    table of each point it accepts, and builds none for a candidate equal
+    to the last one it rejected.  A weight count other than p raises
+    PatternError; the zero polynomial has no blob count and takes any.
     """
 
     def __init__(self, monos: dict[tuple[int, ...], Fraction]):
@@ -248,49 +256,53 @@ class CompiledMonomials:
         # exponents of N_0, ..., N_{p-1} and, last, of D
         terms = [(n * (self.lcm // d), expo + (self.top - sum(expo),))
                  for (n, d), expo in zip(coeffs, monos)]
-        self.degrees = [max((expo[j] for _, expo in terms), default=0) for j in range(self.p + 1)]
-        offsets = list(accumulate((degree + 1 for degree in self.degrees), initial=0))
+        gradient_terms = [[(coeff * expo[b], expo[:b] + (expo[b] - 1,) + expo[b + 1:])
+                           for coeff, expo in terms if expo[b]]
+                          for b in range(self.p)]
+        self.slots = sorted({(j, e) for row in (terms, *gradient_terms) for _, expo in row
+                             for j, e in enumerate(expo) if e})
+        index = {slot: i for i, slot in enumerate(self.slots)}
 
         def factors(expo):
-            return tuple(offset + e for offset, e in zip(offsets, expo) if e)
+            return tuple(index[j, e] for j, e in enumerate(expo) if e)
 
         self.terms = [(coeff, factors(expo)) for coeff, expo in terms]
-        self.gradient_terms = [
-            [(coeff * expo[b], factors(expo[:b] + (expo[b] - 1,) + expo[b + 1:]))
-             for coeff, expo in terms if expo[b]]
-            for b in range(self.p)]
+        self.gradient_terms = [[(coeff, factors(expo)) for coeff, expo in row]
+                               for row in gradient_terms]
 
-    def _table(self, weights) -> tuple[list[int], int]:
+    def powers(self, weights) -> tuple[list[int], int]:
+        """The power table of a point and its common denominator D."""
+        if self.terms and len(weights) != self.p:
+            raise PatternError(f"{len(weights)} weights given for a polynomial in {self.p} blobs")
         ratios = [_as_ratio(w) for w in weights]
         denom = math.lcm(*(d for _, d in ratios))
-        bases = [n * (denom // d) for n, d in (ratios[j] for j in range(self.p))] + [denom]
-        table = []
-        for base, degree in zip(bases, self.degrees):
-            table += accumulate(repeat(base, degree), mul, initial=1)
-        return table, denom
+        bases = [n * (denom // d) for n, d in ratios] + [denom]
+        return [bases[j] ** e for j, e in self.slots], denom
 
-    def ratio(self, weights) -> tuple[int, int]:
-        """The value at the weights as (numerator, denominator) integers,
-        not reduced; ``numerator / denominator`` is the correctly rounded
-        float of the exact value."""
-        table, denom = self._table(weights)
-        return _term_sum(self.terms, table), self.lcm * denom ** self.top
+    def value_at(self, table: tuple[list[int], int]) -> tuple[int, int]:
+        """The value at a point's power table as (numerator, denominator)
+        integers, not reduced; ``numerator / denominator`` is the
+        correctly rounded float of the exact value."""
+        powers, denom = table
+        return _term_sum(self.terms, powers), self.lcm * denom ** self.top
 
-    def gradient_ratio(self, weights) -> tuple[list[int], int]:
-        """The gradient at the weights as per-blob integer numerators over
-        one shared denominator."""
-        if not self.p:
-            return [0] * len(weights), 1
-        table, denom = self._table(weights)
-        nums = [_term_sum(terms, table) for terms in self.gradient_terms]
+    def gradient_at(self, table: tuple[list[int], int]) -> tuple[list[int], int]:
+        """The gradient at a point's power table as per-blob integer
+        numerators over one shared denominator."""
+        powers, denom = table
+        nums = [_term_sum(terms, powers) for terms in self.gradient_terms]
         return nums, self.lcm * denom ** max(self.top - 1, 0)
 
+    def ratio(self, weights) -> tuple[int, int]:
+        """The value at the weights, for a caller that needs only it."""
+        return self.value_at(self.powers(weights))
 
-def _term_sum(terms, table) -> int:
+
+def _term_sum(terms, powers) -> int:
     total = 0
     for coeff, factors in terms:
         for i in factors:
-            coeff *= table[i]
+            coeff *= powers[i]
         total += coeff
     return total
 

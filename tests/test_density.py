@@ -1,5 +1,6 @@
 """Density evaluators, gradients, optimizers, and the threshold quadrature."""
 
+import functools
 import json
 import math
 import random
@@ -7,7 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dicycles import density
 from dicycles.constructions import (
     ConstructionId,
     c5c3_pattern,
@@ -47,6 +51,7 @@ from dicycles.pattern_walks import (
     CROSS,
     STAY,
     CompiledMonomials,
+    closed_walks,
     density_monomials,
     evaluate_monomials,
     pattern_cycle_count,
@@ -121,8 +126,16 @@ def _random_simplex_points(rng, p):
     return points
 
 
+def compiled_gradient(poly, w):
+    """The gradient at w, read from w's power table, as numerators over one
+    denominator; the zero polynomial has no blobs, so its gradient is zero."""
+    if not poly.p:
+        return [0] * len(w), 1
+    return poly.gradient_at(poly.powers(w))
+
+
 def exact_gradient(monos, w):
-    nums, den = CompiledMonomials(monos).gradient_ratio(w)
+    nums, den = compiled_gradient(CompiledMonomials(monos), w)
     return [Fraction(g, den) for g in nums]
 
 
@@ -146,7 +159,7 @@ def test_integer_division_is_float_of_fraction_bit_for_bit():
         for w in _random_simplex_points(rng, p):
             num, den = CompiledMonomials(monos).ratio(w)
             assert (num / den).hex() == float(reference_evaluate(monos, w)).hex(), name
-            nums, den = CompiledMonomials(monos).gradient_ratio(w)
+            nums, den = compiled_gradient(CompiledMonomials(monos), w)
             assert [(g / den).hex() for g in nums] == \
                 [float(g).hex() for g in reference_gradient(monos, w)], name
 
@@ -163,9 +176,66 @@ def test_compiled_evaluator_matches_fraction_oracle_at_every_point():
             assert Fraction(num, den) == exact, name
             assert (num / den).hex() == float(exact).hex(), name
             exact_grad = reference_gradient(monos, w)
-            nums, den = poly.gradient_ratio(w)
+            nums, den = compiled_gradient(poly, w)
             assert [Fraction(g, den) for g in nums] == exact_grad, name
             assert [(g / den).hex() for g in nums] == [float(g).hex() for g in exact_grad], name
+
+
+WRONG_COUNTS = [(Fraction(1, 4),) * 4, (0.5, 0.5), (), [0.2] * 5]
+
+
+@pytest.mark.parametrize("weights", WRONG_COUNTS)
+def test_evaluator_rejects_a_wrong_weight_count(weights):
+    # 4 weights read as 1/27 and 2 ran off the end of the weight list
+    monos = density_monomials(uniform_pattern(directed_cycle(3)), 3)
+    poly = CompiledMonomials(monos)
+    for evaluate in (lambda: evaluate_monomials(monos, weights), lambda: poly.ratio(weights),
+                     lambda: poly.powers(weights)):
+        message = f"^{len(weights)} weights given for a polynomial in 3 blobs$"
+        with pytest.raises(PatternError, match=message):
+            evaluate()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_evaluator_rejects_a_weight_that_is_not_finite(bad):
+    monos = density_monomials(uniform_pattern(directed_cycle(3)), 3)
+    with pytest.raises(PatternError, match="is not a finite number"):
+        evaluate_monomials(monos, (0.5, bad, 0.5))
+
+
+def test_zero_polynomial_takes_any_weight_count():
+    for weights in ((), (0.5, 0.5), (Fraction(1, 3),) * 3):
+        assert evaluate_monomials({}, weights) == 0
+
+
+@functools.lru_cache(maxsize=1)
+def _compiled_models():
+    return [(name, monos, CompiledMonomials(monos)) for name, monos in _evaluator_models() if monos]
+
+
+def _weights(p):
+    floats = st.floats(min_value=-2.0, max_value=2.0, allow_subnormal=True)
+    return st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+                              floats, floats.map(np.float64), st.integers(-3, 3),
+                              st.fractions(-2, 2, max_denominator=10 ** 6)),
+                    min_size=p, max_size=p)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_power_table_matches_fraction_oracle(data):
+    # subnormal weights make D = 2^1074; the mixed model pads lower degrees with D
+    name, monos, poly = data.draw(st.sampled_from(_compiled_models()))
+    w = data.draw(_weights(poly.p))
+    table = poly.powers(w)
+    num, den = poly.value_at(table)
+    exact = reference_evaluate(monos, w)
+    assert Fraction(num, den) == exact, name
+    assert (num / den).hex() == float(exact).hex(), name
+    nums, den = poly.gradient_at(table)
+    exact_grad = reference_gradient(monos, w)
+    assert [Fraction(g, den) for g in nums] == exact_grad, name
+    assert [(g / den).hex() for g in nums] == [float(g).hex() for g in exact_grad], name
 
 
 def numpy_project_simplex(v):
@@ -234,24 +304,79 @@ def test_projection_when_the_largest_entry_swamps_one():
 def test_ascent_evaluates_the_gradient_once_per_point(monkeypatch):
     model = density_model(c5c3_pattern(), 5)
     expected = optimize_weights(model)
-    values, gradients = [], []
-    ratio, gradient_ratio = CompiledMonomials.ratio, CompiledMonomials.gradient_ratio
+    events, tables, inside = [], [], [False]
+    ascend, project = density._ascend, density._project
+    powers, value_at, gradient_at = (CompiledMonomials.powers, CompiledMonomials.value_at,
+                                     CompiledMonomials.gradient_at)
 
-    def spy_ratio(self, weights):
-        values.append(tuple(weights))
-        return ratio(self, weights)
+    def spy_ascend(poly, w):
+        events.append(("start", None))
+        inside[0] = True
+        try:
+            return ascend(poly, w)
+        finally:
+            inside[0] = False
 
-    def spy_gradient(self, weights):
-        gradients.append(tuple(weights))
-        return gradient_ratio(self, weights)
+    def spy_project(v):
+        w = project(v)
+        if inside[0]:
+            events.append(("candidate", tuple(w)))
+        return w
 
-    monkeypatch.setattr(CompiledMonomials, "ratio", spy_ratio)
-    monkeypatch.setattr(CompiledMonomials, "gradient_ratio", spy_gradient)
+    def spy_powers(self, weights):
+        table = powers(self, weights)
+        tables.append((table, tuple(weights)))  # kept, so no id is reused
+        if inside[0]:
+            events.append(("table", None))
+        return table
+
+    def point(table):
+        return next(w for t, w in tables if t is table)
+
+    def spy_value(self, table):
+        num, den = value_at(self, table)
+        if inside[0]:
+            events.append(("value", (point(table), num / den)))
+        return num, den
+
+    def spy_gradient(self, table):
+        events.append(("gradient", point(table)))
+        return gradient_at(self, table)
+
+    monkeypatch.setattr(density, "_ascend", spy_ascend)
+    monkeypatch.setattr(density, "_project", spy_project)
+    monkeypatch.setattr(CompiledMonomials, "powers", spy_powers)
+    monkeypatch.setattr(CompiledMonomials, "value_at", spy_value)
+    monkeypatch.setattr(CompiledMonomials, "gradient_at", spy_gradient)
     assert optimize_weights(model) == expected
-    # a rejected candidate leaves w where it was, and with it the gradient
-    assert all(a != b for a, b in zip(gradients, gradients[1:]))
-    assert set(gradients) <= set(values)
-    assert 11 <= len(gradients) < len(values) / 2
+    # replay each ascent: a candidate is accepted iff it beats the current value
+    points = gradients = evaluated = skipped = built = 0
+    for kind, data in events:
+        if kind == "table":
+            built += 1
+        elif kind == "start":
+            current = value = rejected = None
+            has_gradient = False
+        elif kind == "candidate":
+            skipped += data == rejected
+        elif kind == "value":
+            w, v = data
+            assert w != rejected, "a candidate equal to the last rejected one was evaluated"
+            if current is None or v > value:
+                current, value, has_gradient = w, v, False
+                points += 1
+            else:
+                rejected = w
+                evaluated += 1
+        else:
+            # at the current accepted point, once, and never at a rejected candidate
+            assert data == current and not has_gradient
+            has_gradient = True
+            gradients += 1
+    assert gradients == points >= 11
+    assert evaluated > 0 and skipped > 100
+    # one table per evaluated point: the gradient reads the table of its point
+    assert built == points + evaluated
 
 
 # optimize_weights results of every `dicycles optimize` polynomial pattern
@@ -303,6 +428,134 @@ def test_optimize_weights_pinned(name):
     assert result.value.hex() == value.hex()
     assert result.weights_rational == tuple(Fraction(w) for w in weights_rational)
     assert result.value_rational == Fraction(value_rational)
+
+
+# further optimize_weights results, compared by .hex(), as the per-base
+# power table gave them: (weights, value, value_rational)
+HEX_OPTIMA = {
+    "c7_chords k=5": (("0x1.249248c983889p-3", "0x1.24924948c4996p-3", "0x1.249249a4302a6p-3",
+                       "0x1.2492499cf194ep-3", "0x1.249249484238cp-3", "0x1.249248c37a3f0p-3",
+                       "0x1.249248a0d9a79p-3"),
+                      "0x1.b4b985cf97f02p-12", "1/2401"),
+    "c7_chords k=6": (("0x0.0p+0", "0x1.1bf20b4dfd258p-29", "0x1.5555555ba612cp-2",
+                       "0x1.1bf20b4dfd258p-29", "0x0.0p+0", "0x1.5555552eaeb57p-2",
+                       "0x1.5555552eaeb57p-2"),
+                      "0x1.67980e0bf08d6p-11", "1/1458"),
+    "digon k=4": (("0x1.ffffffb21d91cp-2", "0x1.00000026f1374p-1"),
+                  "0x1.0000000000003p-5", "1/32"),
+    "cycle_7 k=7": (("0x1.249249155646ap-3", "0x1.24924913affa3p-3", "0x1.2492491557dc2p-3",
+                     "0x1.24924952c1cf4p-3", "0x1.24924913af7a7p-3", "0x1.24924945df473p-3",
+                     "0x1.249249155152cp-3"),
+                    "0x1.45f3b3bb082a4p-20", "1/823543"),
+    "cycle_3 k=6": (("0x1.55555525afcb9p-2", "0x1.5555552905dcep-2", "0x1.555555b14a57cp-2"),
+                    "0x1.67980e0bf08cbp-11", "1/1458"),
+    "hub:4": (("0x1.ffffffaa18a30p-2", "0x1.0000002af3ae9p-1"),
+              "0x1.8000000000001p-1", "3/4"),
+    "hub:5": (("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+              "0x1.0000000000000p+0", "1"),
+    "hub:6": (("0x1.ffffffc5d6052p-2", "0x1.0000001d14fd8p-1"),
+              "0x1.4000000000001p+0", "5/4"),
+}
+
+# one start each, drawn by _random_starts, over these models in turn
+RANDOM_START_MODELS = ("c5c7 k=5", "c5c3 k=5", "c7_chords k=5", "digon k=4", "cycle_7 k=7")
+RANDOM_START_OPTIMA = [
+    (("0x1.3333332f39544p-2", "0x1.3333333733ea3p-2", "0x1.99999974fa8b4p-3", "0x1.999999be2af84p-3"),
+     "0x1.1b1d92b7fe08fp-11", "27/50000"),
+    (("0x1.ffffffefe1582p-3", "0x1.00000002a6419p-2", "0x1.00000002b98a1p-2", "0x1.00000002af888p-2"),
+     "0x1.0000000000004p-9", "1/512"),
+    (("0x1.2492493ce3cbep-3", "0x1.249248bce4601p-3", "0x1.2492494fc18f0p-3", "0x1.2492492221a5dp-3",
+      "0x1.24924951cf7ffp-3", "0x1.2492495a939f1p-3", "0x1.249248e7f180dp-3"),
+     "0x1.b4b985cf97f04p-12", "1/2401"),
+    (("0x1.fffffff3bc336p-2", "0x1.0000000621e66p-1"),
+     "0x1.0000000000002p-5", "1/32"),
+    (("0x1.827a053702fd4p-4", "0x1.2492492492492p-54", "0x1.e6776e11f9350p-2", "0x1.2492492492492p-54",
+      "0x1.2492492492492p-54", "0x1.b6f6626e901a4p-7", "0x1.ab325d8cd18aep-2"),
+     "0x1.8819be1460819p-174", "0"),
+    (("0x1.33333334e0660p-2", "0x1.3333333188410p-2", "0x1.999999a158be0p-3", "0x1.99999991d5f46p-3"),
+     "0x1.1b1d92b7fe08fp-11", "27/50000"),
+    (("0x1.ffffffe1a5c10p-3", "0x1.ffffffe8966fep-3", "0x1.ffffffe1a5c12p-3", "0x1.0000002a0f073p-2"),
+     "0x1.0000000000003p-9", "1/512"),
+    (("0x1.2492491beae4ep-3", "0x1.24924981909c1p-3", "0x1.2492496e2f95fp-3", "0x1.249249618076bp-3",
+      "0x1.249248e9fbfbbp-3", "0x1.249248ce499d9p-3", "0x1.249248da8ed99p-3"),
+     "0x1.b4b985cf97f02p-12", "1/2401"),
+    (("0x1.00000011de6bap-1", "0x1.ffffffdc4328ep-2"),
+     "0x1.0000000000002p-5", "1/32"),
+    (("0x1.37f87776c2d73p-2", "0x0.0p+0", "0x1.2c93b7f3435a3p-2", "0x1.3cc167d81a650p-6",
+      "0x1.44c1b7a85969ep-3", "0x1.ca8dbc8896e6ep-3", "0x0.0p+0"),
+     "0x0.0p+0", "0"),
+]
+
+
+def _hex_model(name):
+    if name.startswith("hub:"):
+        return hub_split_model(int(name[4:]))
+    pattern, k = name.split(" k=")
+    spec = NAMED_PATTERNS.get(pattern) or uniform_pattern(directed_cycle(int(pattern[6:])))
+    return density_model(spec, int(k))
+
+
+def _random_starts():
+    rng = random.Random(2028)
+    starts = []
+    for i in range(len(RANDOM_START_OPTIMA)):
+        model = _hex_model(RANDOM_START_MODELS[i % len(RANDOM_START_MODELS)])
+        starts.append((model, [rng.random() for _ in range(model.p)]))
+    return starts
+
+
+def assert_hex_result(result, pinned):
+    weights, value, value_rational = pinned
+    assert [w.hex() for w in result.weights] == list(weights)
+    assert result.value.hex() == value
+    assert result.value_rational == Fraction(value_rational)
+
+
+@pytest.mark.parametrize("name", sorted(HEX_OPTIMA))
+def test_optimize_weights_pinned_by_hex(name):
+    assert_hex_result(optimize_weights(_hex_model(name)), HEX_OPTIMA[name])
+
+
+def test_optimize_weights_from_random_starts_pinned_by_hex():
+    for (model, start), pinned in zip(_random_starts(), RANDOM_START_OPTIMA):
+        assert_hex_result(optimize_weights(model, [start]), pinned)
+
+
+# threshold_density(c, k, resolution) by .hex() at resolutions 16 and 128
+THRESHOLD_HEX = {
+    (0.3, 3): ("0x1.f8e50aa870035p-7", "0x1.f8e50aa870033p-7"),
+    (0.3, 4): ("0x1.e50718fa55e6bp-25", "0x1.a9593e97d0182p-27"),
+    (0.3, 5): ("0x1.70cc4f84f7ce4p-12", "0x1.7019987d31fd1p-12"),
+    (0.3, 6): ("0x1.947d5363a3c85p-14", "0x1.9475625010d28p-14"),
+    (0.3, 7): ("0x1.f06b704ef5050p-19", "0x1.ed1702625eedbp-19"),
+    (0.5, 3): ("0x1.2492492492492p-6", "0x1.2492492492492p-6"),
+    (0.5, 4): ("0x1.7e225515a4f1bp-27", "0x1.7e225515a4f1bp-36"),
+    (0.5, 5): ("0x1.b1af9b593e28bp-12", "0x1.b15190e64dd53p-12"),
+    (0.5, 6): ("0x1.f8f682c26d9e5p-14", "0x1.f8f682b807c24p-14"),
+    (0.5, 7): ("0x1.14163932d9c8dp-18", "0x1.132dfa565351ep-18"),
+    (0.67757, 3): ("0x1.3cfc9b7c57843p-6", "0x1.3cfc9b7c57843p-6"),
+    (0.67757, 4): ("0x1.fc1d04825d920p-28", "0x1.1ce48833b6fd0p-36"),
+    (0.67757, 5): ("0x1.c43a5b8b42e88p-12", "0x1.c3fbc562e8d1ep-12"),
+    (0.67757, 6): ("0x1.1e81f9cb711bcp-13", "0x1.1e81f9c756977p-13"),
+    (0.67757, 7): ("0x1.ee20f2f036229p-19", "0x1.ecf1660d38bf0p-19"),
+    (0.75, 3): ("0x1.43eb1a1f58d0dp-6", "0x1.43eb1a1f58d0dp-6"),
+    (0.75, 4): ("0x1.7e225515a4f1bp-28", "0x1.7e225515a4f1bp-37"),
+    (0.75, 5): ("0x1.c23815530f086p-12", "0x1.c20524ff77855p-12"),
+    (0.75, 6): ("0x1.28881c66f2419p-13", "0x1.28881c6458ca9p-13"),
+    (0.75, 7): ("0x1.bd2625bf2baa2p-19", "0x1.bc33a42e06f8bp-19"),
+    (1.0, 3): ("0x1.4e5e0a72f0538p-6", "0x1.4e5e0a72f0538p-6"),
+    (1.0, 4): ("0x0.0p+0", "0x0.0p+0"),
+    (1.0, 5): ("0x1.b4b985cf97efap-12", "0x1.b4b985cf97efap-12"),
+    (1.0, 6): ("0x1.37f23b01fecfdp-13", "0x1.37f23b01fecfdp-13"),
+    (1.0, 7): ("0x1.45f3b3bb08298p-19", "0x1.45f3b3bb08298p-19"),
+}
+
+
+@pytest.mark.parametrize("c", sorted({c for c, _ in THRESHOLD_HEX}))
+def test_threshold_density_pinned_by_hex(c):
+    for k in range(3, 8):
+        got = tuple(threshold_density(c, k=k, resolution=n).hex() for n in (16, 128))
+        assert got == THRESHOLD_HEX[c, k], k
 
 
 def test_exact_density_values():
@@ -646,6 +899,44 @@ def test_threshold_constant_comes_from_the_pattern_or_raises():
     assert own.hex() == threshold_density(0.7, resolution=128).hex()
     assert own == pytest.approx(0.00043084382, rel=1e-9)
     assert threshold_density(0.3, resolution=128) == pytest.approx(0.00035104749970260335, rel=1e-12)
+
+
+def test_threshold_walks_are_grouped_once_per_step_table(monkeypatch):
+    # every threshold_c7_pattern(c) has one step table, so the golden-section
+    # search groups its walks once
+    calls = []
+
+    def spy(table, k):
+        calls.append((table, k))
+        return closed_walks(table, k)
+
+    monkeypatch.setattr(density, "closed_walks", spy)
+    density._threshold_walks.cache_clear()
+    result = optimize_threshold(resolution=32)
+    assert result.evaluations > 20
+    table = tuple(map(tuple, step_table(threshold_c7_pattern(0.5))))
+    assert calls == [(table, 5)]
+    grouped = density._threshold_walks(table, 5)
+    hash(grouped)  # tuples all the way down: no caller can change the kept grouping
+    assert grouped == density._threshold_walks.__wrapped__(table, 5)
+    assert len(calls) == 2
+
+
+def test_threshold_walk_cache_keeps_patterns_apart():
+    # the all-threshold pattern shares blobs and k with threshold_c7, not its table
+    other = _all_threshold_pattern(0.7)
+    density._threshold_walks.cache_clear()
+    cold = threshold_density(0.7, resolution=32, pattern=other).hex()
+    density._threshold_walks.cache_clear()
+    own = threshold_density(0.7, resolution=32).hex()
+    assert threshold_density(0.7, resolution=32, pattern=other).hex() == cold != own
+    assert threshold_density(0.7, resolution=32).hex() == own
+    # the validation runs on every call, cached grouping or not
+    for _ in range(3):
+        with pytest.raises(PatternError):
+            threshold_density(0.5, resolution=32, pattern=c5c7_pattern())
+        with pytest.raises(PatternError, match="threshold constant"):
+            threshold_density(0.3, resolution=32, pattern=threshold_c7_pattern(0.7))
 
 
 def test_threshold_kernels_reject_mixed_constants_and_parallel_steps():
