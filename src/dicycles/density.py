@@ -75,6 +75,8 @@ def _check_simplex(weights: Sequence, p: int) -> None:
     _check_length(weights, p)
     total = 0.0
     for w in weights:
+        if not math.isfinite(float(w)):
+            raise WeightsOffSimplexError(f"weight {w} is not finite")
         if float(w) < -1e-12:
             raise WeightsOffSimplexError(f"negative weight {w}")
         total += float(w)

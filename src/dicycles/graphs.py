@@ -180,16 +180,22 @@ def canonical_arcs(g: OrientedGraph) -> tuple[tuple[int, int], ...]:
     """Lexicographically minimal arc tuple over all vertex permutations.
 
     Brute force over n! permutations; intended for n <= 8 (witness
-    deduplication and isomorphism checks in tests).
+    deduplication and isomorphism checks in tests).  A sorted arc tuple
+    lists the set bits of its adjacency matrix in row-major order, so the
+    smallest tuple is the relabelled matrix whose n^2 bits, read row by row,
+    form the largest number: one gather relabels the matrix by every
+    permutation, and its rows packed into big-endian 64-bit keys are
+    compared at once.
     """
-    if g.n > 8:
+    n = g.n
+    if n > 8:
         raise GraphError("canonical_arcs is brute force; n <= 8 required")
-    best = None
-    for perm in permutations(range(g.n)):
-        cand = tuple(sorted((perm[u], perm[v]) for u, v in g.arcs))
-        if best is None or cand < best:
-            best = cand
-    return best if best is not None else ()
+    perms = np.array(list(permutations(range(n))), np.intp)
+    relabelled = bit_matrix(g.out_bits(), n)[perms[:, :, None], perms[:, None, :]]
+    keys = np.zeros((len(perms), 8), np.uint8)
+    keys[:, :(n * n + 7) // 8] = np.packbits(relabelled.reshape(len(perms), n * n), axis=1)
+    best = relabelled[keys.view(">u8").argmax()]
+    return tuple(zip(*(axis.tolist() for axis in best.nonzero())))
 
 
 # ---------------------------------------------------------------------------

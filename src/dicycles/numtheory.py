@@ -38,14 +38,21 @@ class RepresentabilityQuery:
     generators: tuple[int, ...]
 
     def __post_init__(self):
-        gens = tuple(int(a) for a in self.generators)
+        gens = tuple(map(int, self.generators))
         object.__setattr__(self, "generators", gens)
-        if len(gens) < 1:
-            raise EmptyGeneratorsError("at least one generator required")
-        if any(a < 1 for a in gens):
-            raise NumTheoryError("generators must be positive")
+        _check_generators(gens)
         if self.target < 0:
             raise NumTheoryError("target must be non-negative")
+
+
+@lru_cache(maxsize=1024)
+def _check_generators(gens: tuple[int, ...]) -> None:
+    """Raise unless there are generators and all are positive; a passing
+    tuple is checked once, since a sweep asks for every target with it."""
+    if len(gens) < 1:
+        raise EmptyGeneratorsError("at least one generator required")
+    if any(a < 1 for a in gens):
+        raise NumTheoryError("generators must be positive")
 
 
 @dataclass(frozen=True)
@@ -101,7 +108,9 @@ def representable(q: RepresentabilityQuery) -> RepresentabilityResult:
     v <= bound is a combination of a_{i+1..k} (:func:`_suffix_rows`, kept
     per generator tuple for some bound >= target); only bits up to the
     target are read.  The witness, when one exists, is lexicographically
-    minimal in the coefficient vector (smallest x_1, then x_2, ...).
+    minimal in the coefficient vector (smallest x_1, then x_2, ...): x_i is
+    smallest where rest - x_i a_i is the highest bit of suffix row i + 1
+    among rest, rest - a_i, rest - 2 a_i, ..., found by one mask.
     """
     gens = q.generators
     target = q.target
@@ -113,9 +122,10 @@ def representable(q: RepresentabilityQuery) -> RepresentabilityResult:
     rest = target
     for i in range(k):
         a = gens[i]
-        x = 0
-        while not suffix[i + 1] >> (rest - x * a) & 1:
-            x += 1
+        # the bits rest, rest - a, ..., rest % a: 1 + 2^a + 2^2a + ..., shifted
+        steps = ((1 << (rest // a + 1) * a) - 1) // ((1 << a) - 1) << rest % a
+        # x is smallest where rest - x a is the highest of them in the row
+        x = (rest - (suffix[i + 1] & steps).bit_length() + 1) // a
         witness.append(x)
         rest -= x * a
     if rest:

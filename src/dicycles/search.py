@@ -10,14 +10,16 @@ block of graphs, and the graphs on all n vertices are scored without being
 stored.  The reported maximum is exact with no isomorphism machinery in the
 hot path; canonical forms only deduplicate the reported witnesses.  Local
 search is simulated annealing over pair states with forbidden-pattern
-rejection; it reports lower bounds only.  A move touches the bitmasks of
-one pair's two vertices: it counts only the cycles through the arcs it
-changes (paths with one to three interior vertices by bitmask formulas,
-longer ones by the shared DFS), and a rejected or forbidden move restores
-the saved masks and count without counting again.  Its pair and state are
-drawn by the same ``getrandbits`` rejection loop that ``randrange`` runs,
-without the call.  These shortcuts leave the random stream, and so every
-seeded record, as they were.
+rejection; it reports lower bounds only.  Its move runs inline, one loop
+per call: it touches the bitmasks of one pair's two vertices and counts
+only the cycles through the arcs it changes (paths with one interior
+vertex by a plain expression, two or three by bitmask formulas, longer
+ones by the shared DFS, the counter picked once per call), and a
+rejected or forbidden move restores the four saved masks without
+counting again.  Its pair and state are drawn by the same
+``getrandbits`` rejection loop that ``randrange`` runs, without the call.
+These shortcuts leave the random stream, and so every seeded record, as
+they were.
 """
 
 from __future__ import annotations
@@ -308,125 +310,59 @@ def exhaustive_extremal(n: int, k: int, forbidden, mode: str = ORIENTED,
 # ---------------------------------------------------------------------------
 
 
-def _through_paths(out: list[int], inn: list[int], start: int, end: int, arcs: int,
-                   limit: Optional[int] = None) -> int:
-    """Simple paths start -> end with ``arcs`` arcs.  With the arc
-    end -> start present they are its cycles of length arcs + 1; without
-    it, the cycles that adding it would close.
+def _path_counter(arcs: int):
+    """The counter ``paths(out, inn, start, end, limit)`` of the simple paths
+    start -> end with ``arcs`` arcs.  With the arc end -> start present they
+    are its cycles of length arcs + 1; without it, the cycles that adding it
+    would close.  With a ``limit`` the count may stop once it reaches it.
 
-    One to three interior vertices are counted by bitmask formulas: the
-    middles of start -> w -> end are out[start] & inn[end]; the paths
-    start -> c -> d -> end are, for each c, the d in out[c] & inn[end]
-    other than start; and the paths start -> a -> b -> c -> end are, for
-    each middle b, the pairs of an a in A = out[start] & inn[b] other than
-    end and a c in C = out[b] & inn[end] other than start with a != c,
-    that is |A| |C| - |A & C|.  Longer paths go to the general DFS.  With
-    ``limit`` the count may stop early once it reaches the limit.
+    Paths with two or three interior vertices are counted by bitmask
+    formulas, longer ones by the general DFS.  One interior vertex is the
+    plain expression (out[start] & inn[end]).bit_count(), which the
+    annealer writes in its loop instead of asking for a counter.
     """
-    if arcs == 2:
-        return (out[start] & inn[end]).bit_count()
     if arcs == 3:
-        ends = inn[end] & ~(1 << start)
-        mids = out[start] & ~(1 << end)
-        total = 0
-        while mids:
-            low = mids & -mids
-            mids ^= low
-            total += (out[low.bit_length() - 1] & ends).bit_count()
+        return _three_arc_paths
+    if arcs == 4:
+        return _four_arc_paths
+    return lambda out, inn, start, end, limit: _simple_paths(out, start, arcs, ~(1 << end),
+                                                             1 << end, limit)
+
+
+def _three_arc_paths(out: list[int], inn: list[int], start: int, end: int,
+                     limit: Optional[int]) -> int:
+    # the paths start -> c -> d -> end are, for each c, the d in
+    # out[c] & inn[end] other than start
+    ends = inn[end] & ~(1 << start)
+    mids = out[start] & ~(1 << end)
+    total = 0
+    while mids:
+        low = mids & -mids
+        mids ^= low
+        total += (out[low.bit_length() - 1] & ends).bit_count()
+        if limit is not None and total >= limit:
+            break
+    return total
+
+
+def _four_arc_paths(out: list[int], inn: list[int], start: int, end: int,
+                    limit: Optional[int]) -> int:
+    # the paths start -> a -> b -> c -> end are, for each middle b, the pairs
+    # of an a in A = out[start] & inn[b] other than end and a c in
+    # C = out[b] & inn[end] other than start with a != c: |A| |C| - |A & C|
+    firsts = out[start] & ~(1 << end)
+    lasts = inn[end] & ~(1 << start)
+    total = 0
+    for b, into in enumerate(inn):
+        if b == start or b == end:
+            continue
+        before = firsts & into
+        if before:
+            after = out[b] & lasts
+            total += before.bit_count() * after.bit_count() - (before & after).bit_count()
             if limit is not None and total >= limit:
                 break
-        return total
-    if arcs == 4:
-        firsts = out[start] & ~(1 << end)
-        lasts = inn[end] & ~(1 << start)
-        total = 0
-        for b, into in enumerate(inn):
-            if b == start or b == end:
-                continue
-            before = firsts & into
-            if before:
-                after = out[b] & lasts
-                total += before.bit_count() * after.bit_count() - (before & after).bit_count()
-                if limit is not None and total >= limit:
-                    break
-        return total
-    return _simple_paths(out, start, arcs, ~(1 << end), 1 << end, limit)
-
-
-class _AnnealState:
-    """Mutable pair-state assignment with incremental adjacency and count.
-
-    A pair state is a 2-bit mask: bit 1 is the arc u -> v, bit 2 the arc
-    v -> u (so oriented mode uses 0, 1, 2).  A move changes only the arcs
-    of one pair {u, v}, so only out[u], out[v], in[u] and in[v] change.
-    ``try_set`` saves those four masks and the count first; a forbidden
-    move and :meth:`revert` restore them instead of counting again.
-    """
-
-    def __init__(self, n: int, k: int, forbidden, mode: str):
-        self.n = n
-        self.k = k
-        self.mode = mode
-        self.forbidden = parse_forbidden(forbidden)
-        self.pairs = list(combinations(range(n), 2))
-        # each pair's arcs per 2-bit state, built once
-        self._arcs = [((), ((u, v),), ((v, u),), ((u, v), (v, u))) for u, v in self.pairs]
-        self.states = [0] * len(self.pairs)
-        self.out = [0] * n
-        self.inn = [0] * n
-        self.count = 0
-        self._saved = None
-
-    def _creates_forbidden(self, u: int, v: int) -> bool:
-        # would adding arc u -> v close a forbidden configuration?
-        out, inn = self.out, self.inn
-        for item in self.forbidden:
-            if item == TT3:
-                if (out[u] & out[v]) or (inn[u] & inn[v]) or (out[u] & inn[v]):
-                    return True
-            elif _through_paths(out, inn, v, u, item - 1, limit=1):
-                return True
-        return False
-
-    def try_set(self, pair_idx: int, new_state: int) -> Optional[int]:
-        """Apply a pair transition and return the change of the count; None
-        (state unchanged) if the new graph has a forbidden pattern."""
-        old_state = self.states[pair_idx]
-        u, v = self.pairs[pair_idx]
-        out, inn, arcs, k = self.out, self.inn, self._arcs[pair_idx], self.k
-        saved = out[u], out[v], inn[u], inn[v]
-        count = self.count
-        for a, b in arcs[old_state & ~new_state]:
-            count -= _through_paths(out, inn, b, a, k - 1)
-            out[a] &= ~(1 << b)
-            inn[b] &= ~(1 << a)
-        for a, b in arcs[new_state & ~old_state]:
-            # self.count is not changed yet; the saved masks are the old graph
-            if self._creates_forbidden(a, b):
-                out[u], out[v], inn[u], inn[v] = saved
-                return None
-            out[a] |= 1 << b
-            inn[b] |= 1 << a
-            count += _through_paths(out, inn, b, a, k - 1)
-        self._saved = (pair_idx, old_state, saved, self.count)
-        self.states[pair_idx] = new_state
-        delta = count - self.count
-        self.count = count
-        return delta
-
-    def revert(self) -> None:
-        """Undo the last applied ``try_set``."""
-        pair_idx, old_state, saved, count = self._saved
-        u, v = self.pairs[pair_idx]
-        self.out[u], self.out[v], self.inn[u], self.inn[v] = saved
-        self.states[pair_idx] = old_state
-        self.count = count
-
-    def graph(self, states: Optional[list[int]] = None) -> OrientedGraph:
-        """The graph of ``states`` (by default the current ones)."""
-        states = self.states if states is None else states
-        arcs = [arc for idx, state in enumerate(states) for arc in self._arcs[idx][state]]
-        return new_graph(self.n, arcs, self.mode)
+    return total
 
 
 def local_search_extremal(n: int, k: int, forbidden, budget: int, seed: int,
@@ -438,15 +374,20 @@ def local_search_extremal(n: int, k: int, forbidden, budget: int, seed: int,
     ``seed``, so results are reproducible.  The reported value is a lower
     bound only.
 
-    A move counts only the k-cycles through the arcs it changes.  A
-    rejected downhill move and a forbidden move restore the saved masks and
-    count rather than counting again, and a new best saves only the pair
-    states; the witness graph is built once, at the end, and re-verified
-    through the counting module.  Each move draws a pair, a new state and,
-    if applied and downhill, one ``random``.  The pair and the state are
-    drawn as ``randrange(m)`` draws them, by ``getrandbits(m.bit_length())``
-    redrawn while at least m, so the stream, and with it every record, is
-    the same as when every move called ``randrange`` and was counted again.
+    A pair state is a 2-bit mask: bit 1 is the arc u -> v, bit 2 the arc
+    v -> u (so oriented mode uses 0, 1, 2).  A move changes the arcs of one
+    pair {u, v}, so it runs inline on out[u], out[v], in[u] and in[v]: it
+    saves them, removes the old arcs, tests the forbidden patterns and adds
+    the new arcs, counting only the k-cycles through the arcs it changes
+    (the path counter is picked by k once per call).  A forbidden or
+    rejected downhill move restores the four saved masks rather than
+    counting again, and a new best saves only the pair states; the witness
+    graph is built once, at the end, and re-verified through the counting
+    module.  Each move draws a pair, a new state and, if allowed and
+    downhill, one ``random``.  The pair and the state are drawn as
+    ``randrange(m)`` draws them, by ``getrandbits(m.bit_length())`` redrawn
+    while at least m, so the stream, and with it every record, is the same
+    as when every move called ``randrange`` and was counted again.
 
     With fewer than two vertices there is no pair to draw, and the empty
     graph is returned without drawing; k < 2 raises :class:`SearchError`,
@@ -456,16 +397,27 @@ def local_search_extremal(n: int, k: int, forbidden, budget: int, seed: int,
         raise SearchError("k must be at least 2")
     if budget < 0:
         raise SearchError("budget must be non-negative")
+    forbidden = parse_forbidden(forbidden)
     rng = random.Random(seed)
-    state = _AnnealState(n, k, forbidden, mode)
-    n_states = 3 if mode == ORIENTED else 4
-    n_pairs = len(state.pairs)
+    pairs = list(combinations(range(n), 2))
+    # each pair's arcs per 2-bit state
+    arcs = [((), ((u, v),), ((v, u),), ((u, v), (v, u))) for u, v in pairs]
+    n_pairs, n_states = len(pairs), 3 if mode == ORIENTED else 4
+    states, out, inn = [0] * n_pairs, [0] * n, [0] * n
+    # the k-cycles through an arc a -> b are the paths b -> a with k - 1
+    # arcs.  Adding a -> b closes an l-cycle iff there is a path b -> a with
+    # l - 1 arcs, and a TT3 iff a and b share an out- or an in-neighbour or
+    # a -> w -> b for some w; no cycle is longer than n
+    through = None if k == 3 else _path_counter(k - 1)
+    tt3, c3 = TT3 in forbidden, 3 in forbidden
+    closers = [_path_counter(item - 1) for item in forbidden if item not in (TT3, 3) and item <= n]
+    closes = closers[0] if len(closers) == 1 else None
+    if len(closers) > 1:
+        closes = lambda *path: any(paths(*path) for paths in closers)
     # randrange(m) draws m.bit_length() bits, not (m - 1).bit_length()
     pair_bits, state_bits = n_pairs.bit_length(), n_states.bit_length()
-    states = state.states
-    try_set, revert = state.try_set, state.revert
     getrandbits, uniform, exp = rng.getrandbits, rng.random, math.exp
-    best_count = 0
+    count = best_count = 0
     best_states = list(states)
     t0, t_end = 1.0, 0.02
     cooling = (t_end / t0) ** (1.0 / max(budget, 1))
@@ -481,30 +433,44 @@ def local_search_extremal(n: int, k: int, forbidden, budget: int, seed: int,
         idx = getrandbits(pair_bits)
         while idx >= n_pairs:
             idx = getrandbits(pair_bits)
-        new_state = getrandbits(state_bits)
-        while new_state >= n_states:
-            new_state = getrandbits(state_bits)
-        if new_state == states[idx]:
+        new = getrandbits(state_bits)
+        while new >= n_states:
+            new = getrandbits(state_bits)
+        old = states[idx]
+        if new == old:
             continue
-        delta = try_set(idx, new_state)
-        if delta is None:
-            stagnation += 1
-            continue
-        if delta < 0 and uniform() >= exp(delta / temperature):
-            revert()
-            stagnation += 1
-            continue
-        if state.count > best_count:
-            best_count = state.count
-            best_states = list(states)
-            stagnation = 0
+        u, v = pairs[idx]
+        saved = out[u], out[v], inn[u], inn[v]
+        moved = count
+        for a, b in arcs[idx][old & ~new]:
+            moved -= (out[b] & inn[a]).bit_count() if through is None else through(out, inn, b, a, None)
+            out[a] &= ~(1 << b)
+            inn[b] &= ~(1 << a)
+        for a, b in arcs[idx][new & ~old]:
+            if (tt3 and (out[a] & out[b] or inn[a] & inn[b] or out[a] & inn[b])
+                    or c3 and out[b] & inn[a]
+                    or closes and closes(out, inn, b, a, 1)):
+                break
+            out[a] |= 1 << b
+            inn[b] |= 1 << a
+            moved += (out[b] & inn[a]).bit_count() if through is None else through(out, inn, b, a, None)
         else:
-            stagnation += 1
+            # a downhill move is taken with probability exp(delta / temperature)
+            if moved >= count or uniform() < exp((moved - count) / temperature):
+                states[idx] = new
+                count = moved
+                if count > best_count:
+                    best_count, best_states, stagnation = count, list(states), 0
+                else:
+                    stagnation += 1
+                continue
+        # a forbidden or rejected move leaves the graph as it was
+        out[u], out[v], inn[u], inn[v] = saved
+        stagnation += 1
 
-    best_graph = state.graph(best_states)
+    best_graph = new_graph(n, [arc for pair, s in zip(arcs, best_states) for arc in pair[s]], mode)
     _check_witness(best_graph, k, forbidden, best_count)
-    return ExtremalRecord(n, k, parse_forbidden(forbidden), mode, best_count,
-                          (best_graph,), "local_search", budget)
+    return ExtremalRecord(n, k, forbidden, mode, best_count, (best_graph,), "local_search", budget)
 
 
 # ---------------------------------------------------------------------------

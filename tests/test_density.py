@@ -581,6 +581,17 @@ def test_weights_off_simplex_rejected():
         model.value([1.5, -0.25, -0.25])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_weights_that_are_not_finite_are_rejected(bad):
+    # a NaN weight passed both the sign and the sum test, and the density
+    # came out nan
+    with pytest.raises(WeightsOffSimplexError, match="not finite"):
+        threshold_density(0.7, resolution=16, pattern=threshold_c7_pattern(0.7),
+                          weights=(bad,) + (1 / 6,) * 6)
+    with pytest.raises(WeightsOffSimplexError, match="not finite"):
+        density_model(uniform_pattern(directed_cycle(3)), 3).value([bad, 0.5, 0.5])
+
+
 # each entry took a weight vector of the wrong length: zip dropped the
 # seventh blob (0.00488 against 0.000431), the missing weights read as
 # zero, or an index ran off the end

@@ -7,6 +7,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -387,6 +388,32 @@ def test_blob_assignment_validation():
     for sizes in ((2, -1), (2.7, 3), (2, "4"), (2,), (2, 3, 4)):
         with pytest.raises(SizeMismatchError):
             blow_up(pattern, sizes)
+
+
+def _brute_canonical_arcs(g):
+    """The smallest sorted arc tuple over every relabelling, tuple by tuple."""
+    return min(tuple(sorted((perm[u], perm[v]) for u, v in g.arcs))
+               for perm in permutations(range(g.n)))
+
+
+def test_canonical_arcs_matches_brute_force():
+    rng = random.Random(808)
+    graphs = []
+    for trial in range(120):
+        n, mode = trial % 8, (ORIENTED, DIRECTED)[trial // 8 % 2]
+        density = rng.choice((0.1, 0.3, 0.5, 0.8))
+        arcs = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density}
+        if mode == ORIENTED:
+            arcs = {(u, v) for u, v in arcs if u < v or (v, u) not in arcs}
+        graphs.append(new_graph(n, arcs, mode))
+    # n = 8 fills all 64 bits of a key; the last graph has every arc
+    graphs += [directed_cycle(8), new_graph(8, [(0, 1), (1, 0), (2, 3), (5, 7), (7, 6)], DIRECTED),
+               new_graph(8, [(u, v) for u in range(8) for v in range(8) if u != v], DIRECTED)]
+    for g in graphs:
+        assert canonical_arcs(g) == _brute_canonical_arcs(g), (g.n, sorted(g.arcs))
+    assert canonical_arcs(new_graph(0, [])) == canonical_arcs(new_graph(1, [])) == ()
+    with pytest.raises(GraphError, match="n <= 8"):
+        canonical_arcs(new_graph(9, []))
 
 
 def test_canonical_arcs_detects_isomorphism():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from itertools import combinations, permutations
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dicycles.counting import _simple_paths, count_cycle_copies, has_cycle_subgr
 from dicycles.graphs import (
     DIRECTED,
     ORIENTED,
+    OrientedGraph,
     canonical_arcs,
     iterated_blowup_cycle_count,
     new_graph,
@@ -24,13 +26,13 @@ from dicycles.numtheory import ceil_cubic_value
 from dicycles.search import (
     SearchError,
     TooLargeError,
+    TT3,
     ExtremalRecord,
-    _AnnealState,
     _check_witness,
     _cycle_arc_patterns,
     _decode,
     _forbidden_patterns,
-    _through_paths,
+    _path_counter,
     contains_forbidden,
     exhaustive_extremal,
     finite_prediction,
@@ -330,6 +332,28 @@ PINNED_ANNEAL = [
      "02 03 04 10 12 13 16 21 25 31 35 40 41 45 46 50 56 62 63 64"),
     (8, 5, [2, 3], 3000, 42, DIRECTED, 24,
      "02 06 10 13 27 30 32 36 40 41 43 50 51 53 54 62 67 71 74 75"),
+    # the benchmark's four targets at its smallest and largest n, recorded
+    # from the annealer before its move loop was inlined
+    (7, 3, [4], 4000, 43, ORIENTED, 12,
+     "05 06 10 12 14 25 26 30 32 34 45 46 51 53 61 63"),
+    (7, 3, [5], 4000, 44, ORIENTED, 12,
+     "02 03 10 15 16 21 24 31 34 40 45 46 52 53 62 63 65"),
+    (7, 3, ["TT3"], 4000, 45, ORIENTED, 12,
+     "02 05 10 13 16 21 24 32 35 40 43 46 51 54 62 65"),
+    (7, 4, [3], 4000, 46, ORIENTED, 8,
+     "04 10 16 21 23 25 31 35 42 43 50 51 56 64"),
+    (12, 3, [4], 3000, 47, ORIENTED, 60,
+     "06 07 09 10 14 18 1b 20 24 28 2b 30 34 38 3b 46 47 49 50 54 58 5b 61 62 63 65 6a 71 72 73 "
+     "75 7a 86 87 89 91 92 93 95 9a a0 a4 a8 ab b6 b7 b9"),
+    (12, 3, [5], 3000, 48, ORIENTED, 45,
+     "08 0a 0b 10 13 15 16 17 18 19 1b 28 2a 2b 38 3a 3b 40 42 43 46 49 50 52 53 56 59 68 6a 6b "
+     "70 72 73 76 79 84 85 87 92 96 98 9a 9b a4 a5 a7 b4 b5 b7"),
+    (12, 3, ["TT3"], 3000, 49, ORIENTED, 64,
+     "05 06 08 0a 15 16 18 1a 20 21 29 2b 30 31 39 3b 40 41 49 4b 52 53 54 57 62 63 64 67 70 71 "
+     "79 7b 82 83 84 87 95 96 98 9a a2 a3 a4 a7 b5 b6 b8 ba"),
+    (12, 4, [3], 3000, 50, ORIENTED, 39,
+     "03 06 08 09 0a 10 12 13 14 16 17 20 23 26 29 2a 38 39 3a 40 42 43 46 49 4a 51 5b 68 69 6a "
+     "70 73 76 79 7a 85 8b 95 98 a5 a8 a9 b1 b2 b4 b7"),
 ]
 
 
@@ -338,6 +362,92 @@ def test_local_search_pinned_records(n, k, forbidden, budget, seed, mode, copies
     record = local_search_extremal(n, k, forbidden, budget=budget, seed=seed, mode=mode)
     assert record.max_copies == copies
     assert sorted(record.witnesses[0].arcs) == [(int(a[0], 16), int(a[1], 16)) for a in arcs.split()]
+
+
+def _through_paths(out, inn, start, end, arcs, limit=None):
+    """Simple paths start -> end with ``arcs`` arcs, by the annealer's
+    counters (two arcs by its in-loop expression)."""
+    if arcs == 2:
+        return (out[start] & inn[end]).bit_count()
+    return _path_counter(arcs)(out, inn, start, end, limit)
+
+
+# the annealer's move as it was, a method call per move: the reference for
+# the inline loop of local_search_extremal
+class _AnnealState:
+    """Mutable pair-state assignment with incremental adjacency and count.
+
+    A pair state is a 2-bit mask: bit 1 is the arc u -> v, bit 2 the arc
+    v -> u (so oriented mode uses 0, 1, 2).  A move changes only the arcs
+    of one pair {u, v}, so only out[u], out[v], in[u] and in[v] change.
+    ``try_set`` saves those four masks and the count first; a forbidden
+    move and :meth:`revert` restore them instead of counting again.
+    """
+
+    def __init__(self, n: int, k: int, forbidden, mode: str):
+        self.n = n
+        self.k = k
+        self.mode = mode
+        self.forbidden = parse_forbidden(forbidden)
+        self.pairs = list(combinations(range(n), 2))
+        # each pair's arcs per 2-bit state, built once
+        self._arcs = [((), ((u, v),), ((v, u),), ((u, v), (v, u))) for u, v in self.pairs]
+        self.states = [0] * len(self.pairs)
+        self.out = [0] * n
+        self.inn = [0] * n
+        self.count = 0
+        self._saved = None
+
+    def _creates_forbidden(self, u: int, v: int) -> bool:
+        # would adding arc u -> v close a forbidden configuration?
+        out, inn = self.out, self.inn
+        for item in self.forbidden:
+            if item == TT3:
+                if (out[u] & out[v]) or (inn[u] & inn[v]) or (out[u] & inn[v]):
+                    return True
+            elif _through_paths(out, inn, v, u, item - 1, limit=1):
+                return True
+        return False
+
+    def try_set(self, pair_idx: int, new_state: int) -> Optional[int]:
+        """Apply a pair transition and return the change of the count; None
+        (state unchanged) if the new graph has a forbidden pattern."""
+        old_state = self.states[pair_idx]
+        u, v = self.pairs[pair_idx]
+        out, inn, arcs, k = self.out, self.inn, self._arcs[pair_idx], self.k
+        saved = out[u], out[v], inn[u], inn[v]
+        count = self.count
+        for a, b in arcs[old_state & ~new_state]:
+            count -= _through_paths(out, inn, b, a, k - 1)
+            out[a] &= ~(1 << b)
+            inn[b] &= ~(1 << a)
+        for a, b in arcs[new_state & ~old_state]:
+            # self.count is not changed yet; the saved masks are the old graph
+            if self._creates_forbidden(a, b):
+                out[u], out[v], inn[u], inn[v] = saved
+                return None
+            out[a] |= 1 << b
+            inn[b] |= 1 << a
+            count += _through_paths(out, inn, b, a, k - 1)
+        self._saved = (pair_idx, old_state, saved, self.count)
+        self.states[pair_idx] = new_state
+        delta = count - self.count
+        self.count = count
+        return delta
+
+    def revert(self) -> None:
+        """Undo the last applied ``try_set``."""
+        pair_idx, old_state, saved, count = self._saved
+        u, v = self.pairs[pair_idx]
+        self.out[u], self.out[v], self.inn[u], self.inn[v] = saved
+        self.states[pair_idx] = old_state
+        self.count = count
+
+    def graph(self, states: Optional[list[int]] = None) -> OrientedGraph:
+        """The graph of ``states`` (by default the current ones)."""
+        states = self.states if states is None else states
+        arcs = [arc for idx, state in enumerate(states) for arc in self._arcs[idx][state]]
+        return new_graph(self.n, arcs, self.mode)
 
 
 def test_anneal_incremental_count_matches_recount():
@@ -417,9 +527,11 @@ def test_through_paths_three_interior_formula_matches_dfs_and_brute_force():
     assert checked > 500 and hits > 100
 
 
-def _reference_annealer(n, k, forbidden, budget, seed, mode=ORIENTED):
+def _reference_annealer(n, k, forbidden, budget, seed, mode=ORIENTED, restarts=None):
     """The annealer's move loop as it was with two ``randrange`` calls per
-    move: the reference for the inlined ``getrandbits`` draws."""
+    move and a method call per move: the reference for the inlined
+    ``getrandbits`` draws and the inline move.  Each restart to the initial
+    temperature appends its move number to ``restarts``."""
     rng = random.Random(seed)
     state = _AnnealState(n, k, forbidden, mode)
     n_states = 3 if mode == ORIENTED else 4
@@ -432,11 +544,13 @@ def _reference_annealer(n, k, forbidden, budget, seed, mode=ORIENTED):
     temperature = t0
     stagnation = 0
     restart_after = max(budget // 10, 1000)
-    for _ in range(budget):
+    for move in range(budget):
         temperature *= cooling
         if stagnation >= restart_after:
             temperature = t0
             stagnation = 0
+            if restarts is not None:
+                restarts.append(move)
         idx = rng.randrange(n_pairs)
         new_state = rng.randrange(n_states)
         if new_state == states[idx]:
@@ -461,11 +575,22 @@ def _reference_annealer(n, k, forbidden, budget, seed, mode=ORIENTED):
                           (best_graph,), "local_search", budget)
 
 
+# the targets of the randrange reference: every (mode, k, forbidden) case of
+# the incremental test, the first four rows of each mode as they were, and a
+# forbidden pair of long cycles
+_DRAW_TARGETS = {
+    ORIENTED: ((3, [4]), (4, [3]), (3, [5]), (5, [3]), (4, [4]), (3, ["TT3"]), (3, [5, 6])),
+    DIRECTED: ((2, [3]), (3, [4]), (5, [3]), (4, [2, 5]), (4, [5]), (4, [3])),
+}
+
+
 @pytest.mark.parametrize("mode", [ORIENTED, DIRECTED])
 def test_anneal_draws_match_randrange_reference(mode, monkeypatch):
     # n = 2..12 gives 1..66 pairs, drawn with 1..7 bits; directed mode
     # draws its 4 states with 3 bits and rejects half of them.  Both runs
-    # must give the same record and leave their generators in the same state
+    # must give the same record and leave their generators in the same
+    # state.  A budget above 10,000 restarts after budget // 10 moves
+    # without a new best, so its runs go through the restart too
     generators = []
 
     class Kept(random.Random):
@@ -474,16 +599,19 @@ def test_anneal_draws_match_randrange_reference(mode, monkeypatch):
             generators.append(self)
 
     monkeypatch.setattr(random, "Random", Kept)
-    targets = (((3, [4]), (4, [3]), (3, [5]), (5, [3])) if mode == ORIENTED
-               else ((2, [3]), (3, [4]), (5, [3]), (4, [2, 5])))
-    for n in range(2, 13):
-        for i, (k, forbidden) in enumerate(targets):
-            seed = 100 * n + i
-            got = local_search_extremal(n, k, forbidden, 1200, seed, mode)
-            expected = _reference_annealer(n, k, forbidden, 1200, seed, mode)
-            assert got == expected, (n, k, forbidden)
-            assert generators[-2].getstate() == generators[-1].getstate(), (n, k, forbidden)
-    assert len(generators) == 2 * 11 * len(targets)
+    targets = _DRAW_TARGETS[mode]
+    runs = [(n, k, forbidden, 1200, 100 * n + i)
+            for n in range(2, 13) for i, (k, forbidden) in enumerate(targets)]
+    runs.append((9, *targets[1], 12_000, 7))
+    restarts = []
+    for n, k, forbidden, budget, seed in runs:
+        got = local_search_extremal(n, k, forbidden, budget, seed, mode)
+        expected = _reference_annealer(n, k, forbidden, budget, seed, mode, restarts)
+        assert got == expected, (n, k, forbidden, budget)
+        assert generators[-2].getstate() == generators[-1].getstate(), (n, k, forbidden, budget)
+        if budget > 10_000:
+            assert restarts and restarts[-1] > 1200, restarts
+    assert len(generators) == 2 * len(runs) == 2 * (11 * len(targets) + 1)
 
 
 def test_local_search_below_two_vertices_returns_the_empty_graph_without_drawing(monkeypatch):
